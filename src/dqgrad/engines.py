@@ -184,7 +184,7 @@ class _WorkerBase:
         u_norm = float(np.linalg.norm(u))
         self.last_u_norm = u_norm
         self.last_r = r
-        if u_norm > r * (1.0 + CONTAINMENT_RTOL):
+        if not u_norm <= r * (1.0 + CONTAINMENT_RTOL):  # a NaN norm violates
             if self.containment == "strict":
                 raise ScheduleViolationError(t, u_norm, r)
             self.violations.append(t)

@@ -114,10 +114,12 @@ def estimate_contraction_raw(record):
     return float((d[T] / d[0]) ** (1.0 / T))
 
 
-def _make_stop(x_star, floor, ceiling):
+def _make_stop(record, ceiling):
+    """Stop test on the distance that `observe` just appended to record."""
+
     def stop(t, server):
-        dist = float(np.linalg.norm(server.x - x_star))
-        return not math.isfinite(dist) or dist < floor or dist > ceiling
+        dist = record.distances[-1]
+        return not math.isfinite(dist) or dist < record.floor or dist > ceiling
 
     return stop
 
@@ -209,7 +211,7 @@ def run_dq(algo, objective, R, t_max=10_000, floor_scale=1e-13, rho=None,
     run_protocol(
         server, [worker], [channel], t_max,
         on_iteration=observe,
-        stop=_make_stop(objective.x_star, floor, DIVERGENCE_SCALE * max(1.0, objective.D)),
+        stop=_make_stop(record, DIVERGENCE_SCALE * max(1.0, objective.D)),
     )
     record.violations = len(worker.violations)
     return record
@@ -242,7 +244,7 @@ def run_nq(problem, rates, t_max=10_000, floor_scale=1e-13, rho=None,
     run_protocol(
         server, workers, channels, t_max,
         on_iteration=observe,
-        stop=_make_stop(problem.x_star, floor, DIVERGENCE_SCALE * max(1.0, problem.D)),
+        stop=_make_stop(record, DIVERGENCE_SCALE * max(1.0, problem.D)),
     )
     record.violations = sum(len(w.violations) for w in workers)
     return record, channels

@@ -10,16 +10,29 @@ are non-constructive and out of scope here.
 Cell geometry is fixed once and rescaled per iteration: the quantizer
 used at scale r maps u to r * q(u/r), so every iteration shares one
 lattice shape at a different resolution. Boundary ties round toward +inf
-for deterministic reproducibility.
+for deterministic reproducibility. Input that is not finite never passes
+the domain check, in either the strict or the saturating mode.
+
+Cell indices travel as int64, which is exact for R <= MAX_RATE = 62; the
+uplink payload carries only the packed bits, n*R of them, coordinate-major
+and MSB first.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+# largest rate whose cell indices stay exact: quantize clips in float64, and
+# at R = 63 the bound 2**63 - 1 rounds to 2**63, which int64 cannot hold
+MAX_RATE = 62
+
+# per-rate MSB-first bit positions and their weights 2**k, for the codec
+_SHIFTS = [np.arange(R - 1, -1, -1, dtype=np.int64) for R in range(MAX_RATE + 1)]
+_WEIGHTS = [np.left_shift(np.int64(1), s) for s in _SHIFTS]
+
 
 class RangeViolationError(Exception):
-    """Quantizer input left the cube domain [-r, r]^n.
+    """Quantizer input left the cube domain [-r, r]^n, or is not finite.
 
     Carries the first offending coordinate; in a DQ run this signals a bug
     in the dynamic-range schedule, not in the data.
@@ -58,6 +71,11 @@ class QuantizerSpec:
             raise ValueError("dimension must be >= 1")
         if self.R < 0 or self.R != int(self.R):
             raise ValueError("rate must be a nonnegative integer")
+        if self.R > MAX_RATE:
+            raise ValueError(
+                f"rate {self.R} exceeds {MAX_RATE}: cell indices would no "
+                "longer be exact as int64 and float64"
+            )
 
     @property
     def levels(self):
@@ -103,31 +121,29 @@ class ScaledQuantizer:
 
         Cell i on an axis spans [-r + i*w, -r + (i+1)*w), w = 2r/2**R, with
         reconstruction at the center; boundary values belong to the upper
-        cell (round half toward +inf).
+        cell (round half toward +inf). NaN and +-inf coordinates raise
+        RangeViolationError in both modes.
         """
         u = np.asarray(u, dtype=np.float64)
         if u.shape != (self.base.n,):
             raise ValueError(f"expected shape ({self.base.n},), got {u.shape}")
-        if self.r == 0.0:
-            if not self.saturate and np.any(u != 0.0):
-                bad = int(np.argmax(u != 0.0))
-                raise RangeViolationError(bad, float(u[bad]), 0.0)
-            return np.zeros(self.base.n, dtype=np.int64), np.zeros(self.base.n)
         if self.r < 0:
             raise ValueError("scale must be nonnegative")
-        if not self.saturate:
-            over = np.abs(u) > self.r
-            if np.any(over):
-                bad = int(np.argmax(over))
-                raise RangeViolationError(bad, float(u[bad]), float(self.r))
+        # written so that NaN fails the test
+        inside = np.isfinite(u) if self.saturate else np.abs(u) <= self.r
+        if not np.all(inside):
+            bad = int(np.argmin(inside))
+            raise RangeViolationError(bad, float(u[bad]), float(self.r))
         nlev = self.base.levels
-        if nlev == 1:
+        if self.r == 0.0 or nlev == 1:
             return np.zeros(self.base.n, dtype=np.int64), np.zeros(self.base.n)
         width = 2.0 * self.r / nlev
         if width == 0.0:  # r underflowed below the resolvable cell size
             return np.zeros(self.base.n, dtype=np.int64), np.zeros(self.base.n)
         cells = np.floor((u + self.r) / width)
-        idx = np.clip(cells, 0, nlev - 1).astype(np.int64)  # clip before cast
+        # clip before the cast; above R = 53 the float bound nlev - 1 rounds
+        # up to nlev, so the top cell is enforced again in int64
+        idx = np.minimum(np.clip(cells, 0, nlev - 1).astype(np.int64), nlev - 1)
         recon = reconstruct(self.base, self.r, idx)
         return idx, recon
 
@@ -144,52 +160,56 @@ def reconstruct(spec, r, indices):
     return -r + (np.asarray(indices, dtype=np.float64) + 0.5) * width
 
 
+def _check_rate(R):
+    if not 0 <= R <= MAX_RATE:
+        raise EncodingError(f"rate {R} outside [0, {MAX_RATE}]")
+
+
 def encode_payload(indices, R):
     """Pack indices into a coordinate-major, MSB-first bit string.
 
     Returns (buf, nbits) with nbits = len(indices)*R exactly; the final
     byte is zero-padded on the right.
     """
-    nbits = len(indices) * R
-    acc = 0
-    for ix in indices:
-        ix = int(ix)
-        if not 0 <= ix < (1 << R) or (R == 0 and ix != 0):
-            raise EncodingError(f"index {ix} does not fit in {R} bits")
-        acc = (acc << R) | ix
-    pad = (-nbits) % 8
-    buf = (acc << pad).to_bytes((nbits + pad) // 8, "big")
-    return buf, nbits
+    _check_rate(R)
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise EncodingError("indices must be a flat sequence of integers")
+    out_of_range = (idx < 0) | (idx >= (1 << R))
+    if np.any(out_of_range):
+        bad = idx[np.argmax(out_of_range)]
+        raise EncodingError(f"index {bad} does not fit in {R} bits")
+    bits = ((idx.astype(np.int64, copy=False)[:, None] >> _SHIFTS[R]) & 1) != 0
+    return np.packbits(bits).tobytes(), idx.size * R
 
 
 def decode_payload(buf, nbits, n, R):
+    _check_rate(R)
     if nbits != n * R:
         raise EncodingError(f"expected {n * R} bits, got {nbits}")
     nbytes = (nbits + 7) // 8
     if len(buf) != nbytes:
         raise EncodingError(f"expected {nbytes} bytes, got {len(buf)}")
-    acc = int.from_bytes(buf, "big") >> ((-nbits) % 8)
-    out = np.zeros(n, dtype=np.int64)
-    mask = (1 << R) - 1
-    for i in range(n - 1, -1, -1):
-        out[i] = acc & mask
-        acc >>= R
-    return out
+    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), count=nbits)
+    return bits.reshape(n, R) @ _WEIGHTS[R]
 
 
 @dataclass(frozen=True)
 class Payload:
-    """One uplink message: n cell indices packed into exactly n*R bits."""
+    """One uplink message: n cell indices packed into exactly n*R bits.
+
+    Only the packed bits travel; the receiver recovers the indices with
+    decode(n, R) from the public (n, R).
+    """
 
     iteration: int
-    indices: tuple
     bits: bytes = field(repr=False)
     nbits: int
 
     @classmethod
     def from_indices(cls, iteration, indices, R):
         buf, nbits = encode_payload(indices, R)
-        return cls(iteration, tuple(int(i) for i in indices), buf, nbits)
+        return cls(iteration, buf, nbits)
 
     def decode(self, n, R):
         return decode_payload(self.bits, self.nbits, n, R)

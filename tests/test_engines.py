@@ -245,6 +245,33 @@ def test_schedule_violation_raises():
         run_protocol(server, [worker], [Channel(6, 4)], 5)
 
 
+def test_non_finite_quantizer_input_violates_containment():
+    _, obj = make_gaussian_ls(16, 6, 4, 13)
+    hp = optimal_hyperparams(obj.L, obj.mu, "gd")
+    from dqgrad.engines import BitCoder, DQGDWorker, DQGDServer
+    from dqgrad.quantizer import QuantizerSpec, RangeViolationError
+    from dqgrad.transport import Channel
+    from dqgrad.engines import _CallableSchedule
+
+    def nan_grad(x):
+        return np.full_like(x, np.nan)
+
+    wide = _CallableSchedule(lambda t: 1e9)
+    spec = QuantizerSpec(6, 4)
+    worker = DQGDWorker(nan_grad, hp, wide, BitCoder(spec))
+    server = DQGDServer(obj.x0, hp, wide, BitCoder(spec))
+    with pytest.raises(ScheduleViolationError):
+        run_protocol(server, [worker], [Channel(6, 4)], 5)
+
+    # record mode counts the escape; the saturating quantizer still refuses
+    worker = DQGDWorker(nan_grad, hp, wide, BitCoder(spec, saturate=True),
+                        containment="record")
+    server = DQGDServer(obj.x0, hp, wide, BitCoder(spec, saturate=True))
+    with pytest.raises(RangeViolationError):
+        run_protocol(server, [worker], [Channel(6, 4)], 5)
+    assert worker.violations == [0]
+
+
 def test_hb_alpha_zero_can_violate_containment():
     # the experimental heavy-ball setting has no containment guarantee;
     # record mode keeps the run alive and counts the escapes

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dqgrad.quantizer import (
+    MAX_RATE,
     EncodingError,
     Payload,
     QuantizerSpec,
@@ -158,3 +161,113 @@ def test_invalid_specs_rejected():
         QuantizerSpec(4, -1)
     with pytest.raises(ValueError):
         QuantizerSpec(4, 1, kind="lattice-e8")
+    for R in (63, 64):  # past int64-exact cell indices
+        with pytest.raises(ValueError, match="exceeds 62"):
+            QuantizerSpec(4, R)
+
+
+@pytest.mark.parametrize("R", [53, 54, 62])
+def test_top_cell_index_exact_at_high_rate(R):
+    # the float clip bound 2**R - 1 rounds up to 2**R above R = 53
+    q = QuantizerSpec(3, R).scaled(1.0)
+    payload, _ = q.quantize_payload(0, np.array([1.0, -1.0, 0.0]))
+    assert payload.decode(3, R).tolist() == [(1 << R) - 1, 0, 1 << (R - 1)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("saturate", [False, True])
+@pytest.mark.parametrize("r", [1.0, 0.0])
+@pytest.mark.parametrize("R", [0, 3])
+def test_non_finite_input_rejected(bad, saturate, r, R):
+    q = QuantizerSpec(3, R).scaled(r, saturate=saturate)
+    u = np.array([0.0, bad, 0.0])
+    with pytest.raises(RangeViolationError) as exc:
+        q.quantize(u)
+    assert exc.value.coord == 1
+    with pytest.raises(RangeViolationError):
+        q.quantize_payload(0, u)
+
+
+# --- codec properties against the original per-coordinate loop codec --------
+
+
+def loop_encode(indices, R):
+    """Reference codec: one arbitrary-precision integer, MSB first."""
+    nbits = len(indices) * R
+    acc = 0
+    for ix in indices:
+        ix = int(ix)
+        if not 0 <= ix < (1 << R) or (R == 0 and ix != 0):
+            raise EncodingError(f"index {ix} does not fit in {R} bits")
+        acc = (acc << R) | ix
+    pad = (-nbits) % 8
+    buf = (acc << pad).to_bytes((nbits + pad) // 8, "big")
+    return buf, nbits
+
+
+def loop_decode(buf, nbits, n, R):
+    if nbits != n * R:
+        raise EncodingError(f"expected {n * R} bits, got {nbits}")
+    nbytes = (nbits + 7) // 8
+    if len(buf) != nbytes:
+        raise EncodingError(f"expected {nbytes} bytes, got {len(buf)}")
+    acc = int.from_bytes(buf, "big") >> ((-nbits) % 8)
+    out = np.zeros(n, dtype=np.int64)
+    mask = (1 << R) - 1
+    for i in range(n - 1, -1, -1):
+        out[i] = acc & mask
+        acc >>= R
+    return out
+
+
+@st.composite
+def codec_cases(draw):
+    """(n, R, indices, seed): uniform indices, or few distinct edge values."""
+    n = draw(st.integers(1, 2048))
+    R = draw(st.integers(0, MAX_RATE))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        idx = make_rng(seed).integers(0, 1 << R, size=n)
+    else:
+        top = (1 << R) - 1
+        edges = st.sampled_from([0, top, top >> 1, (top + 1) >> 1]) | st.integers(0, top)
+        idx = draw(hnp.arrays(np.int64, n, elements=edges, fill=edges))
+    return n, R, idx, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(codec_cases())
+def test_codec_matches_loop_reference(case):
+    n, R, idx, seed = case
+    buf, nbits = encode_payload(idx, R)
+    assert (buf, nbits) == loop_encode(idx, R)
+    out = decode_payload(buf, nbits, n, R)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, idx)
+    # any wire bytes, padding bits included, decode as the loop decodes them
+    wire = make_rng(seed).bytes(len(buf))
+    assert np.array_equal(decode_payload(wire, nbits, n, R),
+                          loop_decode(wire, nbits, n, R))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 300), R=st.integers(0, MAX_RATE), data=st.data())
+def test_codec_rejects_what_the_loop_rejects(n, R, data):
+    pos = data.draw(st.integers(0, n - 1))
+    idx = np.zeros(n, dtype=np.int64)
+    for bad in (data.draw(st.integers(-(2**63), -1)),
+                data.draw(st.integers(1 << R, 2**63 - 1))):
+        idx[pos] = bad
+        for codec in (encode_payload, loop_encode):
+            with pytest.raises(EncodingError):
+                codec(idx, R)
+
+    buf, nbits = encode_payload(np.zeros(n, dtype=np.int64), R)
+    wrong_nbits = data.draw(st.integers(0, 2 * n * R + 8).filter(lambda b: b != nbits))
+    wrong_len = data.draw(st.integers(0, len(buf) + 2).filter(lambda b: b != len(buf)))
+    for codec in (decode_payload, loop_decode):
+        with pytest.raises(EncodingError):
+            codec(buf, wrong_nbits, n, R)
+        with pytest.raises(EncodingError):
+            codec(bytes(wrong_len), nbits, n, R)
+

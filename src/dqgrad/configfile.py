@@ -56,23 +56,21 @@ def _problem_from_section(sec, base_dir):
     if kind == "gaussian":
         return {
             "kind": "gaussian",
-            "m": sec.getint("m"),
-            "n": sec.getint("n"),
-            "kappa": sec.getfloat("kappa"),
+            "m": int(sec["m"]),
+            "n": int(sec["n"]),
+            "kappa": float(sec["kappa"]),
         }
     if kind == "mtx":
-        path = sec.get("path")
-        if path is None:
-            raise ConfigError("mtx problem needs a path key")
+        path = sec["path"]
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         return {"kind": "mtx", "path": path, "matrix": load_matrix_market(path)}
     if kind == "interpolation":
         return {
             "kind": "interpolation",
-            "n": sec.getint("n"),
-            "m": sec.getint("m"),
-            "kappas": [float(v) for v in _parse_list(sec.get("kappas"))],
+            "n": int(sec["n"]),
+            "m": int(sec["m"]),
+            "kappas": [float(v) for v in _parse_list(sec["kappas"])],
         }
     raise ConfigError(f"unknown problem kind {kind!r}")
 
@@ -97,8 +95,8 @@ def load_experiments(path, section=None):
             else sec.get(key) if os.path.isabs(sec.get(key))
             else os.path.join(base_dir, sec.get(key))
         )
-        configs.append(
-            ExperimentConfig(
+        try:
+            config = ExperimentConfig(
                 name=name,
                 algos=_parse_list(sec.get("algos", "gd, dq-gd, nq-gd")),
                 problem=_problem_from_section(sec, base_dir),
@@ -114,5 +112,9 @@ def load_experiments(path, section=None):
                 svg=out_path("svg"),
                 jobs=sec.getint("jobs", 1),
             )
-        )
+        except KeyError as exc:
+            raise ConfigError(f"[{name}] missing key {exc}") from exc
+        except ValueError as exc:  # out-of-range values and malformed numbers
+            raise ConfigError(f"[{name}] {exc}") from exc
+        configs.append(config)
     return configs

@@ -20,8 +20,11 @@ bookkeeping per algorithm:
 e1, e2 are the last two quantization errors (zero-initialized). The
 containment invariant ||u_t|| <= r_t is asserted each round with a small
 relative slack for float roundoff; schedules whose guarantee is only
-empirical can run with containment="record" instead.
+empirical can run with containment="record" instead. Hot path: that norm and
+the harness's distances are math.sqrt(u @ u), bit-equal to np.linalg.norm.
 """
+
+import math
 
 import numpy as np
 
@@ -114,8 +117,7 @@ class BitCoder:
         self.saturate = saturate
 
     def encode(self, t, r, u):
-        payload, recon = self.spec.scaled(r, self.saturate).quantize_payload(t, u)
-        return payload, recon
+        return self.spec.scaled(r, self.saturate).quantize_payload(t, u)
 
     def decode(self, t, r, indices):
         return reconstruct(self.spec, r, indices)
@@ -181,7 +183,7 @@ class _WorkerBase:
             self.e2 = np.zeros(n)
 
     def _check_containment(self, t, u, r):
-        u_norm = float(np.linalg.norm(u))
+        u_norm = math.sqrt(u @ u)
         self.last_u_norm = u_norm
         self.last_r = r
         if not u_norm <= r * (1.0 + CONTAINMENT_RTOL):  # a NaN norm violates

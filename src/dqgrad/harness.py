@@ -179,8 +179,8 @@ def run_unquantized(algo, objective, t_max=10_000, floor_scale=1e-13):
     else:
         raise ValueError(f"unknown unquantized algorithm {algo!r}")
     for _ in range(t_max):
-        x = next(it)
-        dist = float(np.linalg.norm(x - objective.x_star))
+        d = next(it) - objective.x_star
+        dist = math.sqrt(d @ d)
         record.distances.append(dist)
         if not math.isfinite(dist) or dist < floor or dist > ceiling:
             break
@@ -203,7 +203,8 @@ def run_dq(algo, objective, R, t_max=10_000, floor_scale=1e-13, rho=None,
     record.distances.append(objective.D)
 
     def observe(t, srv, workers):
-        record.distances.append(float(np.linalg.norm(srv.x - objective.x_star)))
+        d = srv.x - objective.x_star
+        record.distances.append(math.sqrt(d @ d))
         record.u_norms.append(workers[0].last_u_norm)
         record.ranges.append(workers[0].last_r)
         record.bits_per_iteration.append(channel.trace.uplink_bits[-1])
@@ -234,7 +235,8 @@ def run_nq(problem, rates, t_max=10_000, floor_scale=1e-13, rho=None,
     record.distances.append(problem.D)
 
     def observe(t, srv, ws):
-        record.distances.append(float(np.linalg.norm(srv.x - problem.x_star)))
+        d = srv.x - problem.x_star
+        record.distances.append(math.sqrt(d @ d))
         record.u_norms.append(max(w.last_u_norm for w in ws))
         record.ranges.append(max(w.last_r for w in ws))
         record.bits_per_iteration.append(
@@ -274,8 +276,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if any(R < 1 for R in self.rates):
-            raise ValueError("rates must be >= 1")
+        if not self.rates or min(self.rates) < 1:
+            raise ValueError("rates must be a nonempty list of integers >= 1")
         if self.allocation not in ("uniform", "waterfilling"):
             raise ValueError(f"unknown allocation {self.allocation!r}")
 

@@ -16,6 +16,11 @@ the domain check, in either the strict or the saturating mode.
 Cell indices travel as int64, which is exact for R <= MAX_RATE = 62; the
 uplink payload carries only the packed bits, n*R of them, coordinate-major
 and MSB first.
+
+Hot path: at n = 16 a numpy call costs more than its arithmetic, so quantize,
+reconstruct and encode_payload work in place, bit-equal to the plain forms:
+in-place floor and clip equal np.clip(np.floor((u + r) / w), 0, 2**R - 1) on
+non-NaN u, -r + y equals y + (-r), and int64 idx >> R is 0 iff 0 <= idx < 2**R.
 """
 
 from dataclasses import dataclass, field
@@ -131,21 +136,26 @@ class ScaledQuantizer:
             raise ValueError("scale must be nonnegative")
         # written so that NaN fails the test
         inside = np.isfinite(u) if self.saturate else np.abs(u) <= self.r
-        if not np.all(inside):
+        if np.count_nonzero(inside) < u.size:
             bad = int(np.argmin(inside))
             raise RangeViolationError(bad, float(u[bad]), float(self.r))
         nlev = self.base.levels
-        if self.r == 0.0 or nlev == 1:
-            return np.zeros(self.base.n, dtype=np.int64), np.zeros(self.base.n)
         width = 2.0 * self.r / nlev
-        if width == 0.0:  # r underflowed below the resolvable cell size
+        if nlev == 1 or width == 0.0:  # r = 0, or below the resolvable cell
             return np.zeros(self.base.n, dtype=np.int64), np.zeros(self.base.n)
-        cells = np.floor((u + self.r) / width)
-        # clip before the cast; above R = 53 the float bound nlev - 1 rounds
-        # up to nlev, so the top cell is enforced again in int64
-        idx = np.minimum(np.clip(cells, 0, nlev - 1).astype(np.int64), nlev - 1)
-        recon = reconstruct(self.base, self.r, idx)
-        return idx, recon
+        if self.saturate:  # |u| >> r would overflow the divide; input past
+            # -r or nlev*width (2r unless width is subnormal) keeps its cell
+            u = np.minimum(np.maximum(u, -self.r), nlev * width)
+        cells = u + self.r
+        cells /= width
+        np.floor(cells, out=cells)
+        # u >= -r, so clip only the top, before the cast; above R = 53 the
+        # bound nlev - 1 rounds up to nlev, so int64 enforces it again
+        np.minimum(cells, nlev - 1, out=cells)
+        idx = cells.astype(np.int64)
+        if self.base.R > 53:
+            np.minimum(idx, nlev - 1, out=idx)
+        return idx, reconstruct(self.base, self.r, idx)
 
     def quantize_payload(self, iteration, u):
         idx, recon = self.quantize(u)
@@ -156,8 +166,9 @@ def reconstruct(spec, r, indices):
     """Cell centers for integer indices; shared verbatim by both channel ends."""
     if spec.levels == 1:
         return np.zeros(spec.n)
-    width = 2.0 * r / spec.levels
-    return -r + (np.asarray(indices, dtype=np.float64) + 0.5) * width
+    recon = np.add(indices, 0.5, dtype=np.float64)
+    recon *= 2.0 * r / spec.levels
+    return np.add(recon, -r, out=recon)
 
 
 def _check_rate(R):
@@ -175,11 +186,12 @@ def encode_payload(indices, R):
     idx = np.asarray(indices)
     if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
         raise EncodingError("indices must be a flat sequence of integers")
-    out_of_range = (idx < 0) | (idx >= (1 << R))
-    if np.any(out_of_range):
-        bad = idx[np.argmax(out_of_range)]
+    idx64 = idx.astype(np.int64, copy=False)  # uint64 >= 2**63 turns negative
+    if np.count_nonzero(idx64 >> R):
+        bad = idx[np.argmax((idx < 0) | (idx >= (1 << R)))]
         raise EncodingError(f"index {bad} does not fit in {R} bits")
-    bits = ((idx.astype(np.int64, copy=False)[:, None] >> _SHIFTS[R]) & 1) != 0
+    bits = idx64[:, None] >> _SHIFTS[R]
+    bits &= 1
     return np.packbits(bits).tobytes(), idx.size * R
 
 

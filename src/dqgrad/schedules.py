@@ -19,6 +19,7 @@ joint-spectral-radius bound and is exposed as a parameter (0 reproduces
 the experimental setting, which loses the containment guarantee).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,7 +44,7 @@ class RangeSchedule:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
-    @property
+    @functools.cached_property
     def eps(self):
         """Per-unit-range covering radius rho_n * 2**-R."""
         return self.rho * 2.0 ** (-self.R)

@@ -31,7 +31,7 @@ def pack_iterate(iteration, x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise FramingError(f"iterate must be a nonempty vector, got shape {x.shape}")
-    return struct.pack("<I", iteration) + x.astype("<f8").tobytes()
+    return struct.pack("<I", iteration) + x.astype("<f8", copy=False).tobytes()
 
 
 def unpack_iterate(frame):

@@ -61,3 +61,21 @@ def test_verify_subcommand(capsys):
     out = capsys.readouterr().out
     assert "[PASS]" in out
     assert "[FAIL]" not in out
+
+
+@pytest.mark.parametrize("body", [
+    "m = 32\nn = 16\nkappa = 5\nrates = 0-2\n",
+    "m = 32\nn = 16\nkappa = 5\nrates = 3-1\n",
+    "n = 16\nkappa = 5\nrates = 2-3\n",
+    "m = 32\nkappa = 5\nrates = 2-3\n",
+    "m = 32\nn = 16\nrates = 2-3\n",
+], ids=["rate-zero", "empty-range", "no-m", "no-n", "no-kappa"])
+def test_sweep_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, body):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[bad]\nproblem = gaussian\nalgos = gd, dq-gd\ntrials = 1\n"
+                   + body + "csv = bad.csv\n")
+    assert main(["sweep", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [bad] ")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "bad.csv").exists()

@@ -1,5 +1,10 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dqgrad.bounds import agd_unquantized_envelopes
 from dqgrad.engines import (
@@ -320,3 +325,21 @@ def test_nq_single_worker_zero_rate_is_stationary():
     rec, _ = run_nq(obj, [0], t_max=20)
     # a silent worker sends nothing and the server never moves
     assert all(d == pytest.approx(obj.D) for d in rec.distances)
+
+
+def _bits(v):
+    return struct.pack("<d", v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 1100),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)
+                  | st.floats(-1e3, 1e3)))
+def test_sqrt_of_self_dot_is_the_vector_norm(v):
+    # engines and harness take norms as math.sqrt(v @ v) on the hot path
+    with np.errstate(over="ignore", invalid="ignore"):
+        fast, ref = math.sqrt(v @ v), float(np.linalg.norm(v))
+    if math.isnan(ref):
+        assert math.isnan(fast)
+    else:
+        assert _bits(fast) == _bits(ref)

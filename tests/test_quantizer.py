@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -271,3 +273,106 @@ def test_codec_rejects_what_the_loop_rejects(n, R, data):
         with pytest.raises(EncodingError):
             codec(bytes(wrong_len), nbits, n, R)
 
+
+
+# --- quantizer properties against the original expressions -------------------
+
+
+def seed_reconstruct(spec, r, indices):
+    """Reference: reconstruct as first written, one temporary per operation."""
+    if spec.levels == 1:
+        return np.zeros(spec.n)
+    width = 2.0 * r / spec.levels
+    return -r + (np.asarray(indices, dtype=np.float64) + 0.5) * width
+
+
+def seed_quantize(spec, r, saturate, u):
+    """Reference: ScaledQuantizer.quantize as first written (np.clip, no clamp)."""
+    u = np.asarray(u, dtype=np.float64)
+    inside = np.isfinite(u) if saturate else np.abs(u) <= r
+    if not np.all(inside):
+        bad = int(np.argmin(inside))
+        raise RangeViolationError(bad, float(u[bad]), float(r))
+    nlev = spec.levels
+    if r == 0.0 or nlev == 1:
+        return np.zeros(spec.n, dtype=np.int64), np.zeros(spec.n)
+    width = 2.0 * r / nlev
+    if width == 0.0:
+        return np.zeros(spec.n, dtype=np.int64), np.zeros(spec.n)
+    with np.errstate(over="ignore"):  # the divide overflows for |u| >> r
+        cells = np.floor((u + r) / width)
+    idx = np.minimum(np.clip(cells, 0, nlev - 1).astype(np.int64), nlev - 1)
+    return idx, seed_reconstruct(spec, r, idx)
+
+
+@st.composite
+def quantizer_cases(draw):
+    """(spec, r, saturate, u): u on the cube, with faces, cell edges and,
+    when saturating, values far outside mixed in."""
+    n = draw(st.integers(1, 512))
+    R = draw(st.integers(0, MAX_RATE))
+    r = draw(st.sampled_from([0.0, 5e-324, 1e-300, 1e-321])
+             | st.floats(1e-6, 1e6))
+    saturate = draw(st.booleans())
+    gen = make_rng(draw(st.integers(0, 2**32 - 1)))
+    u = r * (2.0 * gen.random(n) - 1.0)
+    width = 2.0 * r / (1 << R)
+    edges = [-r, r, 0.0, -0.0, -r + width, r - width,
+             -r + width * float(gen.integers(0, 1 << R))]
+    if saturate:
+        edges += [2.0 * r, -2.0 * r, r * (1 + 2**-40), 1e10, -1e10, 1.7e308, -1.7e308]
+    k = draw(st.integers(0, n))
+    u[gen.integers(0, n, size=k)] = gen.choice(edges, size=k)
+    return QuantizerSpec(n, R), r, saturate, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(quantizer_cases())
+def test_quantizer_matches_seed_expressions(case):
+    spec, r, saturate, u = case
+    idx, recon = spec.scaled(r, saturate).quantize(u)
+    ref_idx, ref_recon = seed_quantize(spec, r, saturate, u)
+    assert idx.dtype == np.int64
+    assert np.array_equal(idx, ref_idx)
+    assert recon.tobytes() == ref_recon.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 512), R=st.integers(0, MAX_RATE),
+       r=st.sampled_from([0.0, 5e-324, 1e-300]) | st.floats(1e-6, 1e6),
+       seed=st.integers(0, 2**32 - 1))
+def test_reconstruct_matches_seed_expression(n, R, r, seed):
+    spec = QuantizerSpec(n, R)
+    idx = make_rng(seed).integers(0, 1 << R, size=n)
+    idx[: n // 4] = (1 << R) - 1  # the top index, 2**62 - 1 at R = 62
+    for indices in (idx, idx.tolist()):
+        assert (reconstruct(spec, r, indices).tobytes()
+                == seed_reconstruct(spec, r, indices).tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(quantizer_cases().filter(lambda c: c[1] >= 1e-6))
+def test_error_within_half_a_cell_on_the_cube(case):
+    # per coordinate |q(u) - u| <= width/2, up to a few units in the last
+    # place of r from rounding u + r and the cell center; hence
+    # ||q(u) - u|| <= r*sqrt(n)*2**-R, the covering radius
+    spec, r, saturate, u = case
+    u = np.clip(u, -r, r)
+    _, recon = spec.scaled(r, saturate).quantize(u)
+    slack = 2.0**-50 * r
+    assert np.all(np.abs(recon - u) <= r * 2.0 ** (-spec.R) + slack)
+    assert (np.linalg.norm(recon - u)
+            <= (covering_radius(spec, r) + np.sqrt(spec.n) * slack) * (1 + 1e-12))
+
+
+def test_saturating_overflow_is_silent_and_moves_no_index():
+    q = QuantizerSpec(2, 8).scaled(1e-300, saturate=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        idx, _ = q.quantize([1e10, 0.0])
+        assert idx.tolist() == [255, 128]
+        # width subnormal: 2r/width is 202, not 256, so clamping u at r would
+        # move the top index; beyond-range input still lands where it did
+        q = QuantizerSpec(3, 8).scaled(1e-321, saturate=True)
+        idx, _ = q.quantize([1e-10, -1e-10, 1e-321])
+        assert idx.tolist() == [255, 0, 202]

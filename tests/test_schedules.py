@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dqgrad.hyperparams import optimal_hyperparams
 from dqgrad.rng import make_rng
 from dqgrad.schedules import (
+    SCHEMES,
     RangeSchedule,
     ScheduleCursor,
     range_schedule_next,
@@ -148,3 +150,19 @@ def test_hyperparams_validation():
         optimal_hyperparams(1.0, 0.0, "gd")
     with pytest.raises(InvalidConstantsError):
         optimal_hyperparams(1.0, 1.0, "newton")
+
+
+@settings(max_examples=200, deadline=None)
+@given(scheme=st.sampled_from(SCHEMES),
+       L=st.floats(1e-3, 1e3), D=st.floats(1e-3, 1e3), sigma=st.floats(0.0, 0.999),
+       gamma=st.floats(0.0, 1.0), rho=st.floats(0.5, 40.0), R=st.integers(0, 62),
+       lam=st.floats(0.5, 10.0), alpha=st.floats(0.0, 3.0))
+def test_channel_ends_stay_in_schedule_sync(scheme, L, D, sigma, gamma, rho, R,
+                                            lam, alpha):
+    # worker and server each unroll their own copy of the public constants
+    consts = dict(scheme=scheme, L=L, D=D, sigma=sigma, gamma=gamma, rho=rho,
+                  R=R, lam=lam, alpha=alpha)
+    worker, server = RangeSchedule(**consts), RangeSchedule(**consts)
+    assert worker.eps == server.eps == rho * 2.0**-R
+    assert unroll(worker, 60) == unroll(server, 60)
+    assert worker.eps == rho * 2.0**-R  # cached, unchanged after use

@@ -51,7 +51,7 @@ from .quantizer import (
     decode_payload,
     encode_payload,
 )
-from .schedules import RangeSchedule, range_schedule_next, waterfill, waterfill_bits
+from .schedules import RangeSchedule, waterfill, waterfill_bits
 from .transport import Channel, ChannelTrace, FramingError, trace_report
 
 __version__ = "0.1.0"

@@ -80,7 +80,13 @@ def load_experiments(path, section=None):
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
-    parser.read(path)
+    try:
+        parser.read(path)
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigError(f"[{exc.section}] duplicate key {exc.option!r} "
+                          f"at line {exc.lineno}") from exc
+    except configparser.Error as exc:  # no section header, duplicate section
+        raise ConfigError(f"{path}: {exc.message.splitlines()[0]}") from exc
     names = [section] if section else parser.sections()
     if section and section not in parser.sections():
         raise ConfigError(f"no section {section!r} in {path}")

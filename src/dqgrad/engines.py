@@ -1,5 +1,8 @@
 """Iteration engines: unquantized GD/AGD/HB and their quantized versions.
 
+Every method has one update rule, `step`, fed with grad(x_t) when
+unquantized and with the decoded q_t on a quantized server.
+
 Quantized engines are split into a worker half (owns the gradient oracle
 and the error memory) and a server half (owns the iterates); the two
 halves exchange data only through a transport channel, and each evaluates
@@ -24,6 +27,7 @@ empirical can run with containment="record" instead. Hot path: that norm and
 the harness's distances are math.sqrt(u @ u), bit-equal to np.linalg.norm.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -51,57 +55,30 @@ class ScheduleViolationError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# unquantized references
+# update rules
 
 
-def gd_iterates(grad, x0, eta):
-    x = np.array(x0, dtype=np.float64)
-    while True:
-        x = x - eta * grad(x)
-        yield x
+def initial_state(algo, x0):
+    """State at t = 0: (x,) for gd, (x, y) for agd, (x, x_prev) for hb."""
+    if algo == "gd":
+        return (np.array(x0, dtype=np.float64),)
+    if algo in ("agd", "hb"):
+        return (np.array(x0, dtype=np.float64), np.array(x0, dtype=np.float64))
+    raise ValueError(f"unknown algorithm {algo!r}")
 
 
-def gd_varying_iterates(grad, x0, etas):
-    x = np.array(x0, dtype=np.float64)
-    t = 0
-    while True:
-        x = x - etas(t) * grad(x)
-        t += 1
-        yield x
-
-
-def agd_iterates(grad, x0, eta, gamma):
-    """Yields (x_t, y_t) for t = 1, 2, ...; starts at y_0 = x_0."""
-    x = np.array(x0, dtype=np.float64)
-    y = np.array(x0, dtype=np.float64)
-    while True:
-        y_new = x - eta * grad(x)
-        x = y_new + gamma * (y_new - y)
-        y = y_new
-        yield x, y
-
-
-def hb_iterates(grad, x0, eta, gamma):
-    x = np.array(x0, dtype=np.float64)
-    x_prev = np.array(x0, dtype=np.float64)
-    while True:
-        x_new = x - eta * grad(x) + gamma * (x - x_prev)
-        x_prev, x = x, x_new
-        yield x
-
-
-def step_unquantized(algo, state, grad, hp):
-    """One textbook update; state is (x,), (x, y), or (x, x_prev)."""
+def step(algo, state, direction, hp):
+    """One textbook update; direction is grad(x) or the decoded q_t."""
     if algo == "gd":
         (x,) = state
-        return (x - hp.eta * grad(x),)
+        return (x - hp.eta * direction,)
     if algo == "agd":
         x, y = state
-        y_new = x - hp.eta * grad(x)
+        y_new = x - hp.eta * direction
         return (y_new + hp.gamma * (y_new - y), y_new)
     if algo == "hb":
         x, x_prev = state
-        return (x - hp.eta * grad(x) + hp.gamma * (x - x_prev), x)
+        return (x - hp.eta * direction + hp.gamma * (x - x_prev), x)
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
@@ -121,41 +98,6 @@ class BitCoder:
 
     def decode(self, t, r, indices):
         return reconstruct(self.spec, r, indices)
-
-
-class ExactCoder:
-    """Zero-error stand-in for rate = infinity runs (tests and baselines).
-
-    The wire object is the float vector itself, so this only works over a
-    loopback channel; reconstruction equals the input bitwise and the
-    stored error stays exactly zero.
-    """
-
-    def encode(self, t, r, u):
-        return u.copy(), u.copy()
-
-    def decode(self, t, r, wire):
-        return wire
-
-
-class LoopbackChannel:
-    """Channel double that carries arbitrary objects; no bit accounting."""
-
-    def __init__(self):
-        self._down = []
-        self._up = []
-
-    def send_iterate(self, iteration, x):
-        self._down.append((iteration, np.array(x)))
-
-    def recv_iterate(self):
-        return self._down.pop(0)
-
-    def send_payload(self, obj):
-        self._up.append(obj)
-
-    def recv_payload_bits(self):
-        return self._up.pop(0)
 
 
 # ---------------------------------------------------------------------------
@@ -227,37 +169,9 @@ class DQHBWorker(_WorkerBase):
         return self.grad(z) - c
 
 
-class DQGDVaryingWorker(_WorkerBase):
-    """Varying-stepsize variant; the range sequence is caller-supplied.
-
-    etas maps t -> eta_t; the t = 0 compensation ratio eta_{-1}/eta_0 is 0
-    by the 0/0 := 0 convention (there is no error to compensate yet).
-    """
-
-    def __init__(self, grad, etas, ranges, coder, containment="strict"):
-        super().__init__(grad, None, _CallableSchedule(ranges), coder, containment)
-        self.etas = etas
-
-    def quantizer_input(self, t, x):
-        eta_prev = 0.0 if t == 0 else self.etas(t - 1)
-        ratio = 0.0 if t == 0 else eta_prev / self.etas(t)
-        z = x + eta_prev * self.e1
-        return self.grad(z) - ratio * self.e1
-
-
 class NQGDWorker(_WorkerBase):
     def quantizer_input(self, t, x):
         return self.grad(x)
-
-
-class _CallableSchedule:
-    """Adapts a t -> r_t callable to the ScheduleCursor interface."""
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def next(self, t, r_prev, r_prev2):
-        return self._fn(t)
 
 
 # ---------------------------------------------------------------------------
@@ -265,82 +179,36 @@ class _CallableSchedule:
 
 
 class _ServerBase:
-    def __init__(self, x0, hp, schedule, coder):
-        self.x = np.array(x0, dtype=np.float64)
-        self.hp = hp
-        self.cursors = None
-        self._schedules = schedule if isinstance(schedule, (list, tuple)) else [schedule]
-        self.coder = coder
+    """Owns the iterates of one method and steps on the decoded direction.
+
+    With K workers the K decoded directions are summed and the stepsize is
+    eta/K (naive quantization averages them); K = 1 is the DQ server.
+    """
+
+    def __init__(self, algo, x0, hp, schedules, coders):
+        self.algo = algo
+        self.state = initial_state(algo, x0)
+        self.hp = dataclasses.replace(hp, eta=hp.eta / len(coders))
+        self.cursors = [ScheduleCursor(s) for s in schedules]
+        self.coders = coders
         self.t = 0
 
-    def _ensure_cursors(self):
-        if self.cursors is None:
-            self.cursors = [ScheduleCursor(s) for s in self._schedules]
+    @property
+    def x(self):
+        return self.state[0]
 
     def broadcast(self, channels):
         for ch in channels:
             ch.send_iterate(self.t, self.x)
 
     def collect(self, channels):
-        self._ensure_cursors()
-        qs = []
-        for ch, cursor, coder in zip(channels, self.cursors, self._coders()):
+        direction = None
+        for ch, cursor, coder in zip(channels, self.cursors, self.coders):
             r = cursor.step()
-            wire = ch.recv_payload_bits()
-            qs.append(coder.decode(self.t, r, wire))
-        self.apply(qs)
+            q = coder.decode(self.t, r, ch.recv_payload_bits())
+            direction = q if direction is None else direction + q
+        self.state = step(self.algo, self.state, direction, self.hp)
         self.t += 1
-
-    def _coders(self):
-        return self.coder if isinstance(self.coder, (list, tuple)) else [self.coder]
-
-    def apply(self, qs):
-        raise NotImplementedError
-
-
-class DQGDServer(_ServerBase):
-    def apply(self, qs):
-        self.x = self.x - self.hp.eta * qs[0]
-
-
-class DQAGDServer(_ServerBase):
-    def __init__(self, x0, hp, schedule, coder):
-        super().__init__(x0, hp, schedule, coder)
-        self.y = np.array(x0, dtype=np.float64)
-
-    def apply(self, qs):
-        y_new = self.x - self.hp.eta * qs[0]
-        self.x = y_new + self.hp.gamma * (y_new - self.y)
-        self.y = y_new
-
-
-class DQHBServer(_ServerBase):
-    def __init__(self, x0, hp, schedule, coder):
-        super().__init__(x0, hp, schedule, coder)
-        self.x_prev = np.array(x0, dtype=np.float64)
-
-    def apply(self, qs):
-        x_new = self.x - self.hp.eta * qs[0] + self.hp.gamma * (self.x - self.x_prev)
-        self.x_prev, self.x = self.x, x_new
-
-
-class DQGDVaryingServer(_ServerBase):
-    def __init__(self, x0, etas, ranges, coder):
-        super().__init__(x0, None, _CallableSchedule(ranges), coder)
-        self.etas = etas
-
-    def apply(self, qs):
-        self.x = self.x - self.etas(self.t) * qs[0]
-
-
-class NQGDServer(_ServerBase):
-    """Averages K decoded descent directions."""
-
-    def apply(self, qs):
-        total = qs[0].copy()
-        for q in qs[1:]:
-            total += q
-        self.x = self.x - (self.hp.eta / len(qs)) * total
 
 
 def run_protocol(server, workers, channels, steps, on_iteration=None, stop=None):
@@ -360,10 +228,11 @@ def run_protocol(server, workers, channels, steps, on_iteration=None, stop=None)
 # ---------------------------------------------------------------------------
 # assembly helpers
 
+# worker class and server update rule of each DQ method
 _DQ_PAIRS = {
-    "dq-gd": (DQGDWorker, DQGDServer, "dq-gd"),
-    "dq-agd": (DQAGDWorker, DQAGDServer, "dq-agd"),
-    "dq-hb": (DQHBWorker, DQHBServer, "dq-hb"),
+    "dq-gd": (DQGDWorker, "gd"),
+    "dq-agd": (DQAGDWorker, "agd"),
+    "dq-hb": (DQHBWorker, "hb"),
 }
 
 
@@ -376,12 +245,13 @@ def build_dq_engine(algo, objective, hp, schedule, R, containment="strict",
     """
     from .transport import Channel
 
-    worker_cls, server_cls, _ = _DQ_PAIRS[algo]
+    worker_cls, rule = _DQ_PAIRS[algo]
     n = objective.n
     spec = QuantizerSpec(n, R)
     worker = worker_cls(objective.grad, hp, schedule, BitCoder(spec, saturate),
                         containment)
-    server = server_cls(objective.x0, hp, schedule, BitCoder(spec, saturate))
+    server = _ServerBase(rule, objective.x0, hp, [schedule],
+                         [BitCoder(spec, saturate)])
     channel = channel if channel is not None else Channel(n, R)
     return worker, server, channel
 
@@ -406,5 +276,5 @@ def build_nq_engine(problem, hp, sigma_nq, rates, containment="strict",
         channels.append(Channel(n, R_k))
         schedules.append(sched)
         coders.append(BitCoder(spec, saturate))
-    server = NQGDServer(problem.x0, hp, schedules, coders)
+    server = _ServerBase("gd", problem.x0, hp, schedules, coders)
     return workers, server, channels

@@ -21,12 +21,11 @@ import numpy as np
 
 from . import bounds, rng as rngmod
 from .engines import (
-    agd_iterates,
     build_dq_engine,
     build_nq_engine,
-    gd_iterates,
-    hb_iterates,
+    initial_state,
     run_protocol,
+    step,
 )
 from .hyperparams import (
     agd_lambda,
@@ -170,16 +169,10 @@ def run_unquantized(algo, objective, t_max=10_000, floor_scale=1e-13):
     hp = optimal_hyperparams(objective.L, objective.mu, algo)
     record = RunRecord(algo=algo, R=None, floor=floor)
     record.distances.append(objective.D)
-    if algo == "gd":
-        it = gd_iterates(objective.grad, objective.x0, hp.eta)
-    elif algo == "agd":
-        it = (x for x, _ in agd_iterates(objective.grad, objective.x0, hp.eta, hp.gamma))
-    elif algo == "hb":
-        it = hb_iterates(objective.grad, objective.x0, hp.eta, hp.gamma)
-    else:
-        raise ValueError(f"unknown unquantized algorithm {algo!r}")
+    state = initial_state(algo, objective.x0)
     for _ in range(t_max):
-        d = next(it) - objective.x_star
+        state = step(algo, state, objective.grad(state[0]), hp)
+        d = state[0] - objective.x_star
         dist = math.sqrt(d @ d)
         record.distances.append(dist)
         if not math.isfinite(dist) or dist < floor or dist > ceiling:
@@ -278,6 +271,9 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not self.rates or min(self.rates) < 1:
             raise ValueError("rates must be a nonempty list of integers >= 1")
+        for algo in self.algos:
+            if algo not in UNQUANTIZED + QUANTIZED:
+                raise ValueError(f"unknown algorithm {algo!r}")
         if self.allocation not in ("uniform", "waterfilling"):
             raise ValueError(f"unknown allocation {self.allocation!r}")
 

@@ -68,13 +68,6 @@ class RangeSchedule:
         feedback = r_prev + self.gamma * (r_prev + r_prev2)
         return self.leading(t) + self.eps * feedback
 
-    def cursor(self):
-        return ScheduleCursor(self)
-
-
-def range_schedule_next(schedule, t, r_prev, r_prev2):
-    return schedule.next(t, r_prev, r_prev2)
-
 
 class ScheduleCursor:
     """Stateful unroll of a RangeSchedule, one instance per channel end."""

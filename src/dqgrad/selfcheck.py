@@ -8,13 +8,7 @@ contracts at exactly its worst-case rate, and payload coding round-trips.
 
 import numpy as np
 
-from .engines import (
-    agd_iterates,
-    build_dq_engine,
-    gd_iterates,
-    hb_iterates,
-    run_protocol,
-)
+from .engines import build_dq_engine, initial_state, run_protocol, step
 from .harness import dq_schedule, run_dq
 from .hyperparams import optimal_hyperparams
 from .problems import make_gaussian_ls, make_worst_case_gd
@@ -39,44 +33,25 @@ def tracking_deviation(algo, objective, R, steps, alpha=0.0):
     worker, server, channel = build_dq_engine(
         algo, objective, hp, schedule, R, containment="record", saturate=True
     )
-    grad = objective.grad
+    rule = algo.removeprefix("dq-")
+    twin = initial_state(rule, objective.x0)
     worst = 0.0
 
-    if algo == "dq-gd":
-        twin = gd_iterates(grad, objective.x0, hp.eta)
-
-        def observe(t, srv, ws):
-            nonlocal worst
-            x_t = next(twin)
-            worst = max(worst, float(np.linalg.norm(
-                srv.x - (x_t - hp.eta * ws[0].e1))))
-
-    elif algo == "dq-agd":
-        twin = agd_iterates(grad, objective.x0, hp.eta, hp.gamma)
-
-        def observe(t, srv, ws):
-            nonlocal worst
-            x_t, y_t = next(twin)
-            e_t, e_prev = ws[0].e1, ws[0].e2
+    def observe(t, srv, ws):
+        nonlocal twin, worst
+        twin = step(rule, twin, objective.grad(twin[0]), hp)
+        x_t, e_t, e_prev = twin[0], ws[0].e1, ws[0].e2
+        if rule == "agd":
+            y_t = twin[1]
             worst = max(
                 worst,
-                float(np.linalg.norm(srv.y - (y_t - hp.eta * e_t))),
+                float(np.linalg.norm(srv.state[1] - (y_t - hp.eta * e_t))),
                 float(np.linalg.norm(
                     srv.x - (x_t - hp.eta * e_t
                              - hp.eta * hp.gamma * (e_t - e_prev)))),
             )
-
-    elif algo == "dq-hb":
-        twin = hb_iterates(grad, objective.x0, hp.eta, hp.gamma)
-
-        def observe(t, srv, ws):
-            nonlocal worst
-            x_t = next(twin)
-            worst = max(worst, float(np.linalg.norm(
-                srv.x - (x_t - hp.eta * ws[0].e1))))
-
-    else:
-        raise ValueError(f"not a DQ algorithm: {algo!r}")
+        else:
+            worst = max(worst, float(np.linalg.norm(srv.x - (x_t - hp.eta * e_t))))
 
     run_protocol(server, [worker], [channel], steps, on_iteration=observe)
     return worst
@@ -89,23 +64,21 @@ def containment_violations(algo, objective, R, t_max, alpha=0.0):
     return rec.violations
 
 
-def worst_case_ratio_error(kappa, n, seed=0, steps=60):
+def worst_case_ratio_error(kappa, x0, steps=60):
     """Max deviation of GD's per-step ratio from its worst-case rate."""
-    gen = make_rng(seed)
-    x0 = gen.standard_normal(n)
     L, mu, D = 1.0, 1.0 / kappa, 2.0
     hp = optimal_hyperparams(L, mu, "gd")
     obj = make_worst_case_gd(x0, L, mu, D, hp.eta)
-    x = np.array(x0)
+    state = initial_state("gd", x0)
     worst = 0.0
     for _ in range(steps):
-        x_new = x - hp.eta * obj.grad(x)
-        d0 = np.linalg.norm(x - obj.x_star)
-        d1 = np.linalg.norm(x_new - obj.x_star)
+        new = step("gd", state, obj.grad(state[0]), hp)
+        d0 = np.linalg.norm(state[0] - obj.x_star)
+        d1 = np.linalg.norm(new[0] - obj.x_star)
         if d0 < RATIO_GUARD * max(1.0, D):
             break
         worst = max(worst, abs(d1 / d0 - hp.sigma))
-        x = x_new
+        state = new
     return worst
 
 
@@ -132,7 +105,8 @@ def run_verification(quick=True):
     out.append(("quantizer-input containment", total == 0,
                 f"{total} violations"))
 
-    err = max(worst_case_ratio_error(k, 4) for k in (2, 4, 10))
+    err = max(worst_case_ratio_error(k, make_rng(0).standard_normal(4))
+              for k in (2, 4, 10))
     out.append(("worst-case GD per-step equality", err <= 1e-9,
                 f"max |ratio - sigma| = {err:.2e}"))
 

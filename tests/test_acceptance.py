@@ -25,16 +25,15 @@ from dqgrad.harness import (
 from dqgrad.hyperparams import (
     gamma_agd,
     gamma_hb,
-    optimal_hyperparams,
     sigma_agd,
     sigma_gd,
     sigma_hb,
 )
-from dqgrad.problems import load_matrix_market, make_gaussian_ls, make_worst_case_gd
+from dqgrad.problems import load_matrix_market, make_gaussian_ls
 from dqgrad.quantizer import decode_payload, encode_payload
 from dqgrad.rng import make_rng
 from dqgrad.schedules import waterfill
-from dqgrad.selfcheck import tracking_deviation
+from dqgrad.selfcheck import tracking_deviation, worst_case_ratio_error
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -51,18 +50,8 @@ def test_c1_worst_case_gd_equality():
     gen = make_rng(1)
     for kappa in (2.0, 4.0, 10.0):
         for n in (2, 8):
-            L, mu, D = 1.0, 1.0 / kappa, 2.0
-            hp = optimal_hyperparams(L, mu, "gd")
-            obj = make_worst_case_gd(gen.standard_normal(n), L, mu, D, hp.eta)
-            x = np.array(obj.x0)
-            for _ in range(400):
-                x_new = x - hp.eta * obj.grad(x)
-                d0 = np.linalg.norm(x - obj.x_star)
-                d1 = np.linalg.norm(x_new - obj.x_star)
-                if d0 < 1e-6 * D:  # ratios below this are float noise at 1e-9
-                    break
-                worst = max(worst, abs(d1 / d0 - hp.sigma))
-                x = x_new
+            err = worst_case_ratio_error(kappa, gen.standard_normal(n), steps=400)
+            worst = max(worst, err)
     ok = worst <= 1e-9
     report(1, ok, f"per-step ratio matches (kappa-1)/(kappa+1), "
                   f"max |ratio - sigma| = {worst:.2e} <= 1e-9")
@@ -280,8 +269,8 @@ def test_c7_finite_t_envelopes():
                 run_protocol(
                     server, [worker], [channel], 300,
                     on_iteration=lambda t, srv, w: dists.append(
-                        float(np.linalg.norm(srv.y - obj.x_star))),
-                    stop=lambda t, srv: np.linalg.norm(srv.y - obj.x_star)
+                        float(np.linalg.norm(srv.state[1] - obj.x_star))),
+                    stop=lambda t, srv: np.linalg.norm(srv.state[1] - obj.x_star)
                     < 1e-13 * max(1, obj.D),
                 )
                 for t, d in enumerate(dists):

@@ -213,12 +213,13 @@ def test_agd_runs_stay_under_y_envelope():
     for trial in range(20):
         kappa = float(gen.uniform(1.5, 30))
         _, obj = make_gaussian_ls(32, 16, kappa, 900 + trial)
-        from dqgrad.engines import agd_iterates
+        from dqgrad.engines import initial_state, step
         hp = optimal_hyperparams(obj.L, obj.mu, "agd")
-        it = agd_iterates(obj.grad, obj.x0, hp.eta, hp.gamma)
+        state = initial_state("agd", obj.x0)
         floor = 1e-13 * max(1.0, obj.D)
         for t in range(1, 200):
-            _, y = next(it)
+            state = step("agd", state, obj.grad(state[0]), hp)
+            _, y = state
             dist = np.linalg.norm(y - obj.x_star)
             if dist < floor:  # below here both sides are float noise
                 break

@@ -63,19 +63,31 @@ def test_verify_subcommand(capsys):
     assert "[FAIL]" not in out
 
 
+GOOD = "algos = gd, dq-gd\nm = 32\nn = 16\nkappa = 5\n"
+
+
 @pytest.mark.parametrize("body", [
-    "m = 32\nn = 16\nkappa = 5\nrates = 0-2\n",
-    "m = 32\nn = 16\nkappa = 5\nrates = 3-1\n",
-    "n = 16\nkappa = 5\nrates = 2-3\n",
-    "m = 32\nkappa = 5\nrates = 2-3\n",
-    "m = 32\nn = 16\nrates = 2-3\n",
-], ids=["rate-zero", "empty-range", "no-m", "no-n", "no-kappa"])
+    GOOD + "rates = 0-2\n",
+    GOOD + "rates = 3-1\n",
+    "algos = gd, dq-gd\nn = 16\nkappa = 5\nrates = 2-3\n",
+    "algos = gd, dq-gd\nm = 32\nkappa = 5\nrates = 2-3\n",
+    "algos = gd, dq-gd\nm = 32\nn = 16\nrates = 2-3\n",
+    "algos = gd, dq-foo\nm = 32\nn = 16\nkappa = 5\nrates = 2-3\n",
+    GOOD + "m = 3\nrates = 2-3\n",
+    None,
+], ids=["rate-zero", "empty-range", "no-m", "no-n", "no-kappa", "unknown-algo",
+        "duplicate-key", "no-section-header"])
 def test_sweep_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, body):
     cfg = tmp_path / "bad.ini"
-    cfg.write_text("[bad]\nproblem = gaussian\nalgos = gd, dq-gd\ntrials = 1\n"
-                   + body + "csv = bad.csv\n")
+    if body is None:  # keys before any [section]
+        cfg.write_text("problem = gaussian\n" + GOOD + "csv = bad.csv\n")
+        expected = f"error: {cfg}: "
+    else:
+        cfg.write_text("[bad]\nproblem = gaussian\ntrials = 1\n"
+                       + body + "csv = bad.csv\n")
+        expected = "error: [bad] "
     assert main(["sweep", str(cfg)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: [bad] ")
+    assert captured.err.startswith(expected)
     assert "Traceback" not in captured.err
     assert not (tmp_path / "bad.csv").exists()

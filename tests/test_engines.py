@@ -8,28 +8,29 @@ from hypothesis.extra import numpy as hnp
 
 from dqgrad.bounds import agd_unquantized_envelopes
 from dqgrad.engines import (
+    _DQ_PAIRS,
+    BitCoder,
     DQAGDWorker,
-    DQGDVaryingServer,
-    DQGDVaryingWorker,
+    DQGDWorker,
     DQHBWorker,
-    ExactCoder,
-    LoopbackChannel,
     ScheduleViolationError,
-    agd_iterates,
+    _ServerBase,
     build_dq_engine,
-    gd_iterates,
-    gd_varying_iterates,
-    hb_iterates,
+    initial_state,
     run_protocol,
-    step_unquantized,
+    step,
 )
 from dqgrad.harness import default_containment, dq_schedule, run_dq, run_nq
-from dqgrad.hyperparams import optimal_hyperparams
+from dqgrad.hyperparams import HyperParams, optimal_hyperparams
 from dqgrad.problems import make_gaussian_ls, make_interpolation_problem, make_worst_case_gd
+from dqgrad.quantizer import QuantizerSpec, RangeViolationError
 from dqgrad.rng import make_rng
-from dqgrad.schedules import waterfill_bits
+from dqgrad.schedules import RangeSchedule, waterfill_bits
 from dqgrad.selfcheck import tracking_deviation
+from dqgrad.transport import Channel
 from dqgrad import bounds
+
+from doubles import ExactCoder, LoopbackChannel
 
 
 def quadratic_1d():
@@ -37,30 +38,57 @@ def quadratic_1d():
     return lambda x: x
 
 
+def unquantized(algo, grad, x0, hp, steps):
+    """States 1..steps of the unquantized method."""
+    state = initial_state(algo, x0)
+    out = []
+    for _ in range(steps):
+        state = step(algo, state, grad(state[0]), hp)
+        out.append(state)
+    return out
+
+
+def constant_range(r):
+    # the nq-gd recursion at sigma = 1 and L*D = r gives r_t = r for every t
+    return RangeSchedule("nq-gd", L=r, D=1.0, sigma=1.0)
+
+
 def test_gd_one_exact_step():
-    it = gd_iterates(quadratic_1d(), np.array([1.0]), eta=1.0)
-    assert next(it)[0] == 0.0
+    hp = HyperParams(eta=1.0, gamma=0.0, sigma=0.0)
+    ((x,),) = unquantized("gd", quadratic_1d(), np.array([1.0]), hp, 1)
+    assert x[0] == 0.0
 
 
 def test_hb_with_zero_momentum_is_gd():
     _, obj = make_gaussian_ls(20, 8, 6, 3)
-    eta = 0.3
-    gd = gd_iterates(obj.grad, obj.x0, eta)
-    hb = hb_iterates(obj.grad, obj.x0, eta, gamma=0.0)
-    for _ in range(50):
-        assert np.array_equal(next(gd), next(hb))
+    hp = HyperParams(eta=0.3, gamma=0.0, sigma=0.0)
+    gd = unquantized("gd", obj.grad, obj.x0, hp, 50)
+    hb = unquantized("hb", obj.grad, obj.x0, hp, 50)
+    for a, b in zip(gd, hb):
+        assert np.array_equal(a[0], b[0])
 
 
-def test_step_unquantized_matches_iterators():
+def test_step_matches_the_textbook_agd_recursion():
     _, obj = make_gaussian_ls(20, 8, 6, 4)
     hp = optimal_hyperparams(obj.L, obj.mu, "agd")
-    state = (np.array(obj.x0), np.array(obj.x0))
-    it = agd_iterates(obj.grad, obj.x0, hp.eta, hp.gamma)
+    state = initial_state("agd", obj.x0)
+    x, y = np.array(obj.x0), np.array(obj.x0)
     for _ in range(20):
-        state = step_unquantized("agd", state, obj.grad, hp)
-        x, y = next(it)
+        state = step("agd", state, obj.grad(state[0]), hp)
+        y_new = x - hp.eta * obj.grad(x)
+        x, y = y_new + hp.gamma * (y_new - y), y_new
         assert np.array_equal(state[0], x)
         assert np.array_equal(state[1], y)
+
+
+def test_step_rejects_an_unknown_algorithm():
+    hp = HyperParams(eta=0.1, gamma=0.0, sigma=0.0)
+    x = np.ones(3)
+    for algo in ("sgd", "dq-gd"):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            step(algo, (x,), x, hp)
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            initial_state(algo, x)
 
 
 def test_agd_run_respects_its_envelope():
@@ -70,23 +98,19 @@ def test_agd_run_respects_its_envelope():
     hp_gd = optimal_hyperparams(1.0, 1.0 / kappa, "gd")
     obj = make_worst_case_gd(gen.standard_normal(6), 1.0, 1.0 / kappa, 2.0, hp_gd.eta)
     hp = optimal_hyperparams(obj.L, obj.mu, "agd")
-    it = agd_iterates(obj.grad, obj.x0, hp.eta, hp.gamma)
-    for t in range(1, 101):
-        _, y = next(it)
+    for t, (_, y) in enumerate(unquantized("agd", obj.grad, obj.x0, hp, 100), 1):
         y_env, _ = agd_unquantized_envelopes(t, kappa, obj.D)
         assert np.linalg.norm(y - obj.x_star) <= y_env * (1 + 1e-9)
 
 
 def _zero_error_run(algo, obj, hp, steps):
     """DQ engine over a lossless loopback with a perfect quantizer."""
-    from dqgrad.engines import _DQ_PAIRS
-
-    worker_cls, server_cls, scheme = _DQ_PAIRS[algo]
+    worker_cls, rule = _DQ_PAIRS[algo]
     schedule, _ = dq_schedule(algo, obj, R=8)
     coder = ExactCoder()
     # the schedule is irrelevant at zero quantization error
     worker = worker_cls(obj.grad, hp, schedule, coder, containment="record")
-    server = server_cls(obj.x0, hp, schedule, coder)
+    server = _ServerBase(rule, obj.x0, hp, [schedule], [coder])
     chan = LoopbackChannel()
     xs = []
     run_protocol(server, [worker], [chan], steps,
@@ -101,14 +125,31 @@ def test_zero_error_channel_reproduces_unquantized_bitwise(algo, ref):
     _, obj = make_gaussian_ls(24, 10, 8, 5)
     hp = optimal_hyperparams(obj.L, obj.mu, ref)
     xs = _zero_error_run(algo, obj, hp, 60)
-    if ref == "gd":
-        twin = gd_iterates(obj.grad, obj.x0, hp.eta)
-    elif ref == "agd":
-        twin = (x for x, _ in agd_iterates(obj.grad, obj.x0, hp.eta, hp.gamma))
-    else:
-        twin = hb_iterates(obj.grad, obj.x0, hp.eta, hp.gamma)
-    for x in xs:
-        assert np.array_equal(x, next(twin))
+    twin = unquantized(ref, obj.grad, obj.x0, hp, 60)
+    assert len(xs) == len(twin)
+    for x, state in zip(xs, twin):
+        assert np.array_equal(x, state[0])
+
+
+def test_server_averages_k_directions_bitwise():
+    # K = 3 workers: one gd step at eta/3 on the sum of the decoded directions
+    gen = make_rng(21)
+    _, obj = make_gaussian_ls(20, 8, 5, 21)
+    hp = optimal_hyperparams(obj.L, obj.mu, "gd")
+    K = 3
+    server = _ServerBase("gd", obj.x0, hp, [constant_range(1.0)] * K,
+                         [ExactCoder() for _ in range(K)])
+    channels = [LoopbackChannel() for _ in range(K)]
+    x = np.array(obj.x0)
+    for _ in range(10):
+        server.broadcast(channels)
+        qs = [gen.standard_normal(8) for _ in range(K)]
+        for ch, q in zip(channels, qs):
+            ch.recv_iterate()
+            ch.send_payload(q)
+        server.collect(channels)
+        x = x - (hp.eta / 3) * (qs[0] + qs[1] + qs[2])
+        assert np.array_equal(server.x, x)
 
 
 @pytest.mark.parametrize("algo", ["dq-agd", "dq-hb"])
@@ -165,87 +206,12 @@ def test_tracking_identities(algo, kappa, R):
     assert dev <= 1e-10
 
 
-def test_varying_stepsize_constant_reduces_to_dq_gd():
-    _, obj = make_gaussian_ls(24, 10, 8, 9)
-    hp = optimal_hyperparams(obj.L, obj.mu, "gd")
-    eta = hp.eta
-    schedule, _ = dq_schedule("dq-gd", obj, R=5)
-    R = 5
-
-    worker, server, chan = build_dq_engine("dq-gd", obj, hp, schedule, R)
-    ref = []
-    run_protocol(server, [worker], [chan], 60,
-                 on_iteration=lambda t, s, w: ref.append(s.x.copy()))
-
-    from dqgrad.engines import BitCoder
-    from dqgrad.quantizer import QuantizerSpec
-    from dqgrad.schedules import ScheduleCursor
-    from dqgrad.transport import Channel
-
-    ranges = []
-    cur = ScheduleCursor(schedule)
-    for _ in range(60):
-        ranges.append(cur.step())
-    spec = QuantizerSpec(10, R)
-    wv = DQGDVaryingWorker(obj.grad, lambda t: eta, lambda t: ranges[t],
-                           BitCoder(spec))
-    sv = DQGDVaryingServer(obj.x0, lambda t: eta, lambda t: ranges[t],
-                           BitCoder(spec))
-    out = []
-    run_protocol(sv, [wv], [Channel(10, R)], 60,
-                 on_iteration=lambda t, s, w: out.append(s.x.copy()))
-    for a, b in zip(ref, out):
-        assert np.array_equal(a, b)
-
-
-def test_varying_stepsize_tracking_identity():
-    # x_hat_t = x_t - eta_{t-1} e_{t-1} against a varying-stepsize twin
-    _, obj = make_gaussian_ls(24, 10, 6, 10)
-    etas = lambda t: (2.0 / (obj.L + obj.mu)) * (1.0 + 0.1 * np.sin(t))
-    from dqgrad.engines import BitCoder
-    from dqgrad.quantizer import QuantizerSpec
-    from dqgrad.transport import Channel
-
-    spec = QuantizerSpec(10, 6)
-    big_range = lambda t: 50.0 * max(obj.L * obj.D, 1.0)
-    wv = DQGDVaryingWorker(obj.grad, etas, big_range, BitCoder(spec))
-    sv = DQGDVaryingServer(obj.x0, etas, big_range, BitCoder(spec))
-    twin = gd_varying_iterates(obj.grad, obj.x0, etas)
-    worst = 0.0
-
-    def observe(t, srv, ws):
-        nonlocal worst
-        x_t = next(twin)
-        worst = max(worst, float(np.linalg.norm(
-            srv.x - (x_t - etas(t) * ws[0].e1))))
-
-    run_protocol(sv, [wv], [Channel(10, 6)], 120, on_iteration=observe)
-    assert worst <= 1e-10
-
-
-def test_varying_stepsize_first_round_has_no_compensation():
-    _, obj = make_gaussian_ls(16, 6, 4, 12)
-    from dqgrad.engines import BitCoder
-    from dqgrad.quantizer import QuantizerSpec
-
-    wv = DQGDVaryingWorker(obj.grad, lambda t: 0.1, lambda t: 100.0,
-                           BitCoder(QuantizerSpec(6, 4)))
-    wv._ensure_state(6)
-    u0 = wv.quantizer_input(0, obj.x0)
-    assert np.array_equal(u0, obj.grad(obj.x0))
-
-
 def test_schedule_violation_raises():
     _, obj = make_gaussian_ls(16, 6, 4, 13)
     hp = optimal_hyperparams(obj.L, obj.mu, "gd")
-    from dqgrad.engines import BitCoder, DQGDWorker, DQGDServer
-    from dqgrad.quantizer import QuantizerSpec
-    from dqgrad.transport import Channel
-    from dqgrad.engines import _CallableSchedule
-
-    tiny = _CallableSchedule(lambda t: 1e-9)
+    tiny = constant_range(1e-9)
     worker = DQGDWorker(obj.grad, hp, tiny, BitCoder(QuantizerSpec(6, 4)))
-    server = DQGDServer(obj.x0, hp, tiny, BitCoder(QuantizerSpec(6, 4)))
+    server = _ServerBase("gd", obj.x0, hp, [tiny], [BitCoder(QuantizerSpec(6, 4))])
     with pytest.raises(ScheduleViolationError):
         run_protocol(server, [worker], [Channel(6, 4)], 5)
 
@@ -253,25 +219,21 @@ def test_schedule_violation_raises():
 def test_non_finite_quantizer_input_violates_containment():
     _, obj = make_gaussian_ls(16, 6, 4, 13)
     hp = optimal_hyperparams(obj.L, obj.mu, "gd")
-    from dqgrad.engines import BitCoder, DQGDWorker, DQGDServer
-    from dqgrad.quantizer import QuantizerSpec, RangeViolationError
-    from dqgrad.transport import Channel
-    from dqgrad.engines import _CallableSchedule
 
     def nan_grad(x):
         return np.full_like(x, np.nan)
 
-    wide = _CallableSchedule(lambda t: 1e9)
+    wide = constant_range(1e9)
     spec = QuantizerSpec(6, 4)
     worker = DQGDWorker(nan_grad, hp, wide, BitCoder(spec))
-    server = DQGDServer(obj.x0, hp, wide, BitCoder(spec))
+    server = _ServerBase("gd", obj.x0, hp, [wide], [BitCoder(spec)])
     with pytest.raises(ScheduleViolationError):
         run_protocol(server, [worker], [Channel(6, 4)], 5)
 
     # record mode counts the escape; the saturating quantizer still refuses
     worker = DQGDWorker(nan_grad, hp, wide, BitCoder(spec, saturate=True),
                         containment="record")
-    server = DQGDServer(obj.x0, hp, wide, BitCoder(spec, saturate=True))
+    server = _ServerBase("gd", obj.x0, hp, [wide], [BitCoder(spec, saturate=True)])
     with pytest.raises(RangeViolationError):
         run_protocol(server, [worker], [Channel(6, 4)], 5)
     assert worker.violations == [0]

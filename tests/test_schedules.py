@@ -8,7 +8,6 @@ from dqgrad.schedules import (
     SCHEMES,
     RangeSchedule,
     ScheduleCursor,
-    range_schedule_next,
     waterfill,
     waterfill_bits,
 )
@@ -34,7 +33,7 @@ def test_stateless_next_matches_cursor():
                       rho=2.0, R=3, lam=4.0)
     r1 = r2 = 0.0
     for t, r in enumerate(unroll(s, 30)):
-        assert range_schedule_next(s, t, r1, r2) == r
+        assert s.next(t, r1, r2) == r
         r2, r1 = r1, r
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from dqgrad.engines import BitCoder, build_dq_engine, run_protocol
+from dqgrad.engines import build_dq_engine, run_protocol
 from dqgrad.harness import dq_schedule, run_dq
 from dqgrad.problems import make_gaussian_ls
-from dqgrad.quantizer import Payload, QuantizerSpec
+from dqgrad.quantizer import Payload
 from dqgrad.rng import make_rng
 from dqgrad.schedules import ScheduleCursor
 from dqgrad.transport import (
@@ -95,17 +95,16 @@ def test_server_sees_only_payload_bits():
     channel.send_payload = tap
     run_protocol(server, [worker], [channel], 40, on_iteration=record)
 
-    worker2, server2, channel2 = build_dq_engine("dq-gd", obj, hp, schedule, R)
-    spec = QuantizerSpec(obj.n, R)
-    coder = BitCoder(spec)
+    _, server2, _ = build_dq_engine("dq-gd", obj, hp, schedule, R)
     from dqgrad.quantizer import decode_payload
 
-    cursor = ScheduleCursor(schedule)
-    for t, (buf, nbits) in enumerate(bits):
-        r = cursor.step()
-        q = coder.decode(t, r, decode_payload(buf, nbits, obj.n, R))
-        server2._ensure_cursors()
-        server2.apply([q])
+    class Replay:  # uplink end only: hands the server the recorded bits
+        def recv_payload_bits(self):
+            buf, nbits = bits[server2.t]
+            return decode_payload(buf, nbits, obj.n, R)
+
+    for t in range(len(bits)):
+        server2.collect([Replay()])
         assert np.array_equal(server2.x, xs[t])
 
 

@@ -237,7 +237,7 @@ _DQ_PAIRS = {
 
 
 def build_dq_engine(algo, objective, hp, schedule, R, containment="strict",
-                    saturate=False, channel=None):
+                    saturate=False):
     """Wire up one single-worker DQ engine over a bit-exact channel.
 
     Both halves get their own schedule cursor and coder so nothing is
@@ -252,13 +252,14 @@ def build_dq_engine(algo, objective, hp, schedule, R, containment="strict",
                         containment)
     server = _ServerBase(rule, objective.x0, hp, [schedule],
                          [BitCoder(spec, saturate)])
-    channel = channel if channel is not None else Channel(n, R)
-    return worker, server, channel
+    return worker, server, Channel(n, R)
 
 
-def build_nq_engine(problem, hp, sigma_nq, rates, containment="strict",
-                    saturate=False):
-    """K-worker naive quantization; rates is one integer per worker."""
+def build_nq_engine(problem, hp, sigma_nq, rates):
+    """K-worker naive quantization; rates is one integer per worker.
+
+    Containment is provable for the naive schedule, so every worker is strict.
+    """
     from .schedules import RangeSchedule
     from .transport import Channel
 
@@ -270,11 +271,9 @@ def build_nq_engine(problem, hp, sigma_nq, rates, containment="strict",
             rho=np.sqrt(n), R=R_k,
         )
         spec = QuantizerSpec(n, R_k)
-        workers.append(
-            NQGDWorker(obj.grad, hp, sched, BitCoder(spec, saturate), containment)
-        )
+        workers.append(NQGDWorker(obj.grad, hp, sched, BitCoder(spec)))
         channels.append(Channel(n, R_k))
         schedules.append(sched)
-        coders.append(BitCoder(spec, saturate))
+        coders.append(BitCoder(spec))
     server = _ServerBase("gd", problem.x0, hp, schedules, coders)
     return workers, server, channels

@@ -135,11 +135,10 @@ def default_containment(algo, alpha):
     return "strict", False
 
 
-def dq_schedule(algo, objective, R, rho=None, alpha=0.0):
-    n = objective.n
-    rho = bounds.default_rho(n) if rho is None else rho
+def dq_schedule(algo, objective, R, alpha=0.0):
     kappa = objective.kappa
-    base = dict(L=objective.L, D=objective.D, rho=rho, R=R)
+    base = dict(L=objective.L, D=objective.D, rho=bounds.default_rho(objective.n),
+                R=R)
     if algo == "dq-gd":
         hp = optimal_hyperparams(objective.L, objective.mu, "gd")
         return RangeSchedule(scheme="dq-gd", sigma=hp.sigma, **base), hp
@@ -180,10 +179,10 @@ def run_unquantized(algo, objective, t_max=10_000, floor_scale=1e-13):
     return record
 
 
-def run_dq(algo, objective, R, t_max=10_000, floor_scale=1e-13, rho=None,
-           alpha=0.0, containment=None):
+def run_dq(algo, objective, R, t_max=10_000, floor_scale=1e-13, alpha=0.0,
+           containment=None):
     """One single-worker DQ run over the bit-exact channel."""
-    schedule, hp = dq_schedule(algo, objective, R, rho, alpha)
+    schedule, hp = dq_schedule(algo, objective, R, alpha)
     if containment is None:
         containment, saturate = default_containment(algo, alpha)
     else:
@@ -211,18 +210,15 @@ def run_dq(algo, objective, R, t_max=10_000, floor_scale=1e-13, rho=None,
     return record
 
 
-def run_nq(problem, rates, t_max=10_000, floor_scale=1e-13, rho=None,
-           containment="strict"):
+def run_nq(problem, rates, t_max=10_000, floor_scale=1e-13):
     """K-worker naive quantization at the given per-worker integer rates."""
     if not isinstance(problem, MultiWorkerProblem):
         problem = MultiWorkerProblem((problem,), problem.x_star, problem.x0)
     n = problem.x0.shape[0]
-    rho = bounds.default_rho(n) if rho is None else rho
-    sigma_nq = bounds.nq_sigma(problem.L_list, problem.mu, rates, n, rho)
+    sigma_nq = bounds.nq_sigma(problem.L_list, problem.mu, rates, n,
+                               bounds.default_rho(n))
     hp = optimal_hyperparams(problem.L, problem.mu, "gd")
-    workers, server, channels = build_nq_engine(
-        problem, hp, sigma_nq, rates, containment, saturate=containment == "record"
-    )
+    workers, server, channels = build_nq_engine(problem, hp, sigma_nq, rates)
     floor = floor_scale * max(1.0, problem.D)
     record = RunRecord(algo="nq-gd", R=sum(rates), floor=floor)
     record.distances.append(problem.D)

@@ -8,6 +8,7 @@ L = 1; the worst-case instance aligns the start-to-optimizer direction
 with the singular vector that GD contracts most slowly.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,27 @@ class LeastSquares:
         return float(s[0] ** 2), float(s[-1] ** 2)
 
     def objective(self, x0):
-        L, mu = self.spectrum_bounds()
-        x_star = self.solve()
+        # The SVD and the solve are independent LAPACK calls that release
+        # the GIL, so the SVD runs on a helper thread while this one solves.
+        # Each is still one call on the same arrays, so every bit is as in
+        # sequence; if both fail, the SVD's error wins, as it would first.
+        svd = {}
+
+        def run_svd():
+            try:
+                svd["bounds"] = self.spectrum_bounds()
+            except BaseException as exc:
+                svd["error"] = exc
+
+        helper = threading.Thread(target=run_svd)
+        helper.start()
+        try:
+            x_star = self.solve()
+        finally:
+            helper.join()
+            if "error" in svd:
+                raise svd.pop("error")
+        L, mu = svd["bounds"]
         x0 = np.asarray(x0, dtype=np.float64)
         return Objective(
             grad=self.grad,
@@ -194,12 +214,6 @@ class MultiWorkerProblem:
     @property
     def D(self):
         return float(np.linalg.norm(self.x_star - self.x0))
-
-    def average_grad(self, x):
-        g = np.zeros_like(self.x0)
-        for o in self.locals_:
-            g += o.grad(x)
-        return g / self.K
 
 
 def make_interpolation_problem(K, n, m_k, kappa_list, seed, L_list=None):

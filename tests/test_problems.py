@@ -1,9 +1,13 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
 from dqgrad.hyperparams import optimal_hyperparams
 from dqgrad.problems import (
     DegenerateInstanceError,
+    LeastSquares,
     MatrixMarketError,
     load_matrix_market,
     make_gaussian_ls,
@@ -133,6 +137,79 @@ def test_interpolation_average_constants():
     evals = np.linalg.eigvalsh(H)
     assert evals[-1] <= prob.L * (1 + 1e-9)
     assert evals[0] >= prob.mu * (1 - 1e-9)
+
+
+# --- objective(): SVD and solve on two threads -------------------------------
+
+ASH331_STAND_IN = os.path.join(os.path.dirname(__file__), "data",
+                               "ash331_synthetic.mtx")
+
+
+def _sequential(ls, x0):
+    L, mu = ls.spectrum_bounds()
+    x_star = ls.solve()
+    return L, mu, x_star, float(np.linalg.norm(x_star - x0))
+
+
+def _ash331_stand_in():
+    A = load_matrix_market(ASH331_STAND_IN)
+    gen = make_rng(23)
+    return LeastSquares(A, gen.standard_normal(331)), gen.standard_normal(104)
+
+
+def _gaussian(m, n, seed):
+    ls, obj = make_gaussian_ls(m, n, 25, seed)
+    return ls, obj.x0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _gaussian(32, 16, 3),
+    _ash331_stand_in,
+    lambda: _gaussian(600, 300, 4),
+], ids=["32x16", "ash331-stand-in", "600x300"])
+def test_objective_matches_sequential_calls_bitwise(build):
+    ls, x0 = build()
+    before = threading.active_count()
+    obj = ls.objective(x0)
+    assert threading.active_count() == before
+    L, mu, x_star, D = _sequential(ls, x0)
+    assert np.float64(obj.L).tobytes() == np.float64(L).tobytes()
+    assert np.float64(obj.mu).tobytes() == np.float64(mu).tobytes()
+    assert obj.x_star.tobytes() == x_star.tobytes()
+    assert np.float64(obj.D).tobytes() == np.float64(D).tobytes()
+    assert obj.x0.tobytes() == x0.tobytes()
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_objective_on_nan_matrix_raises_what_the_svd_raises_first():
+    ls = LeastSquares(np.full((6, 3), np.nan), np.ones(6))
+    x0 = np.zeros(3)
+    want = _raised(lambda: _sequential(ls, x0))
+    assert want == _raised(ls.spectrum_bounds)  # the sequential order fails here
+    before = threading.active_count()
+    assert _raised(lambda: ls.objective(x0)) == want
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing", ["spectrum_bounds", "solve"])
+def test_objective_reraises_the_one_failing_call(monkeypatch, failing):
+    class Boom(Exception):
+        pass
+
+    def boom(self):
+        raise Boom(failing)
+
+    ls, x0 = _gaussian(32, 16, 5)
+    monkeypatch.setattr(LeastSquares, failing, boom)
+    before = threading.active_count()
+    with pytest.raises(Boom, match=failing):
+        ls.objective(x0)
+    assert threading.active_count() == before
 
 
 # --- MatrixMarket ----------------------------------------------------------

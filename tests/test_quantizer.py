@@ -317,8 +317,10 @@ def quantizer_cases(draw):
     gen = make_rng(draw(st.integers(0, 2**32 - 1)))
     u = r * (2.0 * gen.random(n) - 1.0)
     width = 2.0 * r / (1 << R)
-    edges = [-r, r, 0.0, -0.0, -r + width, r - width,
-             -r + width * float(gen.integers(0, 1 << R))]
+    # clipped: when r is subnormal, width rounds up and -r + width*k can
+    # leave the cube (see test_subnormal_cell_edge_off_the_cube_is_rejected)
+    edges = np.clip([-r, r, 0.0, -0.0, -r + width, r - width,
+                     -r + width * float(gen.integers(0, 1 << R))], -r, r).tolist()
     if saturate:
         edges += [2.0 * r, -2.0 * r, r * (1 + 2**-40), 1e10, -1e10, 1.7e308, -1.7e308]
     k = draw(st.integers(0, n))
@@ -363,6 +365,18 @@ def test_error_within_half_a_cell_on_the_cube(case):
     assert np.all(np.abs(recon - u) <= r * 2.0 ** (-spec.R) + slack)
     assert (np.linalg.norm(recon - u)
             <= (covering_radius(spec, r) + np.sqrt(spec.n) * slack) * (1 + 1e-12))
+
+
+def test_subnormal_cell_edge_off_the_cube_is_rejected():
+    # at r = 1e-321, R = 8 the width 2r/256 rounds up to 1e-323, so the cell
+    # edge -r + 217*width lies beyond r; strict mode must refuse it
+    r = 1e-321
+    width = 2.0 * r / (1 << 8)
+    u = np.zeros(441)
+    u[390] = -r + 217 * width
+    assert u[390] == 1.146e-321 > r
+    with pytest.raises(RangeViolationError, match="coordinate 390"):
+        QuantizerSpec(441, 8).scaled(r, saturate=False).quantize(u)
 
 
 def test_saturating_overflow_is_silent_and_moves_no_index():

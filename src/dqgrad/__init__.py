@@ -52,6 +52,6 @@ from .quantizer import (
     encode_payload,
 )
 from .schedules import RangeSchedule, waterfill, waterfill_bits
-from .transport import Channel, ChannelTrace, FramingError, trace_report
+from .transport import Channel, ChannelTrace, FramingError
 
 __version__ = "0.1.0"

@@ -21,8 +21,6 @@ from .hyperparams import (
     sigma_hb,
 )
 
-QUANTIZED_ALGOS = ("dq-gd", "dq-agd", "dq-hb", "nq-gd")
-
 # floating-point equality is measure zero; treat the resonant branch of the
 # range recursion as taken inside this relative window
 EQUAL_BRANCH_RTOL = 1e-12
@@ -117,9 +115,7 @@ def envelope_dq_gd(t, L, mu, D, n, R, rho=None):
     base = max(hp.sigma, eps) ** t
     if t == 0:
         return float(D)
-    b_prev = t if abs(hp.sigma - eps) <= EQUAL_BRANCH_RTOL * max(hp.sigma, eps) \
-        else eps / abs(hp.sigma - eps)
-    return base * (1.0 + hp.eta * L * b_prev) * D
+    return base * (1.0 + hp.eta * L * b_coefficient(t - 1, hp.sigma, eps)) * D
 
 
 def _second_order_constants(sigma, gamma, leading_scale, rho, R):

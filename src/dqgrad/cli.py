@@ -3,7 +3,7 @@
 Subcommands:
   sweep      run the experiments in a config file, emit CSV/SVG
   bounds     print the closed-form contraction curves for a (kappa, n) pair
-  verify     run the invariant self-checks
+  verify     run acceptance criteria 1, 2, 3, 9 and 10 on the suite's draws
   waterfill  sum-rate allocation for given smoothness constants
 """
 
@@ -13,7 +13,7 @@ import sys
 from . import bounds as bmod
 from .configfile import ConfigError, load_experiments
 from .harness import emit_csv, emit_svg, run_sweep
-from .schedules import waterfill
+from .schedules import SCHEMES, waterfill
 
 
 def _cmd_sweep(args):
@@ -48,7 +48,7 @@ def _cmd_bounds(args):
     from .hyperparams import gamma_agd, gamma_hb, sigma_agd, sigma_gd, sigma_hb
 
     rho = args.rho if args.rho is not None else bmod.default_rho(args.n)
-    algos = args.algos.split(",") if args.algos else list(bmod.QUANTIZED_ALGOS)
+    algos = args.algos.split(",") if args.algos else list(SCHEMES)
     header = "R " + " ".join(f"{a:>10s}" for a in algos) + f" {'conv-gd':>10s} {'conv-gm':>10s}"
     print(f"kappa={args.kappa} n={args.n} rho={rho:g}")
     print(header)
@@ -71,14 +71,12 @@ def _cmd_bounds(args):
 
 
 def _cmd_verify(args):
-    from .selfcheck import run_verification
+    from . import selfcheck
 
-    results = run_verification(quick=not args.full)
     failed = 0
-    for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        suffix = f" ({detail})" if detail else ""
-        print(f"[{status}] {name}{suffix}")
+    for num, name, check, quick, full in selfcheck.CHECKS:
+        ok, detail = check(full if args.full else quick)
+        print(f"[{'PASS' if ok else 'FAIL'}] c{num} {name} ({detail})")
         failed += not ok
     return 1 if failed else 0
 
@@ -120,8 +118,9 @@ def build_parser():
     p.add_argument("--algos", help="comma list, default all quantized schemes")
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("verify", help="run the invariant self-checks")
-    p.add_argument("--full", action="store_true", help="larger sample sizes")
+    p = sub.add_parser("verify", help="run the shared acceptance criteria")
+    p.add_argument("--full", action="store_true",
+                   help="run them at the acceptance suite's sizes")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("waterfill", help="sum-rate allocation")

@@ -260,6 +260,7 @@ def build_nq_engine(problem, hp, sigma_nq, rates):
 
     Containment is provable for the naive schedule, so every worker is strict.
     """
+    from .bounds import default_rho
     from .schedules import RangeSchedule
     from .transport import Channel
 
@@ -268,7 +269,7 @@ def build_nq_engine(problem, hp, sigma_nq, rates):
     for obj, R_k in zip(problem.locals_, rates):
         sched = RangeSchedule(
             scheme="nq-gd", L=obj.L, D=problem.D, sigma=sigma_nq,
-            rho=np.sqrt(n), R=R_k,
+            rho=default_rho(n), R=R_k,
         )
         spec = QuantizerSpec(n, R_k)
         workers.append(NQGDWorker(obj.grad, hp, sched, BitCoder(spec)))

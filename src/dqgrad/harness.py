@@ -8,8 +8,8 @@ closed-form bound, the unquantized rate, and the converse. Identical
 config + seed gives a byte-identical CSV.
 
 The estimator takes the geometric mean of per-step ratios over the last
-half of above-floor iterations: the raw T-th root carries the transient
-constant, and the tail half suppresses it. Both values are recorded.
+half of above-floor iterations: the raw T-th root would carry the
+transient constant, and the tail half suppresses it.
 """
 
 import math
@@ -40,10 +40,9 @@ from .problems import (
     make_gaussian_ls,
     make_interpolation_problem,
 )
-from .schedules import RangeSchedule, waterfill_bits
+from .schedules import SCHEMES, RangeSchedule, waterfill_bits
 
 UNQUANTIZED = ("gd", "agd", "hb")
-QUANTIZED = ("dq-gd", "dq-agd", "dq-hb", "nq-gd")
 DIVERGENCE_SCALE = 1e9
 
 
@@ -80,12 +79,6 @@ class RunRecord:
         d = np.asarray(self.distances)
         return d[d > self.floor]
 
-    def estimate(self, clip=True):
-        return estimate_contraction(self, clip)
-
-    def estimate_raw(self):
-        return estimate_contraction_raw(self)
-
 
 def estimate_contraction(record, clip=True):
     """Tail-half geometric-mean per-step ratio, reported clipped at 1."""
@@ -100,17 +93,6 @@ def estimate_contraction(record, clip=True):
         return 0.0
     est = float((d[T] / d[half]) ** (1.0 / (T - half)))
     return min(est, 1.0) if clip else est
-
-
-def estimate_contraction_raw(record):
-    """Plain T-th root of the terminal relative distance."""
-    d = record.above_floor()
-    if len(d) < 2 or d[0] == 0.0:
-        raise InsufficientDataError("need at least two above-floor iterations")
-    T = len(d) - 1
-    if d[T] == 0.0:
-        return 0.0
-    return float((d[T] / d[0]) ** (1.0 / T))
 
 
 def _make_stop(record, ceiling):
@@ -268,7 +250,7 @@ class ExperimentConfig:
         if not self.rates or min(self.rates) < 1:
             raise ValueError("rates must be a nonempty list of integers >= 1")
         for algo in self.algos:
-            if algo not in UNQUANTIZED + QUANTIZED:
+            if algo not in UNQUANTIZED + SCHEMES:
                 raise ValueError(f"unknown algorithm {algo!r}")
         if self.allocation not in ("uniform", "waterfilling"):
             raise ValueError(f"unknown allocation {self.allocation!r}")
@@ -496,7 +478,7 @@ def emit_svg(rows, path, title=""):
     for algo in algos:
         pts = [(r.R, r.emp_mean) for r in rows if r.algo == algo]
         series.append((f"{algo} empirical", pts, "2.5", None))
-        if algo in QUANTIZED:
+        if algo in SCHEMES:
             pts_b = [(r.R, r.bound) for r in rows if r.algo == algo]
             series.append((f"{algo} bound", pts_b, "1.5", "6 3"))
     seen_families = []

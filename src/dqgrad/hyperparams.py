@@ -64,9 +64,6 @@ def agd_lambda(kappa):
     return (1.0 + g + g / s) * math.sqrt(kappa + 1.0)
 
 
-ALGOS = ("gd", "agd", "hb")
-
-
 def optimal_hyperparams(L, mu, algo):
     if not (L >= mu > 0):
         raise InvalidConstantsError(f"need L >= mu > 0, got L={L}, mu={mu}")

@@ -5,9 +5,6 @@ PCG64 uniforms pushed through the Box-Muller transform for normals. A run
 is therefore pinned bit-for-bit by its integer seed, independently of
 numpy's default normal sampler (whose algorithm is not part of numpy's
 stability guarantees).
-
-Trial streams are derived with ``spawn_rng(seed, k)`` so that concurrent
-trials never share state and the k-th trial is reproducible on its own.
 """
 
 import numpy as np
@@ -19,12 +16,6 @@ def make_rng(seed):
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def spawn_rng(seed, stream):
-    """Independent generator for sub-stream `stream` (e.g. a trial index)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
-    return np.random.Generator(np.random.PCG64(ss))
 
 
 def standard_normal(rng, size):

@@ -1,17 +1,19 @@
-"""Runtime invariant checks behind the `dqgrad verify` subcommand.
+"""The acceptance criteria that `dqgrad verify` and the test suite share.
 
-These are fast versions of the properties the test suite pins down:
-error-compensated runs track their unquantized twins, quantizer inputs
-stay inside the scheduled dynamic range, the adversarial GD instance
-contracts at exactly its worst-case rate, and payload coding round-trips.
+Each row of `CHECKS` is (criterion, name, check, quick size, full size),
+and `check(size)` returns (ok, detail) over the first `size` seeded draws
+of its criterion. `tests/test_acceptance.py` runs every row at full size;
+`dqgrad verify` runs the quick size and `dqgrad verify --full` the full
+one. Every check reduces its draws by max or by count, so a quick run,
+which sees a prefix of the draws, passes whenever the full run does.
 """
 
 import numpy as np
 
 from .engines import build_dq_engine, initial_state, run_protocol, step
-from .harness import dq_schedule, run_dq
+from .harness import dq_schedule, run_dq, run_nq
 from .hyperparams import optimal_hyperparams
-from .problems import make_gaussian_ls, make_worst_case_gd
+from .problems import make_gaussian_ls, make_interpolation_problem, make_worst_case_gd
 from .quantizer import decode_payload, encode_payload
 from .rng import make_rng
 from .schedules import waterfill
@@ -57,13 +59,6 @@ def tracking_deviation(algo, objective, R, steps, alpha=0.0):
     return worst
 
 
-def containment_violations(algo, objective, R, t_max, alpha=0.0):
-    """Count of rounds whose quantizer input left the scheduled range."""
-    rec = run_dq(algo, objective, R, t_max=t_max, alpha=alpha,
-                 containment="record")
-    return rec.violations
-
-
 def worst_case_ratio_error(kappa, x0, steps=60):
     """Max deviation of GD's per-step ratio from its worst-case rate."""
     L, mu, D = 1.0, 1.0 / kappa, 2.0
@@ -82,46 +77,111 @@ def worst_case_ratio_error(kappa, x0, steps=60):
     return worst
 
 
-def run_verification(quick=True):
-    """Returns [(name, passed, detail)]; everything deterministic."""
-    out = []
-    trials = 3 if quick else 10
-    steps = 80 if quick else 200
-
+def check_worst_case_gd(size):
+    """GD contracts at exactly (kappa-1)/(kappa+1) on its worst case."""
+    gen = make_rng(1)
+    starts = [(kappa, n) for kappa in (2.0, 4.0, 10.0) for n in (2, 8)]
     worst = 0.0
-    for algo, kappa, R in (("dq-gd", 5, 4), ("dq-agd", 10, 6), ("dq-hb", 10, 6)):
-        for s in range(trials):
-            _, obj = make_gaussian_ls(24, 12, kappa, 100 + s)
-            worst = max(worst, tracking_deviation(algo, obj, R, steps))
-    out.append(("tracking identities (dq-gd/dq-agd/dq-hb)", worst <= 1e-10,
-                f"max deviation {worst:.2e}"))
+    for kappa, n in starts[:size]:
+        err = worst_case_ratio_error(kappa, gen.standard_normal(n), steps=400)
+        worst = max(worst, err)
+    return worst <= 1e-9, (f"per-step ratio matches (kappa-1)/(kappa+1), "
+                           f"max |ratio - sigma| = {worst:.2e} <= 1e-9")
 
-    total = 0
-    for algo, alpha in (("dq-gd", 0.0), ("dq-agd", 0.0), ("dq-hb", 1.0)):
-        for s in range(trials * 2):
-            kappa = 1.5 + 7.0 * (s % 5)
-            _, obj = make_gaussian_ls(32, 16, kappa, 200 + s)
-            total += containment_violations(algo, obj, 2 + s % 8, 150, alpha)
-    out.append(("quantizer-input containment", total == 0,
-                f"{total} violations"))
 
-    err = max(worst_case_ratio_error(k, make_rng(0).standard_normal(4))
-              for k in (2, 4, 10))
-    out.append(("worst-case GD per-step equality", err <= 1e-9,
-                f"max |ratio - sigma| = {err:.2e}"))
+def check_tracking(size):
+    """Each DQ server equals its unquantized twin minus the error terms."""
+    # R >= 4 keeps every draw above the momentum schemes' matching threshold
+    # at kappa <= 30; below the linear-convergence threshold the range
+    # recursion (correctly) diverges and absolute float drift scales with
+    # the exploding iterates rather than with the identity being checked
+    worst = {}
+    for algo in ("dq-gd", "dq-agd", "dq-hb"):
+        gen = make_rng(2)
+        dev = 0.0
+        for trial in range(size):
+            kappa = float(gen.uniform(2.0, 30.0))
+            R = int(gen.integers(4, 9))
+            _, obj = make_gaussian_ls(32, 16, kappa, 20_000 + trial)
+            dev = max(dev, tracking_deviation(algo, obj, R, steps=200))
+        worst[algo] = dev
+    ok = all(v <= 1e-10 for v in worst.values())
+    detail = ", ".join(f"{a}: {v:.2e}" for a, v in worst.items())
+    return ok, (f"{size} instances x 200 iterations, max deviation {detail} "
+                f"(<= 1e-10)")
 
+
+def check_containment(size):
+    """The quantizer input never leaves its scheduled range."""
+    # schedules with a provable containment guarantee run strict; the heavy-ball
+    # schedule needs its subexponential exponent positive (1 suffices on
+    # least squares), since the experimental alpha = 0 loses the guarantee
+    gen = make_rng(3)
+    violations = 0
+    algos = (("dq-gd", 0.0), ("dq-agd", 0.0), ("dq-hb", 1.0))
+    for i in range(size):
+        algo, alpha = algos[i % 3]
+        kappa = float(gen.uniform(1.5, 50.0))
+        n = int(gen.choice([4, 16, 64]))
+        R = int(gen.integers(1, 13))
+        _, obj = make_gaussian_ls(2 * n, n, kappa, 30_000 + i)
+        rec = run_dq(algo, obj, R, t_max=250, alpha=alpha, containment="record")
+        violations += rec.violations
+    return violations == 0, (
+        f"{size} randomized runs (kappa in [1.5,50], R in [1,12], "
+        f"n in {{4,16,64}}), {violations} violations of ||u_t|| <= r_t")
+
+
+def check_waterfilling(size):
+    """The closed-form example, then the sum identity and monotonicity."""
     nu, rates = waterfill([4.0, 1.0], 2.0)
-    ok = abs(nu - 1.0) <= 1e-9 and abs(rates[0] - 2.0) <= 1e-9 and rates[1] <= 1e-9
-    out.append(("waterfilling closed form", ok, f"nu={nu:.12g} rates={rates}"))
+    exact = abs(nu - 1.0) <= 1e-9 and abs(rates[0] - 2.0) <= 1e-9 and rates[1] <= 1e-9
+    gen = make_rng(9)
+    sum_ok = mono_ok = True
+    for _ in range(size):
+        K = int(gen.integers(1, 9))
+        L = (10.0 ** gen.uniform(-2, 2, size=K)).tolist()
+        R = float(gen.uniform(0.0, 24.0))
+        nu_i, r_i = waterfill(L, R)
+        sum_ok &= abs(sum(r_i) - R) <= 1e-9
+        order = np.argsort(L)
+        mono_ok &= all(r_i[a] <= r_i[b] + 1e-9 for a, b in zip(order, order[1:]))
+    return exact and sum_ok and mono_ok, (
+        f"L=[4,1], R=2 -> nu={nu:.10f}, rates=({rates[0]:.10f}, "
+        f"{rates[1]:.1e}); sum identity and monotonicity over {size} "
+        f"random instances: {sum_ok and mono_ok}")
 
-    gen = make_rng(0)
-    ok = True
-    for _ in range(50 if quick else 1000):
-        n = int(gen.integers(1, 40))
-        R = int(gen.integers(0, 12))
-        idx = gen.integers(0, 1 << R, size=n) if R else np.zeros(n, dtype=int)
+
+def check_bit_exactness(size):
+    """Payloads round-trip, and every uplink message carries n*R_k bits."""
+    gen = make_rng(10)
+    ok_roundtrip = True
+    for _ in range(size):
+        n = int(gen.integers(1, 48))
+        R = int(gen.integers(1, 13))
+        idx = gen.integers(0, 1 << R, size=n)
         buf, nbits = encode_payload(idx, R)
-        ok = ok and nbits == n * R and np.array_equal(
+        ok_roundtrip &= nbits == n * R and np.array_equal(
             decode_payload(buf, nbits, n, R), idx)
-    out.append(("payload bit round trip", ok, ""))
-    return out
+
+    _, obj = make_gaussian_ls(24, 8, 6.0, 55)
+    rec = run_dq("dq-gd", obj, 5, t_max=400)
+    ok_single = all(b == 8 * 5 for b in rec.bits_per_iteration)
+
+    prob = make_interpolation_problem(2, 8, 16, [4.0, 1.0], 56)
+    _, channels = run_nq(prob, [2, 0], t_max=100)
+    ok_multi = (all(b == 8 * 2 for b in channels[0].trace.uplink_bits)
+                and all(b == 0 for b in channels[1].trace.uplink_bits))
+    return ok_roundtrip and ok_single and ok_multi, (
+        f"{size} payload round trips lossless; every uplink message "
+        f"carries exactly n*R_k bits (single and 2-worker runs)")
+
+
+# c1 and c9 take milliseconds, so the quick run already covers all their draws
+CHECKS = (
+    (1, "worst-case GD per-step equality", check_worst_case_gd, 6, 6),
+    (2, "tracking identities", check_tracking, 3, 20),
+    (3, "quantizer-input containment", check_containment, 30, 1000),
+    (9, "waterfilling", check_waterfilling, 100, 100),
+    (10, "bit exactness", check_bit_exactness, 1000, 10_000),
+)

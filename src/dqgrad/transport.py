@@ -49,12 +49,6 @@ class ChannelTrace:
     downlink_bytes: list = field(default_factory=list)
     uplink_bits: list = field(default_factory=list)
 
-    def total_downlink_bytes(self):
-        return sum(self.downlink_bytes)
-
-    def total_uplink_bits(self):
-        return sum(self.uplink_bits)
-
 
 class Channel:
     """Half-duplex queue pair between the server and one worker.
@@ -97,20 +91,3 @@ class Channel:
             )
         self._up.append((payload.bits, payload.nbits))
         self.trace.uplink_bits.append(payload.nbits)
-
-
-def trace_report(channels):
-    """Totals and per-iteration series across one run's channels."""
-    per_worker = [ch.trace for ch in channels]
-    iters = max((len(t.uplink_bits) for t in per_worker), default=0)
-    per_iteration = [
-        sum(t.uplink_bits[i] for t in per_worker if i < len(t.uplink_bits))
-        for i in range(iters)
-    ]
-    return {
-        "iterations": iters,
-        "uplink_bits_per_iteration": per_iteration,
-        "total_uplink_bits": sum(per_iteration),
-        "total_downlink_bytes": sum(t.total_downlink_bytes() for t in per_worker),
-        "per_worker_uplink_bits": [t.total_uplink_bits() for t in per_worker],
-    }

@@ -1,10 +1,11 @@
 """Acceptance suite: one test (and one printed PASS/FAIL line) per criterion.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
-lines. Two sub-criteria are marked xfail(strict=True): the reference
-values they pin down contradict what the implemented closed forms give;
-each carries the measured truth in its printed line and is documented in
-the README.
+lines. Criteria 1, 2, 3, 9 and 10 are the rows of `dqgrad.selfcheck.CHECKS`,
+which `dqgrad verify` also runs; here they run at full size. Two
+sub-criteria are marked xfail(strict=True): the reference values they pin
+down contradict what the implemented closed forms give; each carries the
+measured truth in its printed line and is documented in the README.
 """
 
 import math
@@ -30,10 +31,8 @@ from dqgrad.hyperparams import (
     sigma_hb,
 )
 from dqgrad.problems import load_matrix_market, make_gaussian_ls
-from dqgrad.quantizer import decode_payload, encode_payload
 from dqgrad.rng import make_rng
-from dqgrad.schedules import waterfill
-from dqgrad.selfcheck import tracking_deviation, worst_case_ratio_error
+from dqgrad.selfcheck import CHECKS
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -42,68 +41,14 @@ def report(num, ok, detail):
     print(f"\n[criterion {num}] {'PASS' if ok else 'FAIL'}: {detail}")
 
 
-# --- 1: worst-case GD equality ---------------------------------------------
+# --- 1, 2, 3, 9, 10: the rows shared with `dqgrad verify` -------------------
 
 
-def test_c1_worst_case_gd_equality():
-    worst = 0.0
-    gen = make_rng(1)
-    for kappa in (2.0, 4.0, 10.0):
-        for n in (2, 8):
-            err = worst_case_ratio_error(kappa, gen.standard_normal(n), steps=400)
-            worst = max(worst, err)
-    ok = worst <= 1e-9
-    report(1, ok, f"per-step ratio matches (kappa-1)/(kappa+1), "
-                  f"max |ratio - sigma| = {worst:.2e} <= 1e-9")
-    assert ok
-
-
-# --- 2: tracking identities --------------------------------------------------
-
-
-def test_c2_tracking_identities():
-    # R >= 4 keeps every draw above the momentum schemes' matching threshold
-    # at kappa <= 30; below the linear-convergence threshold the range
-    # recursion (correctly) diverges and absolute float drift scales with
-    # the exploding iterates rather than with the identity being checked
-    worst = {}
-    for algo in ("dq-gd", "dq-agd", "dq-hb"):
-        gen = make_rng(2)
-        dev = 0.0
-        for trial in range(20):
-            kappa = float(gen.uniform(2.0, 30.0))
-            R = int(gen.integers(4, 9))
-            _, obj = make_gaussian_ls(32, 16, kappa, 20_000 + trial)
-            dev = max(dev, tracking_deviation(algo, obj, R, steps=200))
-        worst[algo] = dev
-    ok = all(v <= 1e-10 for v in worst.values())
-    detail = ", ".join(f"{a}: {v:.2e}" for a, v in worst.items())
-    report(2, ok, f"20 instances x 200 iterations, max deviation {detail} (<= 1e-10)")
-    assert ok
-
-
-# --- 3: quantizer-input containment -----------------------------------------
-
-
-def test_c3_containment_zero_violations():
-    # schedules with a provable containment guarantee run strict; the heavy-ball
-    # schedule needs its subexponential exponent positive (1 suffices on
-    # least squares), since the experimental alpha = 0 loses the guarantee
-    gen = make_rng(3)
-    total_runs, violations = 0, 0
-    algos = (("dq-gd", 0.0), ("dq-agd", 0.0), ("dq-hb", 1.0))
-    for i in range(1000):
-        algo, alpha = algos[i % 3]
-        kappa = float(gen.uniform(1.5, 50.0))
-        n = int(gen.choice([4, 16, 64]))
-        R = int(gen.integers(1, 13))
-        _, obj = make_gaussian_ls(2 * n, n, kappa, 30_000 + i)
-        rec = run_dq(algo, obj, R, t_max=250, alpha=alpha, containment="record")
-        total_runs += 1
-        violations += rec.violations
-    ok = violations == 0
-    report(3, ok, f"{total_runs} randomized runs (kappa in [1.5,50], R in [1,12], "
-                  f"n in {{4,16,64}}), {violations} violations of ||u_t|| <= r_t")
+@pytest.mark.parametrize("row", CHECKS, ids=lambda row: f"c{row[0]}")
+def test_shared_criterion(row):
+    num, _, check, _, full = row
+    ok, detail = check(full)
+    report(num, ok, detail)
     assert ok
 
 
@@ -358,58 +303,6 @@ def test_c8_sigma_crossing_true_location():
     ok = abs(root - 11.4445) <= 1e-3 and f(root - 1) > 0 > f(root + 1)
     report(8, ok, f"sigma_agd/sigma_gd crossing measured at kappa = "
                   f"{root:.4f} (supplementary to the xfailed bracket check)")
-    assert ok
-
-
-# --- 9: waterfilling ----------------------------------------------------------
-
-
-def test_c9_waterfilling():
-    nu, rates = waterfill([4.0, 1.0], 2.0)
-    exact = abs(nu - 1.0) <= 1e-9 and abs(rates[0] - 2.0) <= 1e-9 and rates[1] <= 1e-9
-    gen = make_rng(9)
-    sum_ok = mono_ok = True
-    for _ in range(100):
-        K = int(gen.integers(1, 9))
-        L = (10.0 ** gen.uniform(-2, 2, size=K)).tolist()
-        R = float(gen.uniform(0.0, 24.0))
-        nu_i, r_i = waterfill(L, R)
-        sum_ok &= abs(sum(r_i) - R) <= 1e-9
-        order = np.argsort(L)
-        mono_ok &= all(r_i[a] <= r_i[b] + 1e-9 for a, b in zip(order, order[1:]))
-    ok = exact and sum_ok and mono_ok
-    report(9, ok, f"L=[4,1], R=2 -> nu={nu:.10f}, rates=({rates[0]:.10f}, "
-                  f"{rates[1]:.1e}); sum identity and monotonicity over 100 "
-                  f"random instances: {sum_ok and mono_ok}")
-    assert ok
-
-
-# --- 10: bit exactness ---------------------------------------------------------
-
-
-def test_c10_bit_exactness():
-    gen = make_rng(10)
-    ok_roundtrip = True
-    for _ in range(10_000):
-        n = int(gen.integers(1, 48))
-        R = int(gen.integers(1, 13))
-        idx = gen.integers(0, 1 << R, size=n)
-        buf, nbits = encode_payload(idx, R)
-        ok_roundtrip &= nbits == n * R and np.array_equal(
-            decode_payload(buf, nbits, n, R), idx)
-
-    _, obj = make_gaussian_ls(24, 8, 6.0, 55)
-    rec = run_dq("dq-gd", obj, 5, t_max=400)
-    ok_single = all(b == 8 * 5 for b in rec.bits_per_iteration)
-
-    from dqgrad.problems import make_interpolation_problem
-    prob = make_interpolation_problem(2, 8, 16, [4.0, 1.0], 56)
-    _, channels = run_nq(prob, [2, 0], t_max=100)
-    ok_multi = (all(b == 8 * 2 for b in channels[0].trace.uplink_bits)
-                and all(b == 0 for b in channels[1].trace.uplink_bits))
-    ok = ok_roundtrip and ok_single and ok_multi
-    report(10, ok, f"10^4 payload round trips lossless; every uplink message "
-                   f"carries exactly n*R_k bits (single and 2-worker runs)")
     assert ok
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from dqgrad import selfcheck
 from dqgrad.cli import main
 
 
@@ -58,9 +59,19 @@ def test_sweep_end_to_end(tmp_path, capsys):
 
 def test_verify_subcommand(capsys):
     assert main(["verify"]) == 0
-    out = capsys.readouterr().out
-    assert "[PASS]" in out
-    assert "[FAIL]" not in out
+    lines = capsys.readouterr().out.splitlines()
+    for num in (1, 2, 3, 9, 10):
+        assert sum(ln.startswith(f"[PASS] c{num} ") for ln in lines) == 1
+    assert not any(ln.startswith("[FAIL]") for ln in lines)
+    assert all(quick <= full for _, _, _, quick, full in selfcheck.CHECKS)
+
+
+def test_verify_failing_check_exits_1(capsys, monkeypatch):
+    num, name, _, quick, full = selfcheck.CHECKS[0]
+    failing = (num, name, lambda size: (False, "forced"), quick, full)
+    monkeypatch.setattr(selfcheck, "CHECKS", (failing,) + selfcheck.CHECKS[1:])
+    assert main(["verify"]) == 1
+    assert f"[FAIL] c{num} {name} (forced)" in capsys.readouterr().out
 
 
 GOOD = "algos = gd, dq-gd\nm = 32\nn = 16\nkappa = 5\n"

@@ -12,7 +12,6 @@ from dqgrad.harness import (
     emit_csv,
     emit_svg,
     estimate_contraction,
-    estimate_contraction_raw,
     run_sweep,
 )
 
@@ -26,9 +25,6 @@ def record_from(dists, floor=1e-13):
 def test_estimator_exact_geometric():
     rec = record_from([0.5**t for t in range(40)])
     assert estimate_contraction(rec) == pytest.approx(0.5, abs=1e-12)
-    assert estimate_contraction_raw(rec) == pytest.approx(0.5, abs=1e-12)
-    assert rec.estimate() == estimate_contraction(rec)
-    assert rec.estimate_raw() == estimate_contraction_raw(rec)
 
 
 def test_estimator_clips_nonconvergent():

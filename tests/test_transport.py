@@ -11,7 +11,6 @@ from dqgrad.transport import (
     Channel,
     FramingError,
     pack_iterate,
-    trace_report,
     unpack_iterate,
 )
 
@@ -106,15 +105,3 @@ def test_server_sees_only_payload_bits():
     for t in range(len(bits)):
         server2.collect([Replay()])
         assert np.array_equal(server2.x, xs[t])
-
-
-def test_trace_report_identities():
-    _, obj = make_gaussian_ls(24, 8, 5, 4)
-    schedule, hp = dq_schedule("dq-gd", obj, 2)
-    worker, server, channel = build_dq_engine("dq-gd", obj, hp, schedule, 2)
-    run_protocol(server, [worker], [channel], 25)
-    rep = trace_report([channel])
-    assert rep["iterations"] == 25
-    assert rep["total_uplink_bits"] == sum(rep["uplink_bits_per_iteration"])
-    assert rep["per_worker_uplink_bits"] == [25 * 8 * 2]
-    assert trace_report([])["total_uplink_bits"] == 0

@@ -8,6 +8,7 @@ Subcommands:
 """
 
 import argparse
+import dataclasses
 import sys
 
 from . import bounds as bmod
@@ -24,7 +25,7 @@ def _cmd_sweep(args):
         return 1
     for config in configs:
         if args.jobs:
-            config = type(config)(**{**config.__dict__, "jobs": args.jobs})
+            config = dataclasses.replace(config, jobs=args.jobs)
         print(f"[{config.name}] {len(config.algos)} algos x "
               f"{len(config.rates)} rates x {config.trials} trials")
         rows = run_sweep(config)

@@ -25,7 +25,8 @@ One section per experiment; [DEFAULT] supplies shared keys. Example:
 
 `rates` is either a comma list (1,2,4) or an inclusive range (3-10).
 Problem kinds: gaussian (m, n, kappa), mtx (path), interpolation
-(n, m, kappas, workers).
+(n, m, kappas, workers). A missing key takes its `ExperimentConfig`
+default, and a key the section does not read is an error.
 """
 
 import configparser
@@ -51,28 +52,44 @@ def _parse_list(text):
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
+# ExperimentConfig fields set from keys of the same name
+_FIELDS = {
+    "algos": _parse_list,
+    "rates": parse_rates,
+    "trials": int,
+    "seed": int,
+    "t_max": int,
+    "hb_alpha": float,
+    "workers": int,
+    "allocation": str,
+}
+_PATHS = ("csv", "svg")  # resolved against the config file's directory
+_KEYS = {*_FIELDS, *_PATHS, "problem"}
+# the keys each problem kind reads, in the order of its problem dict
+_PROBLEMS = {
+    "gaussian": {"m": int, "n": int, "kappa": float},
+    "mtx": {"path": str},
+    "interpolation": {"n": int, "m": int,
+                      "kappas": lambda text: [float(v) for v in _parse_list(text)]},
+}
+
+
 def _problem_from_section(sec, base_dir):
     kind = sec.get("problem", "gaussian").strip()
-    if kind == "gaussian":
-        return {
-            "kind": "gaussian",
-            "m": int(sec["m"]),
-            "n": int(sec["n"]),
-            "kappa": float(sec["kappa"]),
-        }
+    if kind not in _PROBLEMS:
+        raise ConfigError(f"unknown problem kind {kind!r}")
+    problem = {"kind": kind}
+    problem.update((key, parse(sec[key])) for key, parse in _PROBLEMS[kind].items())
     if kind == "mtx":
-        path = sec["path"]
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        return {"kind": "mtx", "path": path, "matrix": load_matrix_market(path)}
-    if kind == "interpolation":
-        return {
-            "kind": "interpolation",
-            "n": int(sec["n"]),
-            "m": int(sec["m"]),
-            "kappas": [float(v) for v in _parse_list(sec["kappas"])],
-        }
-    raise ConfigError(f"unknown problem kind {kind!r}")
+        problem["path"] = os.path.join(base_dir, problem["path"])
+        problem["matrix"] = load_matrix_market(problem["path"])
+    return problem
+
+
+def _check_keys(keys, known):
+    unknown = sorted(set(keys) - known)
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
 
 
 def load_experiments(path, section=None):
@@ -92,32 +109,25 @@ def load_experiments(path, section=None):
         raise ConfigError(f"no section {section!r} in {path}")
     if not names:
         raise ConfigError(f"no experiment sections in {path}")
+    # [DEFAULT] may hold the problem keys of any kind, a section only its own
+    shared = set(parser.defaults())
+    try:
+        _check_keys(shared, _KEYS.union(*_PROBLEMS.values()))
+    except ValueError as exc:
+        raise ConfigError(f"[DEFAULT] {exc}") from exc
     base_dir = os.path.dirname(os.path.abspath(path))
     configs = []
     for name in names:
         sec = parser[name]
-        out_path = lambda key: (
-            None if sec.get(key) is None
-            else sec.get(key) if os.path.isabs(sec.get(key))
-            else os.path.join(base_dir, sec.get(key))
-        )
         try:
-            config = ExperimentConfig(
-                name=name,
-                algos=_parse_list(sec.get("algos", "gd, dq-gd, nq-gd")),
-                problem=_problem_from_section(sec, base_dir),
-                rates=parse_rates(sec.get("rates", "1-10")),
-                trials=sec.getint("trials", 50),
-                seed=sec.getint("seed", 0),
-                t_max=sec.getint("t_max", 10_000),
-                floor_scale=sec.getfloat("floor_scale", 1e-13),
-                hb_alpha=sec.getfloat("hb_alpha", 0.0),
-                workers=sec.getint("workers", 1),
-                allocation=sec.get("allocation", "uniform"),
-                csv=out_path("csv"),
-                svg=out_path("svg"),
-                jobs=sec.getint("jobs", 1),
-            )
+            problem = _problem_from_section(sec, base_dir)
+            _check_keys(set(sec) - shared, _KEYS | set(_PROBLEMS[problem["kind"]]))
+            fields = {key: parse(sec[key]) for key, parse in _FIELDS.items()
+                      if key in sec}
+            # os.path.join keeps an absolute path as it is
+            fields.update({key: os.path.join(base_dir, sec[key])
+                           for key in _PATHS if key in sec})
+            config = ExperimentConfig(name=name, problem=problem, **fields)
         except KeyError as exc:
             raise ConfigError(f"[{name}] missing key {exc}") from exc
         except ValueError as exc:  # out-of-range values and malformed numbers

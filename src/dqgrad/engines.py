@@ -22,9 +22,13 @@ bookkeeping per algorithm:
 
 e1, e2 are the last two quantization errors (zero-initialized). The
 containment invariant ||u_t|| <= r_t is asserted each round with a small
-relative slack for float roundoff; schedules whose guarantee is only
-empirical can run with containment="record" instead. Hot path: that norm and
-the harness's distances are math.sqrt(u @ u), bit-equal to np.linalg.norm.
+relative slack for float roundoff (containment="strict"). The heavy-ball
+schedule at alpha = 0 has only an empirical guarantee, so its engine runs
+with containment="saturate": the worker records each escape and the
+quantizer clamps to its range instead of raising. The builders derive the
+schedule, hyperparameters and containment from the problem alone. Hot
+path: that norm and the harness's distances are math.sqrt(u @ u),
+bit-equal to np.linalg.norm.
 """
 
 import dataclasses
@@ -32,12 +36,17 @@ import math
 
 import numpy as np
 
+from . import bounds
+from .hyperparams import agd_lambda, optimal_hyperparams
 from .quantizer import QuantizerSpec, reconstruct
-from .schedules import ScheduleCursor
+from .schedules import RangeSchedule, ScheduleCursor
+from .transport import Channel
 
 # absorbs roundoff in the containment check; the underlying inequality is
 # exact in real arithmetic and can be tight on adversarial instances
 CONTAINMENT_RTOL = 1e-9
+# strict raises on an escape; saturate counts it and clamps the quantizer
+CONTAINMENT = ("strict", "saturate")
 
 
 class ScheduleViolationError(Exception):
@@ -106,6 +115,9 @@ class BitCoder:
 
 class _WorkerBase:
     def __init__(self, grad, hp, schedule, coder, containment="strict"):
+        if containment not in CONTAINMENT:
+            raise ValueError(f"containment must be one of {CONTAINMENT}, "
+                             f"got {containment!r}")
         self.grad = grad
         self.hp = hp
         self.cursor = ScheduleCursor(schedule)
@@ -226,7 +238,7 @@ def run_protocol(server, workers, channels, steps, on_iteration=None, stop=None)
 
 
 # ---------------------------------------------------------------------------
-# assembly helpers
+# assembly
 
 # worker class and server update rule of each DQ method
 _DQ_PAIRS = {
@@ -236,41 +248,67 @@ _DQ_PAIRS = {
 }
 
 
-def build_dq_engine(algo, objective, hp, schedule, R, containment="strict",
-                    saturate=False):
+def dq_schedule(algo, objective, R, alpha=0.0):
+    """Range schedule and optimal hyperparameters of one DQ method."""
+    base = dict(L=objective.L, D=objective.D, rho=bounds.default_rho(objective.n),
+                R=R)
+    if algo == "dq-gd":
+        hp = optimal_hyperparams(objective.L, objective.mu, "gd")
+        return RangeSchedule(scheme="dq-gd", sigma=hp.sigma, **base), hp
+    if algo == "dq-agd":
+        hp = optimal_hyperparams(objective.L, objective.mu, "agd")
+        if hp.sigma == 0.0:  # kappa = 1: one-step convergence, no schedule
+            raise ValueError("the accelerated schedule is undefined at "
+                             "condition number 1; use dq-gd")
+        return (
+            RangeSchedule(scheme="dq-agd", sigma=hp.sigma, gamma=hp.gamma,
+                          lam=agd_lambda(objective.kappa), **base),
+            hp,
+        )
+    if algo == "dq-hb":
+        hp = optimal_hyperparams(objective.L, objective.mu, "hb")
+        return (
+            RangeSchedule(scheme="dq-hb", sigma=hp.sigma, gamma=hp.gamma,
+                          alpha=alpha, **base),
+            hp,
+        )
+    raise ValueError(f"not a DQ algorithm: {algo!r}")
+
+
+def build_dq_engine(algo, objective, R, alpha=0.0, containment=None):
     """Wire up one single-worker DQ engine over a bit-exact channel.
 
-    Both halves get their own schedule cursor and coder so nothing is
-    shared beyond public constants.
+    containment=None is "strict" wherever containment is provable for the
+    schedule, and "saturate" for dq-hb at alpha = 0, which has no
+    guarantee. Both halves get their own schedule cursor and coder so
+    nothing is shared beyond public constants.
     """
-    from .transport import Channel
-
+    if containment is None:
+        containment = "saturate" if algo == "dq-hb" and alpha == 0.0 else "strict"
+    schedule, hp = dq_schedule(algo, objective, R, alpha)
     worker_cls, rule = _DQ_PAIRS[algo]
-    n = objective.n
-    spec = QuantizerSpec(n, R)
+    spec = QuantizerSpec(objective.n, R)
+    saturate = containment == "saturate"
     worker = worker_cls(objective.grad, hp, schedule, BitCoder(spec, saturate),
                         containment)
     server = _ServerBase(rule, objective.x0, hp, [schedule],
                          [BitCoder(spec, saturate)])
-    return worker, server, Channel(n, R)
+    return worker, server, Channel(objective.n, R)
 
 
-def build_nq_engine(problem, hp, sigma_nq, rates):
+def build_nq_engine(problem, rates):
     """K-worker naive quantization; rates is one integer per worker.
 
     Containment is provable for the naive schedule, so every worker is strict.
     """
-    from .bounds import default_rho
-    from .schedules import RangeSchedule
-    from .transport import Channel
-
     n = problem.x0.shape[0]
+    rho = bounds.default_rho(n)
+    sigma_nq = bounds.nq_sigma(problem.L_list, problem.mu, rates, n, rho)
+    hp = optimal_hyperparams(problem.L, problem.mu, "gd")
     workers, channels, schedules, coders = [], [], [], []
     for obj, R_k in zip(problem.locals_, rates):
-        sched = RangeSchedule(
-            scheme="nq-gd", L=obj.L, D=problem.D, sigma=sigma_nq,
-            rho=default_rho(n), R=R_k,
-        )
+        sched = RangeSchedule(scheme="nq-gd", L=obj.L, D=problem.D,
+                              sigma=sigma_nq, rho=rho, R=R_k)
         spec = QuantizerSpec(n, R_k)
         workers.append(NQGDWorker(obj.grad, hp, sched, BitCoder(spec)))
         channels.append(Channel(n, R_k))

@@ -16,6 +16,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -27,23 +28,23 @@ from .engines import (
     run_protocol,
     step,
 )
-from .hyperparams import (
-    agd_lambda,
-    optimal_hyperparams,
-    sigma_agd,
-    sigma_gd,
-    sigma_hb,
-)
+from .hyperparams import optimal_hyperparams, sigma_agd, sigma_gd, sigma_hb
 from .problems import (
     LeastSquares,
     MultiWorkerProblem,
     make_gaussian_ls,
     make_interpolation_problem,
 )
-from .schedules import SCHEMES, RangeSchedule, waterfill_bits
+from .schedules import SCHEMES, waterfill_bits
 
 UNQUANTIZED = ("gd", "agd", "hb")
+# a run stops once its distance to the optimizer falls below
+# FLOOR_SCALE * max(1, D) or rises above DIVERGENCE_SCALE * max(1, D)
+FLOOR_SCALE = 1e-13
 DIVERGENCE_SCALE = 1e9
+
+_U_NORM = attrgetter("last_u_norm")
+_RANGE = attrgetter("last_r")
 
 
 class InsufficientDataError(Exception):
@@ -95,131 +96,76 @@ def estimate_contraction(record, clip=True):
     return min(est, 1.0) if clip else est
 
 
-def _make_stop(record, ceiling):
-    """Stop test on the distance that `observe` just appended to record."""
+def _start(algo, R, D):
+    """A record at start distance D, and the stop test on its last distance.
 
-    def stop(t, server):
-        dist = record.distances[-1]
-        return not math.isfinite(dist) or dist < record.floor or dist > ceiling
-
-    return stop
-
-
-def default_containment(algo, alpha):
-    """Strict wherever containment is provable for the schedule.
-
-    The heavy-ball schedule at alpha = 0 (the experimental setting) has no
-    containment guarantee, so those runs record violations and let the
-    quantizer saturate instead of aborting.
+    run_protocol calls the test as stop(t, server); it reads only the record.
     """
-    if algo == "dq-hb" and alpha == 0.0:
-        return "record", True
-    return "strict", False
+    scale = max(1.0, D)
+    floor, ceiling = FLOOR_SCALE * scale, DIVERGENCE_SCALE * scale
+    record = RunRecord(algo=algo, R=R, floor=floor)
+    record.distances.append(D)
+    distances = record.distances
+
+    def stop(*_):
+        dist = distances[-1]
+        return not math.isfinite(dist) or dist < floor or dist > ceiling
+
+    return record, stop
 
 
-def dq_schedule(algo, objective, R, alpha=0.0):
-    kappa = objective.kappa
-    base = dict(L=objective.L, D=objective.D, rho=bounds.default_rho(objective.n),
-                R=R)
-    if algo == "dq-gd":
-        hp = optimal_hyperparams(objective.L, objective.mu, "gd")
-        return RangeSchedule(scheme="dq-gd", sigma=hp.sigma, **base), hp
-    if algo == "dq-agd":
-        hp = optimal_hyperparams(objective.L, objective.mu, "agd")
-        if hp.sigma == 0.0:  # kappa = 1: one-step convergence, no schedule
-            raise ValueError("the accelerated schedule is undefined at "
-                             "condition number 1; use dq-gd")
-        return (
-            RangeSchedule(scheme="dq-agd", sigma=hp.sigma, gamma=hp.gamma,
-                          lam=agd_lambda(kappa), **base),
-            hp,
-        )
-    if algo == "dq-hb":
-        hp = optimal_hyperparams(objective.L, objective.mu, "hb")
-        return (
-            RangeSchedule(scheme="dq-hb", sigma=hp.sigma, gamma=hp.gamma,
-                          alpha=alpha, **base),
-            hp,
-        )
-    raise ValueError(f"not a DQ algorithm: {algo!r}")
-
-
-def run_unquantized(algo, objective, t_max=10_000, floor_scale=1e-13):
-    floor = floor_scale * max(1.0, objective.D)
-    ceiling = DIVERGENCE_SCALE * max(1.0, objective.D)
+def run_unquantized(algo, objective, t_max=10_000):
     hp = optimal_hyperparams(objective.L, objective.mu, algo)
-    record = RunRecord(algo=algo, R=None, floor=floor)
-    record.distances.append(objective.D)
+    record, stop = _start(algo, None, objective.D)
     state = initial_state(algo, objective.x0)
     for _ in range(t_max):
         state = step(algo, state, objective.grad(state[0]), hp)
         d = state[0] - objective.x_star
-        dist = math.sqrt(d @ d)
-        record.distances.append(dist)
-        if not math.isfinite(dist) or dist < floor or dist > ceiling:
+        record.distances.append(math.sqrt(d @ d))
+        if stop():
             break
     return record
 
 
-def run_dq(algo, objective, R, t_max=10_000, floor_scale=1e-13, alpha=0.0,
-           containment=None):
-    """One single-worker DQ run over the bit-exact channel."""
-    schedule, hp = dq_schedule(algo, objective, R, alpha)
-    if containment is None:
-        containment, saturate = default_containment(algo, alpha)
-    else:
-        saturate = containment == "record"
-    worker, server, channel = build_dq_engine(
-        algo, objective, hp, schedule, R, containment, saturate
-    )
-    floor = floor_scale * max(1.0, objective.D)
-    record = RunRecord(algo=algo, R=R, floor=floor)
-    record.distances.append(objective.D)
+def _drive(algo, R, problem, server, workers, channels, t_max):
+    """Run the protocol until the stop test fires or t_max rounds pass.
 
-    def observe(t, srv, workers):
-        d = srv.x - objective.x_star
-        record.distances.append(math.sqrt(d @ d))
-        record.u_norms.append(workers[0].last_u_norm)
-        record.ranges.append(workers[0].last_r)
-        record.bits_per_iteration.append(channel.trace.uplink_bits[-1])
+    Each round records the distance to the optimizer and the largest
+    quantizer input norm and range over the workers; the uplink bits per
+    round are summed over the channel traces once the run is over.
+    """
+    record, stop = _start(algo, R, problem.D)
+    x_star = problem.x_star
+    distances, u_norms, ranges = record.distances, record.u_norms, record.ranges
 
-    run_protocol(
-        server, [worker], [channel], t_max,
-        on_iteration=observe,
-        stop=_make_stop(record, DIVERGENCE_SCALE * max(1.0, objective.D)),
-    )
-    record.violations = len(worker.violations)
+    def observe(t, srv, ws):
+        d = srv.x - x_star
+        distances.append(math.sqrt(d @ d))
+        u_norms.append(max(map(_U_NORM, ws)))
+        ranges.append(max(map(_RANGE, ws)))
+
+    run_protocol(server, workers, channels, t_max, on_iteration=observe,
+                 stop=stop)
+    record.bits_per_iteration = list(
+        map(sum, zip(*(ch.trace.uplink_bits for ch in channels))))
+    record.violations = sum(len(w.violations) for w in workers)
     return record
 
 
-def run_nq(problem, rates, t_max=10_000, floor_scale=1e-13):
+def run_dq(algo, objective, R, t_max=10_000, alpha=0.0, containment=None):
+    """One single-worker DQ run over the bit-exact channel."""
+    worker, server, channel = build_dq_engine(algo, objective, R, alpha,
+                                              containment)
+    return _drive(algo, R, objective, server, [worker], [channel], t_max)
+
+
+def run_nq(problem, rates, t_max=10_000):
     """K-worker naive quantization at the given per-worker integer rates."""
     if not isinstance(problem, MultiWorkerProblem):
         problem = MultiWorkerProblem((problem,), problem.x_star, problem.x0)
-    n = problem.x0.shape[0]
-    sigma_nq = bounds.nq_sigma(problem.L_list, problem.mu, rates, n,
-                               bounds.default_rho(n))
-    hp = optimal_hyperparams(problem.L, problem.mu, "gd")
-    workers, server, channels = build_nq_engine(problem, hp, sigma_nq, rates)
-    floor = floor_scale * max(1.0, problem.D)
-    record = RunRecord(algo="nq-gd", R=sum(rates), floor=floor)
-    record.distances.append(problem.D)
-
-    def observe(t, srv, ws):
-        d = srv.x - problem.x_star
-        record.distances.append(math.sqrt(d @ d))
-        record.u_norms.append(max(w.last_u_norm for w in ws))
-        record.ranges.append(max(w.last_r for w in ws))
-        record.bits_per_iteration.append(
-            sum(ch.trace.uplink_bits[-1] for ch in channels)
-        )
-
-    run_protocol(
-        server, workers, channels, t_max,
-        on_iteration=observe,
-        stop=_make_stop(record, DIVERGENCE_SCALE * max(1.0, problem.D)),
-    )
-    record.violations = sum(len(w.violations) for w in workers)
+    workers, server, channels = build_nq_engine(problem, rates)
+    record = _drive("nq-gd", sum(rates), problem, server, workers, channels,
+                    t_max)
     return record, channels
 
 
@@ -236,7 +182,6 @@ class ExperimentConfig:
     trials: int = 50
     seed: int = 0
     t_max: int = 10_000
-    floor_scale: float = 1e-13
     hb_alpha: float = 0.0
     workers: int = 1
     allocation: str = "uniform"
@@ -254,6 +199,23 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm {algo!r}")
         if self.allocation not in ("uniform", "waterfilling"):
             raise ValueError(f"unknown allocation {self.allocation!r}")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.problem["kind"] == "interpolation":
+            if len(self.problem["kappas"]) != self.workers:
+                raise ValueError(f"kappas lists {len(self.problem['kappas'])} "
+                                 f"condition numbers for {self.workers} workers")
+            for algo in self.algos:
+                if algo != "nq-gd":
+                    raise ValueError(f"{algo} needs a single-worker problem; "
+                                     f"interpolation runs nq-gd only")
+        elif self.workers != 1:
+            raise ValueError(f"{self.workers} workers need problem = interpolation")
+        if self.allocation == "uniform":
+            for R in self.rates:
+                if R % self.workers:
+                    raise ValueError(f"uniform allocation needs workers | R: "
+                                     f"{self.workers} workers cannot split R = {R}")
 
 
 @dataclass(frozen=True)
@@ -289,13 +251,10 @@ def _trial_problem(config, trial):
     raise ValueError(f"unknown problem kind {kind!r}")
 
 
-def _rates_per_worker(config, R):
-    if config.workers == 1:
-        return [R]
+def _rates_per_worker(config, R, L_list):
+    """Integer rates per worker for the per-dimension sum rate R."""
     if config.allocation == "waterfilling":
-        return None  # resolved per trial from the L_k draw
-    if R % config.workers:
-        raise ValueError("uniform allocation needs workers | R")
+        return waterfill_bits(L_list, R)
     return [R // config.workers] * config.workers
 
 
@@ -303,37 +262,26 @@ def _run_trial(config, trial):
     """All (algo, R) estimates for one seeded instance; picklable for jobs>1."""
     try:
         return _run_trial_inner(config, trial)
-    except TrialError:
-        raise
     except Exception as exc:
         raise TrialError(trial, exc) from exc
 
 
 def _run_trial_inner(config, trial):
     problem = _trial_problem(config, trial)
-    single = not isinstance(problem, MultiWorkerProblem)
-    obj = problem if single else None
+    L_list = (problem.L_list if isinstance(problem, MultiWorkerProblem)
+              else [problem.L])
     out = {}
     for algo in config.algos:
         if algo in UNQUANTIZED:
-            if not single:
-                raise ValueError("unquantized baselines need a single-worker problem")
-            rec = run_unquantized(algo, obj, config.t_max, config.floor_scale)
+            rec = run_unquantized(algo, problem, config.t_max)
             out[(algo, None)] = estimate_contraction(rec)
             continue
         for R in config.rates:
             if algo == "nq-gd":
-                target = problem if not single else obj
-                rates = _rates_per_worker(config, R)
-                if rates is None:
-                    rates = waterfill_bits(
-                        target.L_list if not single else [obj.L], R
-                    )
-                rec, _ = run_nq(target, rates, config.t_max, config.floor_scale)
+                rec, _ = run_nq(problem, _rates_per_worker(config, R, L_list),
+                                config.t_max)
             else:
-                if not single:
-                    raise ValueError("DQ engines are single-worker")
-                rec = run_dq(algo, obj, R, config.t_max, config.floor_scale,
+                rec = run_dq(algo, problem, R, config.t_max,
                              alpha=config.hb_alpha)
             out[(algo, R)] = estimate_contraction(rec)
     return out
@@ -361,9 +309,7 @@ def _nq_bound(config, kappa, n, R, rho):
     ks = config.problem["kappas"]
     L_list = [1.0] * config.workers
     mu_mean = sum(1.0 / k for k in ks) / len(ks)
-    rates = _rates_per_worker(config, R)
-    if rates is None:
-        rates = waterfill_bits(L_list, R)
+    rates = _rates_per_worker(config, R, L_list)
     return bounds.nq_sigma(L_list, mu_mean, rates, n, rho)
 
 

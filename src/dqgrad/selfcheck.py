@@ -11,7 +11,7 @@ which sees a prefix of the draws, passes whenever the full run does.
 import numpy as np
 
 from .engines import build_dq_engine, initial_state, run_protocol, step
-from .harness import dq_schedule, run_dq, run_nq
+from .harness import run_dq, run_nq
 from .hyperparams import optimal_hyperparams
 from .problems import make_gaussian_ls, make_interpolation_problem, make_worst_case_gd
 from .quantizer import decode_payload, encode_payload
@@ -31,15 +31,14 @@ def tracking_deviation(algo, objective, R, steps, alpha=0.0):
     the floor the quantizer input is float noise below the scheduled
     range, which is irrelevant to the identity being checked.
     """
-    schedule, hp = dq_schedule(algo, objective, R, alpha=alpha)
-    worker, server, channel = build_dq_engine(
-        algo, objective, hp, schedule, R, containment="record", saturate=True
-    )
+    worker, server, channel = build_dq_engine(algo, objective, R, alpha,
+                                              containment="saturate")
+    hp = worker.hp
     rule = algo.removeprefix("dq-")
     twin = initial_state(rule, objective.x0)
     worst = 0.0
 
-    def observe(t, srv, ws):
+    def compare_with_twin(t, srv, ws):
         nonlocal twin, worst
         twin = step(rule, twin, objective.grad(twin[0]), hp)
         x_t, e_t, e_prev = twin[0], ws[0].e1, ws[0].e2
@@ -55,7 +54,8 @@ def tracking_deviation(algo, objective, R, steps, alpha=0.0):
         else:
             worst = max(worst, float(np.linalg.norm(srv.x - (x_t - hp.eta * e_t))))
 
-    run_protocol(server, [worker], [channel], steps, on_iteration=observe)
+    run_protocol(server, [worker], [channel], steps,
+                 on_iteration=compare_with_twin)
     return worst
 
 
@@ -125,7 +125,8 @@ def check_containment(size):
         n = int(gen.choice([4, 16, 64]))
         R = int(gen.integers(1, 13))
         _, obj = make_gaussian_ls(2 * n, n, kappa, 30_000 + i)
-        rec = run_dq(algo, obj, R, t_max=250, alpha=alpha, containment="record")
+        rec = run_dq(algo, obj, R, t_max=250, alpha=alpha,
+                     containment="saturate")
         violations += rec.violations
     return violations == 0, (
         f"{size} randomized runs (kappa in [1.5,50], R in [1,12], "

@@ -18,7 +18,6 @@ from dqgrad import bounds
 from dqgrad.engines import build_dq_engine, run_protocol
 from dqgrad.harness import (
     ExperimentConfig,
-    dq_schedule,
     run_dq,
     run_nq,
     run_sweep,
@@ -207,9 +206,7 @@ def test_c7_finite_t_envelopes():
                     violations += d > bounds.envelope_nq_gd(t, s, obj.D) * (1 + 1e-9)
             elif algo == "dq-agd":
                 # the momentum envelope bounds the gradient-step iterate
-                schedule, hp = dq_schedule(algo, obj, R, alpha=alpha)
-                worker, server, channel = build_dq_engine(
-                    algo, obj, hp, schedule, R)
+                worker, server, channel = build_dq_engine(algo, obj, R, alpha)
                 dists = [obj.D]
                 run_protocol(
                     server, [worker], [channel], 300,

@@ -77,18 +77,26 @@ def test_verify_failing_check_exits_1(capsys, monkeypatch):
 GOOD = "algos = gd, dq-gd\nm = 32\nn = 16\nkappa = 5\n"
 
 
-@pytest.mark.parametrize("body", [
-    GOOD + "rates = 0-2\n",
-    GOOD + "rates = 3-1\n",
-    "algos = gd, dq-gd\nn = 16\nkappa = 5\nrates = 2-3\n",
-    "algos = gd, dq-gd\nm = 32\nkappa = 5\nrates = 2-3\n",
-    "algos = gd, dq-gd\nm = 32\nn = 16\nrates = 2-3\n",
-    "algos = gd, dq-foo\nm = 32\nn = 16\nkappa = 5\nrates = 2-3\n",
-    GOOD + "m = 3\nrates = 2-3\n",
-    None,
+@pytest.mark.parametrize("body,detail", [
+    (GOOD + "rates = 0-2\n", ""),
+    (GOOD + "rates = 3-1\n", ""),
+    ("algos = gd, dq-gd\nn = 16\nkappa = 5\nrates = 2-3\n", ""),
+    ("algos = gd, dq-gd\nm = 32\nkappa = 5\nrates = 2-3\n", ""),
+    ("algos = gd, dq-gd\nm = 32\nn = 16\nrates = 2-3\n", ""),
+    ("algos = gd, dq-foo\nm = 32\nn = 16\nkappa = 5\nrates = 2-3\n", ""),
+    (GOOD + "m = 3\nrates = 2-3\n", ""),
+    (None, ""),
+    (GOOD + "rate = 2-3\n", "unknown key 'rate'"),
+    (GOOD + "rates = 2-3\ntrial = 2\n", "unknown key 'trial'"),
+    (GOOD + "rates = 2-3\njobs = 2\n", "unknown key 'jobs'"),
+    (GOOD + "rates = 2-3\nfloor_scale = nan\n", "unknown key 'floor_scale'"),
+    (GOOD + "rates = 2-3\n[DEFAULT]\nseeds = 3\n", "unknown key 'seeds'"),
+    (GOOD + "rates = 2-3\npath = a.mtx\n", "unknown key 'path'"),
 ], ids=["rate-zero", "empty-range", "no-m", "no-n", "no-kappa", "unknown-algo",
-        "duplicate-key", "no-section-header"])
-def test_sweep_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, body):
+        "duplicate-key", "no-section-header", "typo-rate", "typo-trial",
+        "jobs-key", "floor-scale-key", "typo-in-default", "other-kind-key"])
+def test_sweep_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, body,
+                                                      detail):
     cfg = tmp_path / "bad.ini"
     if body is None:  # keys before any [section]
         cfg.write_text("problem = gaussian\n" + GOOD + "csv = bad.csv\n")
@@ -96,9 +104,44 @@ def test_sweep_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, body):
     else:
         cfg.write_text("[bad]\nproblem = gaussian\ntrials = 1\n"
                        + body + "csv = bad.csv\n")
-        expected = "error: [bad] "
+        expected = "error: [DEFAULT] " if "[DEFAULT]" in body else "error: [bad] "
     assert main(["sweep", str(cfg)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith(expected)
+    assert captured.err.startswith(expected + detail)
     assert "Traceback" not in captured.err
+    assert not (tmp_path / "bad.csv").exists()
+
+
+INTERP = "problem = interpolation\nn = 4\nm = 8\nalgos = nq-gd\n"
+
+
+@pytest.mark.parametrize("body,detail", [
+    ("problem = gaussian\n" + GOOD + "workers = 0\nrates = 2\n",
+     "workers must be >= 1"),
+    ("problem = gaussian\n" + GOOD + "workers = 2\nrates = 2\n",
+     "2 workers need problem = interpolation"),
+    (INTERP + "kappas = 2, 3, 4\nworkers = 2\nrates = 2\n",
+     "kappas lists 3 condition numbers for 2 workers"),
+    (INTERP + "kappas = 2, 3\nworkers = 2\nrates = 2-3\n",
+     "uniform allocation needs workers | R: 2 workers cannot split R = 3"),
+    (INTERP.replace("nq-gd", "gd, nq-gd") + "kappas = 2, 3\nworkers = 2\n"
+     "rates = 2\n", "gd needs a single-worker problem"),
+    (INTERP.replace("nq-gd", "dq-gd") + "kappas = 2\nrates = 2\n",
+     "dq-gd needs a single-worker problem"),
+], ids=["zero-workers", "workers-on-gaussian", "kappas-count", "uneven-split",
+        "gd-on-interpolation", "dq-on-interpolation"])
+def test_sweep_worker_problem_mismatch_fails_before_any_trial(
+        tmp_path, capsys, monkeypatch, body, detail):
+    from dqgrad import harness
+
+    def no_trial(config, trial):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_run_trial", no_trial)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[bad]\ntrials = 1\n" + body + "csv = bad.csv\n")
+    assert main(["sweep", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [bad] " + detail)
+    assert "Traceback" not in err
     assert not (tmp_path / "bad.csv").exists()

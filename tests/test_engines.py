@@ -16,11 +16,12 @@ from dqgrad.engines import (
     ScheduleViolationError,
     _ServerBase,
     build_dq_engine,
+    dq_schedule,
     initial_state,
     run_protocol,
     step,
 )
-from dqgrad.harness import default_containment, dq_schedule, run_dq, run_nq
+from dqgrad.harness import run_dq, run_nq
 from dqgrad.hyperparams import HyperParams, optimal_hyperparams
 from dqgrad.problems import make_gaussian_ls, make_interpolation_problem, make_worst_case_gd
 from dqgrad.quantizer import QuantizerSpec, RangeViolationError
@@ -109,7 +110,7 @@ def _zero_error_run(algo, obj, hp, steps):
     schedule, _ = dq_schedule(algo, obj, R=8)
     coder = ExactCoder()
     # the schedule is irrelevant at zero quantization error
-    worker = worker_cls(obj.grad, hp, schedule, coder, containment="record")
+    worker = worker_cls(obj.grad, hp, schedule, coder, containment="saturate")
     server = _ServerBase(rule, obj.x0, hp, [schedule], [coder])
     chan = LoopbackChannel()
     xs = []
@@ -160,11 +161,14 @@ def test_zero_momentum_reduces_to_dq_gd_bitwise(algo):
     hp = optimal_hyperparams(obj.L, obj.mu, "gd")
     schedule, _ = dq_schedule("dq-gd", obj, R=4)
     R = 4
+    spec = QuantizerSpec(obj.n, R)
 
     def run(which):
-        worker, server, chan = build_dq_engine(which, obj, hp, schedule, R)
+        worker_cls, rule = _DQ_PAIRS[which]
+        worker = worker_cls(obj.grad, hp, schedule, BitCoder(spec))
+        server = _ServerBase(rule, obj.x0, hp, [schedule], [BitCoder(spec)])
         xs = []
-        run_protocol(server, [worker], [chan], 80,
+        run_protocol(server, [worker], [Channel(obj.n, R)], 80,
                      on_iteration=lambda t, s, w: xs.append(s.x.copy()))
         return xs
 
@@ -230,9 +234,9 @@ def test_non_finite_quantizer_input_violates_containment():
     with pytest.raises(ScheduleViolationError):
         run_protocol(server, [worker], [Channel(6, 4)], 5)
 
-    # record mode counts the escape; the saturating quantizer still refuses
+    # saturate mode counts the escape; the saturating quantizer still refuses
     worker = DQGDWorker(nan_grad, hp, wide, BitCoder(spec, saturate=True),
-                        containment="record")
+                        containment="saturate")
     server = _ServerBase("gd", obj.x0, hp, [wide], [BitCoder(spec, saturate=True)])
     with pytest.raises(RangeViolationError):
         run_protocol(server, [worker], [Channel(6, 4)], 5)
@@ -241,14 +245,38 @@ def test_non_finite_quantizer_input_violates_containment():
 
 def test_hb_alpha_zero_can_violate_containment():
     # the experimental heavy-ball setting has no containment guarantee;
-    # record mode keeps the run alive and counts the escapes
+    # saturate mode keeps the run alive and counts the escapes
     _, obj = make_gaussian_ls(32, 16, 25, 14)
     rec = run_dq("dq-hb", obj, 8, t_max=300, alpha=0.0)
     assert rec.violations > 0
     rec1 = run_dq("dq-hb", obj, 8, t_max=300, alpha=1.0)
     assert rec1.violations == 0
-    assert default_containment("dq-hb", 0.0) == ("record", True)
-    assert default_containment("dq-hb", 1.0) == ("strict", False)
+
+
+@pytest.mark.parametrize("algo", ["dq-gd", "dq-agd", "dq-hb"])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_builder_saturates_only_heavy_ball_at_alpha_zero(algo, alpha):
+    _, obj = make_gaussian_ls(32, 16, 25, 14)
+    worker, server, _ = build_dq_engine(algo, obj, 8, alpha)
+    saturate = algo == "dq-hb" and alpha == 0.0
+    assert worker.containment == ("saturate" if saturate else "strict")
+    assert worker.coder.saturate is saturate
+    assert server.coders[0].saturate is saturate
+    # an explicit value overrides the default on both halves
+    worker, server, _ = build_dq_engine(algo, obj, 8, alpha, containment="strict")
+    assert worker.containment == "strict"
+    assert not worker.coder.saturate and not server.coders[0].saturate
+
+
+@pytest.mark.parametrize("bad", ["strcit", "record", ""])
+def test_unknown_containment_is_rejected(bad):
+    # a typo must not fall through to the quantizer's RangeViolationError
+    _, obj = make_gaussian_ls(32, 16, 25, 14)
+    with pytest.raises(ValueError, match="containment"):
+        run_dq("dq-hb", obj, 8, containment=bad)
+    with pytest.raises(ValueError, match="containment"):
+        DQGDWorker(obj.grad, optimal_hyperparams(obj.L, obj.mu, "gd"),
+                   constant_range(1.0), ExactCoder(), containment=bad)
 
 
 def test_nq_multiworker_run_and_envelope():
@@ -272,8 +300,7 @@ def test_stored_error_stays_within_covering_radius():
     # every round of a strict run: ||q - u|| <= r_t * rho * 2^-R
     _, obj = make_gaussian_ls(32, 16, 7, 18)
     R = 5
-    schedule, hp = dq_schedule("dq-gd", obj, R)
-    worker, server, chan = build_dq_engine("dq-gd", obj, hp, schedule, R)
+    worker, server, chan = build_dq_engine("dq-gd", obj, R)
     eps = np.sqrt(16) * 2.0 ** (-R)
 
     def observe(t, srv, ws):

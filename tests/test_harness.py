@@ -171,8 +171,21 @@ def test_config_file_loading(tmp_path):
     assert {r.algo for r in rows} == {"gd", "dq-gd"}
 
 
+def test_config_default_may_hold_problem_keys_of_any_kind(tmp_path):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(
+        "[DEFAULT]\nn = 6\nm = 12\nkappas = 4, 2\npath = none.mtx\n\n"
+        "[single]\nproblem = gaussian\nkappa = 4\nalgos = dq-gd\n\n"
+        "[multi]\nproblem = interpolation\nworkers = 2\nalgos = nq-gd\n"
+        "rates = 2,4\n"
+    )
+    single, multi = load_experiments(str(cfg))
+    assert single.problem == {"kind": "gaussian", "m": 12, "n": 6, "kappa": 4.0}
+    assert multi.problem["kappas"] == [4.0, 2.0]
+
+
 def test_accelerated_schedule_rejects_condition_number_one():
-    from dqgrad.harness import dq_schedule
+    from dqgrad.engines import dq_schedule
     from dqgrad.problems import make_gaussian_ls
 
     _, obj = make_gaussian_ls(8, 4, 1.0, 0)
@@ -197,11 +210,10 @@ def test_emitters_create_parent_directories(tmp_path):
 def test_trial_errors_carry_their_index():
     from dqgrad.harness import TrialError
 
-    bad = ExperimentConfig(**{**SMALL.__dict__, "algos": ("dq-gd", "agd"),
-                              "workers": 2,
-                              "problem": {"kind": "interpolation", "n": 4,
-                                          "m": 8, "kappas": [2.0, 2.0]}})
-    with pytest.raises(TrialError, match="trial 0"):
+    # a wide matrix fails only when the trial builds its instance
+    bad = ExperimentConfig(**{**SMALL.__dict__,
+                              "problem": {"kind": "mtx", "matrix": np.ones((2, 3))}})
+    with pytest.raises(TrialError, match="trial 0.*m >= n"):
         run_sweep(bad)
 
 
@@ -251,12 +263,9 @@ def test_multiworker_uniform_split():
     )
     (row,) = run_sweep(config)
     assert 0 < row.emp_mean <= 1
-    # the per-dimension sum rate must split evenly
-    from dqgrad.harness import TrialError
-
-    bad = ExperimentConfig(**{**config.__dict__, "rates": (3,)})
-    with pytest.raises(TrialError, match="workers"):
-        run_sweep(bad)
+    # the per-dimension sum rate must split evenly, checked before any trial
+    with pytest.raises(ValueError, match="workers"):
+        ExperimentConfig(**{**config.__dict__, "rates": (3,)})
 
 
 def test_config_file_interpolation_section(tmp_path):

@@ -1,0 +1,65 @@
+"""The benchmark's span tracer still sees the code it claims to trace.
+
+`perfbench/instruments.py` wraps each traced function at the names listed
+in `TRACED`, so two kinds of drift hide calls from it: a listed site that
+no longer exists, and a module that binds a traced function under a name
+that is not listed (`from .bounds import nq_sigma` in a caller would be
+called through that private binding and never reach the wrapper). Both
+are checked here against the live package; nothing is patched.
+"""
+
+import importlib.util
+import inspect
+import os
+
+import pytest
+
+import dqgrad
+import dqgrad.configfile  # not imported by the package itself
+
+INSTRUMENTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                           "instruments.py")
+
+
+def _load_instruments():
+    spec = importlib.util.spec_from_file_location("instruments", INSTRUMENTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+instruments = _load_instruments()
+
+
+def _owner(module, owner):
+    target = getattr(dqgrad, module, None)
+    return target if owner is None else getattr(target, owner, None)
+
+
+def _live(module, owner, attr):
+    return attr in getattr(_owner(module, owner), "__dict__", {})
+
+
+WITH_SITES = [row for row in instruments.TRACED if row[1]]
+
+
+@pytest.mark.parametrize("name,sites", WITH_SITES,
+                         ids=[name for name, _ in WITH_SITES])
+def test_every_traced_metric_keeps_a_live_site(name, sites):
+    assert any(_live(*site) for site in sites), f"{name}: no listed site exists"
+
+
+def test_no_unlisted_binding_of_a_traced_function():
+    unlisted = []
+    for name, sites in instruments.TRACED:
+        listed = {(module, attr) for module, owner, attr in sites
+                  if owner is None}
+        for fn in {getattr(dqgrad, m).__dict__.get(a) for m, a in listed} - {None}:
+            home = inspect.getmodule(fn).__name__.rsplit(".", 1)[-1]
+            for module in instruments.MODULES:
+                if module == home:
+                    continue
+                for attr, value in vars(getattr(dqgrad, module)).items():
+                    if value is fn and (module, attr) not in listed:
+                        unlisted.append(f"{name}: dqgrad.{module}.{attr}")
+    assert not unlisted, f"traced functions bound outside TRACED: {unlisted}"

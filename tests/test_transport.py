@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from dqgrad.engines import build_dq_engine, run_protocol
-from dqgrad.harness import dq_schedule, run_dq
+from dqgrad.harness import run_dq
 from dqgrad.problems import make_gaussian_ls
 from dqgrad.quantizer import Payload
 from dqgrad.rng import make_rng
-from dqgrad.schedules import ScheduleCursor
 from dqgrad.transport import (
     Channel,
     FramingError,
@@ -64,8 +63,9 @@ def test_full_run_bit_accounting():
 def test_schedule_synchrony():
     # both ends regenerate identical ranges from public constants alone
     _, obj = make_gaussian_ls(24, 8, 10, 2)
-    schedule, _ = dq_schedule("dq-agd", obj, 4)
-    a, b = ScheduleCursor(schedule), ScheduleCursor(schedule)
+    worker, server, _ = build_dq_engine("dq-agd", obj, 4)
+    a, b = worker.cursor, server.cursors[0]
+    assert a is not b
     for _ in range(100):
         assert a.step() == b.step()
 
@@ -75,8 +75,7 @@ def test_server_sees_only_payload_bits():
     # trajectory; mutating worker-private state after the fact changes nothing
     _, obj = make_gaussian_ls(24, 8, 5, 3)
     R = 4
-    schedule, hp = dq_schedule("dq-gd", obj, R)
-    worker, server, channel = build_dq_engine("dq-gd", obj, hp, schedule, R)
+    worker, server, channel = build_dq_engine("dq-gd", obj, R)
     wire, xs = [], []
 
     def record(t, srv, ws):
@@ -94,7 +93,7 @@ def test_server_sees_only_payload_bits():
     channel.send_payload = tap
     run_protocol(server, [worker], [channel], 40, on_iteration=record)
 
-    _, server2, _ = build_dq_engine("dq-gd", obj, hp, schedule, R)
+    _, server2, _ = build_dq_engine("dq-gd", obj, R)
     from dqgrad.quantizer import decode_payload
 
     class Replay:  # uplink end only: hands the server the recorded bits

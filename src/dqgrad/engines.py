@@ -29,6 +29,20 @@ quantizer clamps to its range instead of raising. The builders derive the
 schedule, hyperparameters and containment from the problem alone. Hot
 path: that norm and the harness's distances are math.sqrt(u @ u),
 bit-equal to np.linalg.norm.
+
+Replay. Below the threshold rate the range recursion reaches a fixed point
+in floating point, r_t == r_{t-1}, and the stalled run often cycles exactly
+through its iterates and errors. At a fixed r the worker's round is a pure
+function of (x, e1, e2): the quantizer input never reads t, and t reaches
+the payload only as Payload.iteration, which is not on the wire. So each
+worker keeps a table from the bytes of (x, e1, e2) to (payload, new e1,
+||u||). A round whose key is in the table sends the stored bits, stamped
+with its own t, and skips the gradient, the quantizer and the encoder; it
+still receives its frame, steps its cursor and runs the containment check.
+The table empties whenever r changes (a run whose range keeps moving pays
+one float compare per round) and when it holds _REPLAY_SLOTS entries.
+Equal key bytes give equal bits, so a replayed run is bit-identical to a
+computed one.
 """
 
 import dataclasses
@@ -38,7 +52,7 @@ import numpy as np
 
 from . import bounds
 from .hyperparams import agd_lambda, optimal_hyperparams
-from .quantizer import QuantizerSpec, reconstruct
+from .quantizer import Payload, QuantizerSpec, reconstruct
 from .schedules import RangeSchedule, ScheduleCursor
 from .transport import Channel
 
@@ -47,6 +61,9 @@ from .transport import Channel
 CONTAINMENT_RTOL = 1e-9
 # strict raises on an escape; saturate counts it and clamps the quantizer
 CONTAINMENT = ("strict", "saturate")
+# rounds each worker remembers while its range stands still; stalled runs
+# cycle with short periods, and a full table is emptied
+_REPLAY_SLOTS = 64
 
 
 class ScheduleViolationError(Exception):
@@ -108,6 +125,10 @@ class BitCoder:
     def decode(self, t, r, indices):
         return reconstruct(self.spec, r, indices)
 
+    def resend(self, t, payload):
+        """The bits of an earlier payload, sent as round t's."""
+        return Payload(t, payload.bits, payload.nbits)
+
 
 # ---------------------------------------------------------------------------
 # worker halves
@@ -129,6 +150,8 @@ class _WorkerBase:
         self.last_r = None
         self.last_u_norm = None
         self.violations = []
+        self.replayed = 0
+        self._replay = {}
 
     def _ensure_state(self, n):
         if self.e1 is None:
@@ -136,8 +159,8 @@ class _WorkerBase:
             self.e1 = np.zeros(n)
             self.e2 = np.zeros(n)
 
-    def _check_containment(self, t, u, r):
-        u_norm = math.sqrt(u @ u)
+    def _admit(self, t, u_norm, r):
+        """The containment check of round t, computed or replayed."""
         self.last_u_norm = u_norm
         self.last_r = r
         if not u_norm <= r * (1.0 + CONTAINMENT_RTOL):  # a NaN norm violates
@@ -145,28 +168,48 @@ class _WorkerBase:
                 raise ScheduleViolationError(t, u_norm, r)
             self.violations.append(t)
 
-    def quantizer_input(self, t, x):
+    def quantizer_input(self, x):
         raise NotImplementedError
 
     def round(self, channel):
         t, x = channel.recv_iterate()
         self._ensure_state(x.shape[0])
         r = self.cursor.step()
-        u = self.quantizer_input(t, x)
-        self._check_containment(t, u, r)
+        table = self._replay
+        key = None
+        if r != self.last_r:
+            table.clear()
+        else:
+            key = x.tobytes() + self.e1.tobytes() + self.e2.tobytes()
+            hit = table.get(key)
+            if hit is not None:
+                wire, e1, u_norm = hit
+                self._admit(t, u_norm, r)
+                self.e2, self.e1 = self.e1, e1
+                self.replayed += 1
+                channel.send_payload(self.coder.resend(t, wire))
+                return
+        u = self.quantizer_input(x)
+        u_norm = math.sqrt(u @ u)
+        self._admit(t, u_norm, r)
         wire, recon = self.coder.encode(t, r, u)
         self.e2, self.e1 = self.e1, recon - u
+        if key is not None and _REPLAY_SLOTS:
+            if len(table) >= _REPLAY_SLOTS:
+                table.clear()
+            self.e1.flags.writeable = False  # shared with the table
+            table[key] = (wire, self.e1, u_norm)
         channel.send_payload(wire)
 
 
 class DQGDWorker(_WorkerBase):
-    def quantizer_input(self, t, x):
+    def quantizer_input(self, x):
         z = x + self.hp.eta * self.e1
         return self.grad(z) - self.e1
 
 
 class DQAGDWorker(_WorkerBase):
-    def quantizer_input(self, t, x):
+    def quantizer_input(self, x):
         c = self.e1 + self.hp.gamma * (self.e1 - self.e2)
         z = x + self.hp.eta * c
         return self.grad(z) - c
@@ -175,14 +218,14 @@ class DQAGDWorker(_WorkerBase):
 class DQHBWorker(_WorkerBase):
     # same quantizer input as the accelerated variant, but the gradient
     # point compensates only the last error
-    def quantizer_input(self, t, x):
+    def quantizer_input(self, x):
         c = self.e1 + self.hp.gamma * (self.e1 - self.e2)
         z = x + self.hp.eta * self.e1
         return self.grad(z) - c
 
 
 class NQGDWorker(_WorkerBase):
-    def quantizer_input(self, t, x):
+    def quantizer_input(self, x):
         return self.grad(x)
 
 

@@ -14,7 +14,6 @@ transient constant, and the tail half suppresses it.
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -71,10 +70,21 @@ class RunRecord:
     ranges: list = field(default_factory=list)
     bits_per_iteration: list = field(default_factory=list)
     violations: int = 0
+    replayed: int = 0  # worker rounds served from the replay tables
 
     @property
     def terminal_T(self):
         return len(self.distances) - 1
+
+    @property
+    def min_headroom(self):
+        """Smallest r_t - ||u_t|| over the rounds; negative on an escape.
+
+        With K workers it is taken between the per-round maxima over the
+        workers; inf for a run without quantized rounds.
+        """
+        headroom = np.subtract(self.ranges, self.u_norms)
+        return float(np.min(headroom, initial=math.inf))
 
     def above_floor(self):
         d = np.asarray(self.distances)
@@ -149,6 +159,7 @@ def _drive(algo, R, problem, server, workers, channels, t_max):
     record.bits_per_iteration = list(
         map(sum, zip(*(ch.trace.uplink_bits for ch in channels))))
     record.violations = sum(len(w.violations) for w in workers)
+    record.replayed = sum(w.replayed for w in workers)
     return record
 
 
@@ -323,6 +334,9 @@ _SIGMA_OF = {"gd": sigma_gd, "dq-gd": sigma_gd, "nq-gd": sigma_gd,
 def run_sweep(config):
     """Mean and percentile empirical factors per (algo, R), with overlays."""
     if config.jobs > 1:
+        # imported here: it costs a serial `import dqgrad` about 20 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             trial_results = list(
                 pool.map(_run_trial, [config] * config.trials, range(config.trials))

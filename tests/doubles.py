@@ -17,6 +17,9 @@ class ExactCoder:
     def decode(self, t, r, wire):
         return wire
 
+    def resend(self, t, wire):
+        return wire.copy()
+
 
 class LoopbackChannel:
     """Channel double that carries arbitrary objects; no bit accounting."""

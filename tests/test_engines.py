@@ -1,11 +1,13 @@
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dqgrad import engines
 from dqgrad.bounds import agd_unquantized_envelopes
 from dqgrad.engines import (
     _DQ_PAIRS,
@@ -21,7 +23,7 @@ from dqgrad.engines import (
     run_protocol,
     step,
 )
-from dqgrad.harness import run_dq, run_nq
+from dqgrad.harness import _drive, run_dq, run_nq
 from dqgrad.hyperparams import HyperParams, optimal_hyperparams
 from dqgrad.problems import make_gaussian_ls, make_interpolation_problem, make_worst_case_gd
 from dqgrad.quantizer import QuantizerSpec, RangeViolationError
@@ -194,8 +196,8 @@ def test_agd_and_hb_share_quantizer_input():
     x = gen.standard_normal(8)
     # the gradient points differ, so compare with the same compensation
     # applied to a common gradient access
-    ua = wa.quantizer_input(3, x)
-    uh = wh.quantizer_input(3, x)
+    ua = wa.quantizer_input(x)
+    uh = wh.quantizer_input(x)
     corr = wa.e1 + hp.gamma * (wa.e1 - wa.e2)
     assert np.array_equal(ua, obj.grad(x + hp.eta * corr) - corr)
     assert np.array_equal(uh, obj.grad(x + hp.eta * wa.e1) - corr)
@@ -332,3 +334,155 @@ def test_sqrt_of_self_dot_is_the_vector_norm(v):
         assert math.isnan(fast)
     else:
         assert _bits(fast) == _bits(ref)
+
+
+# ---------------------------------------------------------------------------
+# replay of repeated rounds
+
+
+def _stalled_gaussian_k5():
+    # trial 0 of the stock gaussian-k5 sweep: dq-gd at R = 2 stalls at the
+    # fixed point of its range and cycles from about round 95
+    ss = np.random.SeedSequence(7, spawn_key=(0,))
+    return make_gaussian_ls(32, 16, 5.0, ss)[1]
+
+
+def _tapped_run(obj, t_max):
+    """dq-gd at R = 2: the record, the channel trace and every payload."""
+    worker, server, channel = build_dq_engine("dq-gd", obj, 2)
+    sent = []
+    send = channel.send_payload
+
+    def tap(payload):
+        sent.append((payload.iteration, payload.bits, payload.nbits))
+        send(payload)
+
+    channel.send_payload = tap
+    rec = _drive("dq-gd", 2, obj, server, [worker], [channel], t_max)
+    return rec, channel.trace, sent
+
+
+def _zero_gradient_engine(K, schedule):
+    """K saturating dq-gd workers with grad = 0, n = 16, R = 1, eta = 1.
+
+    At the constant range 1, u is 0 and -1/2 per coordinate by turns, so
+    ||u|| = 2 escapes the range every other round, and x cycles 0, -1/2.
+    """
+    n, R = 16, 1
+    hp = HyperParams(eta=1.0, gamma=0.0, sigma=0.0)
+    spec = QuantizerSpec(n, R)
+    workers = [DQGDWorker(np.zeros_like, hp, schedule, BitCoder(spec, True),
+                          containment="saturate") for _ in range(K)]
+    server = _ServerBase("gd", np.zeros(n), hp, [schedule] * K,
+                         [BitCoder(spec, True) for _ in range(K)])
+    return workers, server, [Channel(n, R) for _ in range(K)]
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype="<f8").tobytes() == np.asarray(b, dtype="<f8").tobytes()
+
+
+@pytest.mark.parametrize("seed,kappa", [(7, 5.0), (8, 25.0)])
+def test_replay_sends_the_bits_a_computed_round_would(monkeypatch, seed, kappa):
+    # the stalled gaussian-k5 and momentum-k25 trials, with the table on
+    # and with no slots at all
+    ss = np.random.SeedSequence(seed, spawn_key=(0,))
+    obj = make_gaussian_ls(32, 16, kappa, ss)[1]
+    rec, trace, sent = _tapped_run(obj, 2000)
+    monkeypatch.setattr(engines, "_REPLAY_SLOTS", 0)
+    ref, ref_trace, ref_sent = _tapped_run(obj, 2000)
+    assert rec.replayed > 1000 and ref.replayed == 0
+    for name in ("distances", "u_norms", "ranges"):
+        assert _same_bits(getattr(rec, name), getattr(ref, name))
+    assert rec.bits_per_iteration == ref.bits_per_iteration
+    assert rec.violations == ref.violations
+    assert trace == ref_trace
+    assert sent == ref_sent
+    assert [t for t, _, _ in sent] == list(range(2000))
+
+
+def test_a_stalled_run_computes_few_gradients():
+    obj = _stalled_gaussian_k5()
+    worker, server, channel = build_dq_engine("dq-gd", obj, 2)
+    calls = []
+
+    def grad(z):
+        calls.append(None)
+        return obj.grad(z)
+
+    worker.grad = grad
+    rec = _drive("dq-gd", 2, obj, server, [worker], [channel], 10_000)
+    assert rec.terminal_T == 10_000
+    assert len(calls) <= 200
+    assert rec.replayed == worker.replayed == 10_000 - len(calls)
+
+
+@pytest.mark.parametrize("slots", [4, engines._REPLAY_SLOTS])
+def test_replay_table_is_bounded_and_emptied_when_the_range_moves(monkeypatch,
+                                                                   slots):
+    monkeypatch.setattr(engines, "_REPLAY_SLOTS", slots)
+    worker, server, channel = build_dq_engine("dq-gd", _stalled_gaussian_k5(), 2)
+    sizes, moved, prev = [], [], [None]
+
+    def observe(t, srv, ws):
+        table, r = ws[0]._replay, ws[0].last_r
+        sizes.append(len(table))
+        if r != prev[0]:
+            moved.append(len(table))
+        prev[0] = r
+
+    run_protocol(server, [worker], [channel], 600, on_iteration=observe)
+    assert max(sizes) <= slots
+    assert len(moved) > 50 and not any(moved)
+    if slots < 6:  # shorter than the period: the table fills, empties, never hits
+        assert max(sizes) == slots and worker.replayed == 0
+    else:
+        assert worker.replayed > 0
+
+
+def test_replayed_error_memory_is_read_only():
+    worker, server, channel = build_dq_engine("dq-gd", _stalled_gaussian_k5(), 2)
+    run_protocol(server, [worker], [channel], 300)
+    assert worker.replayed > 0 and worker._replay
+    for _, e1, _ in worker._replay.values():
+        with pytest.raises(ValueError, match="read-only"):
+            e1[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        worker.e1 += 1.0  # the last round was replayed
+
+
+def test_replayed_rounds_still_check_containment(monkeypatch):
+    target = SimpleNamespace(D=4.0, x_star=np.ones(16))
+
+    def run():
+        workers, server, channels = _zero_gradient_engine(2, constant_range(1.0))
+        return _drive("dq-gd", 1, target, server, workers, channels, 40), workers
+
+    rec, workers = run()
+    # rounds 0-2 fill the table, 3-39 are served from it, on both workers
+    assert rec.replayed == 2 * 37
+    for w in workers:
+        assert w.violations == list(range(1, 40, 2))
+    assert rec.violations == 2 * 20
+    monkeypatch.setattr(engines, "_REPLAY_SLOTS", 0)
+    ref, _ = run()
+    assert ref.replayed == 0 and ref.violations == rec.violations
+    assert _same_bits(ref.u_norms, rec.u_norms)
+    assert _same_bits(ref.distances, rec.distances)
+
+
+def test_replay_table_empties_when_a_stalled_range_moves():
+    class StepRange:  # stands at 1 for rounds 0-19, then at 1/2
+        def next(self, t, r_prev, r_prev2):
+            return 1.0 if t < 20 else 0.5
+
+    workers, server, channels = _zero_gradient_engine(1, StepRange())
+    sizes, replayed = [], []
+
+    def observe(t, srv, ws):
+        sizes.append(len(ws[0]._replay))
+        replayed.append(ws[0].replayed)
+
+    run_protocol(server, workers, channels, 40, on_iteration=observe)
+    assert sizes[19] > 0 and sizes[20] == 0
+    assert replayed[19] > 0 and replayed[-1] > replayed[21]

@@ -5,7 +5,9 @@ little-endian float64 bytes, so any change to the arithmetic of a round
 (quantizer, codec, schedule, update rule or the norms the harness takes)
 shows up here in a few seconds, long before the stock sweeps would catch it.
 The digests were recorded from the code as it stood before the hot path of
-the quantizer, the codec and the norms was rewritten for speed.
+the quantizer, the codec and the norms was rewritten for speed; the
+`STALLED_GOLDEN` ones from the code as it stood before the workers replayed
+repeated rounds.
 """
 
 import hashlib
@@ -75,6 +77,34 @@ NQ_GOLDEN = (
     "2beed3eeb54a0ba6e7e26824635cf4d14b6a9b919a9339aaced140b477c98759", 171)
 
 
+# Full t_max = 10 000 runs whose range stops moving, so most of their rounds
+# repeat an earlier worker state exactly. Instance -> (digest, terminal_T,
+# violations); every round carries n*R uplink bits.
+#   gaussian-k5 trial 0 of the stock sweep (config seed 7): cycles from
+#     about round 95;
+#   momentum-k25 at config seed 8, trial 0;
+#   the saturating heavy-ball run at alpha = 0, whose range collapses to 0.
+STALLED_GOLDEN = {
+    ("dq-gd", 7, 0, 5.0, 2): (
+        "fce7a59aa5f2b9fb7d55927e1f5c683509b0750b51420026131f340851f22069",
+        10_000, 0),
+    ("dq-gd", 8, 0, 25.0, 2): (
+        "95d79c64f610aab1f9467150e067e9799c7d701a0935d1c9d45013ccc5cb31fe",
+        10_000, 0),
+    ("dq-hb", 3, None, 5.0, 8): (
+        "2c5be895519adac533a8bcd46e5392a8bed9eabe54ef843e62f406ff2b63dc40",
+        10_000, 9995),
+}
+
+
+def stalled_instance(seed, trial, kappa):
+    """m = 32, n = 16; a sweep trial's instance, or gaussian seed `seed`."""
+    if trial is not None:
+        seed = np.random.SeedSequence(seed, spawn_key=(trial,))
+    _, obj = make_gaussian_ls(32, 16, kappa, seed)
+    return obj
+
+
 def dq_case(algo, m, n, kappa, R):
     _, obj = make_gaussian_ls(m, n, kappa, 3)
     with warnings.catch_warnings():
@@ -106,3 +136,11 @@ def test_unquantized_run_is_bit_identical(algo):
 
 def test_two_worker_nq_run_is_bit_identical():
     assert nq_case() == NQ_GOLDEN
+
+
+@pytest.mark.parametrize("case", sorted(STALLED_GOLDEN, key=str), ids=str)
+def test_stalled_full_length_run_is_bit_identical(case):
+    algo, seed, trial, kappa, R = case
+    rec = run_dq(algo, stalled_instance(seed, trial, kappa), R, t_max=10_000)
+    assert (*fingerprint(rec), rec.violations) == STALLED_GOLDEN[case]
+    assert rec.bits_per_iteration == [16 * R] * rec.terminal_T

@@ -1,3 +1,4 @@
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -12,8 +13,12 @@ from dqgrad.harness import (
     emit_csv,
     emit_svg,
     estimate_contraction,
+    run_dq,
+    run_nq,
     run_sweep,
+    run_unquantized,
 )
+from dqgrad.problems import make_gaussian_ls, make_interpolation_problem
 
 
 def record_from(dists, floor=1e-13):
@@ -48,6 +53,31 @@ def test_estimator_tail_suppresses_transient():
     # constant prefactor decays out of the tail-half window
     dists = [5.0 * 0.7**t if t > 0 else 1.0 for t in range(60)]
     assert estimate_contraction(record_from(dists)) == pytest.approx(0.7, rel=1e-9)
+
+
+def test_min_headroom_is_the_smallest_range_margin():
+    rec = RunRecord(algo="x", R=1, floor=0.0)
+    rec.ranges, rec.u_norms = [3.0, 2.0, 1.5], [1.0, 1.75, 0.5]
+    assert rec.min_headroom == 0.25
+    rec.u_norms[1] = math.nan  # a non-finite input is no headroom at all
+    assert math.isnan(rec.min_headroom)
+    assert RunRecord(algo="gd", R=None, floor=0.0).min_headroom == math.inf
+
+
+def test_runs_report_headroom_and_replayed_rounds():
+    _, obj = make_gaussian_ls(32, 16, 5.0, 3)
+    strict = run_dq("dq-gd", obj, 4, t_max=500)
+    assert strict.min_headroom == min(r - u for r, u in
+                                      zip(strict.ranges, strict.u_norms)) > 0
+    assert strict.replayed == 0  # the range keeps moving until the floor
+    # heavy ball at alpha = 0 saturates once its range collapses
+    saturated = run_dq("dq-hb", obj, 8, t_max=1500)
+    assert saturated.violations > 0 and saturated.min_headroom < 0
+    assert run_unquantized("gd", obj, t_max=50).min_headroom == math.inf
+    # the naive ranges shrink every round, so no worker round is replayed
+    prob = make_interpolation_problem(2, 8, 16, [4.0, 2.0], 15)
+    rec, _ = run_nq(prob, [3, 2], t_max=300)
+    assert rec.replayed == 0 and rec.min_headroom > 0
 
 
 SMALL = ExperimentConfig(

@@ -13,7 +13,7 @@ import sys
 
 from . import bounds as bmod
 from .configfile import ConfigError, load_experiments
-from .harness import emit_csv, emit_svg, run_sweep
+from .harness import TrialError, emit_csv, emit_svg, run_sweep
 from .schedules import SCHEMES, waterfill
 
 
@@ -28,7 +28,11 @@ def _cmd_sweep(args):
             config = dataclasses.replace(config, jobs=args.jobs)
         print(f"[{config.name}] {len(config.algos)} algos x "
               f"{len(config.rates)} rates x {config.trials} trials")
-        rows = run_sweep(config)
+        try:
+            rows = run_sweep(config)
+        except TrialError as exc:
+            print(f"error: [{config.name}] {exc}", file=sys.stderr)
+            return 1
         for r in rows:
             print(f"  {r.algo:8s} R={r.R:<3d} emp={r.emp_mean:.4f} "
                   f"[{r.emp_p05:.4f}, {r.emp_p95:.4f}] bound={min(r.bound, 1):.4f}")

@@ -83,6 +83,10 @@ def _problem_from_section(sec, base_dir):
     if kind == "mtx":
         problem["path"] = os.path.join(base_dir, problem["path"])
         problem["matrix"] = load_matrix_market(problem["path"])
+        m, n = problem["matrix"].shape
+        if m < n:  # every trial would fail building its least-squares instance
+            raise ValueError(f"matrix {problem['path']} is {m} x {n}; least "
+                             f"squares needs at least as many rows as columns")
     return problem
 
 

@@ -9,6 +9,18 @@ halves exchange data only through a transport channel, and each evaluates
 the public dynamic-range schedule on its own. Servers never see gradients
 or quantization errors, workers never see the optimizer.
 
+Rows. The server holds one row per channel. Channels that share a coder
+(one per rate) are decoded in one call, with one range per row, and the
+rows are summed in channel order, q_0 + q_1 + ..., into the direction.
+Every server takes this one path: a DQ engine has one channel, so it is
+row 0 and its direction is q_0 itself. A one-row group is coded by the
+quantizer's flat forms, the same arithmetic without the numpy cost of a
+row axis, so K = 1 pays nothing for the stack. Naive quantization's K
+workers are rows of one worker side too (NQGDWorkers): each row reads its
+own channel's frame, steps its own cursor and calls its own gradient
+oracle, and each rate's rows are quantized and packed in one pass, one
+payload per channel.
+
 The worker compensates past quantization errors so that it always
 evaluates the gradient on the unquantized method's trajectory; the exact
 bookkeeping per algorithm:
@@ -50,9 +62,9 @@ import math
 
 import numpy as np
 
-from . import bounds
+from . import bounds, quantizer
 from .hyperparams import agd_lambda, optimal_hyperparams
-from .quantizer import Payload, QuantizerSpec, reconstruct
+from .quantizer import Payload, QuantizerSpec, RangeViolationError
 from .schedules import RangeSchedule, ScheduleCursor
 from .transport import Channel
 
@@ -113,17 +125,41 @@ def step(algo, state, direction, hp):
 
 
 class BitCoder:
-    """Scalar-uniform quantization to/from exactly n*R payload bits."""
+    """Scalar-uniform quantization to/from exactly n*R payload bits.
+
+    Channels that share a coder share its rate and are coded in one call:
+    the row forms take G rows and their G ranges rs, which the quantizer
+    gets as a (G, 1) column. A single row is coded by the flat forms at
+    its float range, the same arithmetic without a row axis.
+    """
 
     def __init__(self, spec, saturate=False):
         self.spec = spec
         self.saturate = saturate
 
     def encode(self, t, r, u):
+        """(payload, reconstruction) of one row u."""
         return self.spec.scaled(r, self.saturate).quantize_payload(t, u)
 
-    def decode(self, t, r, indices):
-        return reconstruct(self.spec, r, indices)
+    def encode_rows(self, t, rs, u):
+        """One payload per row of u, a list of G rows."""
+        if len(u) == 1:
+            return [self.encode(t, rs[0], u[0])[0]]
+        column = np.array(rs)[:, None]
+        idx, _ = self.spec.scaled(column, self.saturate).quantize(u)
+        bufs, nbits = quantizer.encode_payload(idx, self.spec.R)
+        return [Payload(t, buf, nbits) for buf in bufs]
+
+    def decode(self, t, rs, wires):
+        """Reconstructions from the G payloads' bits in wires: (G, n), or
+        (n,) for one."""
+        spec = self.spec
+        n, R = spec.n, spec.R
+        if len(wires) == 1:
+            indices = quantizer.decode_payload(wires[0], n * R, n, R)
+            return quantizer.reconstruct(spec, rs[0], indices)
+        indices = quantizer.decode_payload(wires, n * R, n, R)
+        return quantizer.reconstruct(spec, np.array(rs)[:, None], indices)
 
     def resend(self, t, payload):
         """The bits of an earlier payload, sent as round t's."""
@@ -135,6 +171,8 @@ class BitCoder:
 
 
 class _WorkerBase:
+    rows = 1  # channels served
+
     def __init__(self, grad, hp, schedule, coder, containment="strict"):
         if containment not in CONTAINMENT:
             raise ValueError(f"containment must be one of {CONTAINMENT}, "
@@ -171,7 +209,8 @@ class _WorkerBase:
     def quantizer_input(self, x):
         raise NotImplementedError
 
-    def round(self, channel):
+    def round(self, channels):
+        (channel,) = channels
         t, x = channel.recv_iterate()
         self._ensure_state(x.shape[0])
         r = self.cursor.step()
@@ -224,9 +263,81 @@ class DQHBWorker(_WorkerBase):
         return self.grad(z) - c
 
 
-class NQGDWorker(_WorkerBase):
-    def quantizer_input(self, x):
-        return self.grad(x)
+class _RateGroup:
+    """The channels that share one coder, and this round's rows of them."""
+
+    def __init__(self, coder, members):
+        self.coder = coder
+        self.members = members  # channel indices, increasing
+        lo, hi = members[0], members[-1] + 1
+        self.at = slice(lo, hi) if members == list(range(lo, hi)) else members
+        self.rs = [0.0] * len(members)
+        self.items = [None] * len(members)  # quantizer inputs, or payload bits
+
+
+def _rate_groups(coders):
+    """One _RateGroup per distinct coder, in order of first use, and the
+    (group, position) of each channel's row."""
+    members = {}
+    for k, coder in enumerate(coders):
+        members.setdefault(coder, []).append(k)
+    groups = [_RateGroup(coder, ks) for coder, ks in members.items()]
+    slots = {k: (g, j) for g in groups for j, k in enumerate(g.members)}
+    return groups, [slots[k] for k in range(len(coders))]
+
+
+class NQGDWorkers:
+    """The K naive-quantization workers, run as the rows of one stack.
+
+    Row k reads channel k's frame, steps cursor k and evaluates
+    u_k = grads[k](x); containment is checked row by row in channel order.
+    Each rate's rows are then quantized and packed in one pass, one payload
+    per channel. A row that leaves its cube raises what a worker-at-a-time
+    loop would have raised first. Naive quantization never compensates, so
+    there is no error memory, and its range moves every round, so there is
+    nothing to replay.
+    """
+
+    def __init__(self, grads, schedules, coders):
+        self.rows = len(grads)  # channels served, one per row
+        self.grads = grads
+        self.cursors = [ScheduleCursor(s) for s in schedules]
+        self.coders = coders
+        self._groups, self._slots = _rate_groups(coders)
+        self._norms = [0.0] * len(grads)
+        self._rs = [0.0] * len(grads)
+        self.last_u_norm = None  # largest ||u_k|| and r_k of the last round
+        self.last_r = None
+        self.violations = []  # containment is strict: an escape raises
+        self.replayed = 0
+
+    def round(self, channels):
+        norms, rs = self._norms, self._rs
+        for k, (ch, cursor, grad, (group, j)) in enumerate(
+                zip(channels, self.cursors, self.grads, self._slots)):
+            t, x = ch.recv_iterate()
+            r = rs[k] = group.rs[j] = cursor.step()
+            u = group.items[j] = grad(x)
+            u_norm = norms[k] = math.sqrt(u @ u)
+            if not u_norm <= r * (1.0 + CONTAINMENT_RTOL):  # a NaN norm violates
+                self._first_escape(t, k)
+                raise ScheduleViolationError(t, u_norm, r)
+        self.last_u_norm = max(norms)
+        self.last_r = max(rs)
+        try:
+            for g in self._groups:
+                wires = g.coder.encode_rows(t, g.rs, g.items)
+                for k, wire in zip(g.members, wires):
+                    channels[k].send_payload(wire)
+        except RangeViolationError:
+            self._first_escape(t, len(channels))
+            raise
+
+    def _first_escape(self, t, upto):
+        """Quantize rows 0..upto-1 one at a time, in channel order, so the
+        first that leaves its cube raises as its own worker would."""
+        for coder, (g, j) in zip(self.coders, self._slots[:upto]):
+            coder.encode(t, g.rs[j], g.items[j])
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +347,10 @@ class NQGDWorker(_WorkerBase):
 class _ServerBase:
     """Owns the iterates of one method and steps on the decoded direction.
 
-    With K workers the K decoded directions are summed and the stepsize is
-    eta/K (naive quantization averages them); K = 1 is the DQ server.
+    With K channels the K decoded rows are summed in channel order and the
+    stepsize is eta/K (naive quantization averages them); K = 1 is the DQ
+    server, whose direction is its one row. Channels that share a coder
+    object are decoded in one call.
     """
 
     def __init__(self, algo, x0, hp, schedules, coders):
@@ -246,6 +359,10 @@ class _ServerBase:
         self.hp = dataclasses.replace(hp, eta=hp.eta / len(coders))
         self.cursors = [ScheduleCursor(s) for s in schedules]
         self.coders = coders
+        self._groups, self._slots = _rate_groups(coders)
+        # rows in channel order, when one decode does not return them all
+        self._stack = (np.empty((len(coders), self.x.shape[0]))
+                       if len(self._groups) > 1 else None)
         self.t = 0
 
     @property
@@ -257,21 +374,38 @@ class _ServerBase:
             ch.send_iterate(self.t, self.x)
 
     def collect(self, channels):
-        direction = None
-        for ch, cursor, coder in zip(channels, self.cursors, self.coders):
-            r = cursor.step()
-            q = coder.decode(self.t, r, ch.recv_payload_bits())
-            direction = q if direction is None else direction + q
+        for ch, cursor, (g, j) in zip(channels, self.cursors, self._slots):
+            g.rs[j] = cursor.step()
+            g.items[j] = ch.recv_payload_bits()
+        q = self._stack
+        for g in self._groups:
+            if q is None:  # one coder decodes every channel, in order
+                q = g.coder.decode(self.t, g.rs, g.items)
+            else:
+                q[g.at] = g.coder.decode(self.t, g.rs, g.items)
+        direction = q
+        if q.ndim == 2:  # q_0 + q_1 + ..., left to right
+            direction = q[0]
+            for row in q[1:]:
+                direction = direction + row
         self.state = step(self.algo, self.state, direction, self.hp)
         self.t += 1
 
 
 def run_protocol(server, workers, channels, steps, on_iteration=None, stop=None):
-    """Strictly alternating rounds; returns the number of rounds run."""
+    """Strictly alternating rounds; returns the number of rounds run.
+
+    Each worker side serves its `rows` channels, taken in order: a DQ
+    worker one, NQGDWorkers all K.
+    """
+    served, k = [], 0
+    for w in workers:
+        served.append(channels[k:k + w.rows])
+        k += w.rows
     for t in range(steps):
         server.broadcast(channels)
-        for w, ch in zip(workers, channels):
-            w.round(ch)
+        for w, chs in zip(workers, served):
+            w.round(chs)
         server.collect(channels)
         if on_iteration is not None:
             on_iteration(t, server, workers)
@@ -342,20 +476,23 @@ def build_dq_engine(algo, objective, R, alpha=0.0, containment=None):
 def build_nq_engine(problem, rates):
     """K-worker naive quantization; rates is one integer per worker.
 
+    Returns (worker side, server, channels). Workers of one rate share a
+    coder on each end, so each rate is coded in one call per round.
     Containment is provable for the naive schedule, so every worker is strict.
     """
     n = problem.x0.shape[0]
     rho = bounds.default_rho(n)
     sigma_nq = bounds.nq_sigma(problem.L_list, problem.mu, rates, n, rho)
     hp = optimal_hyperparams(problem.L, problem.mu, "gd")
-    workers, channels, schedules, coders = [], [], [], []
-    for obj, R_k in zip(problem.locals_, rates):
-        sched = RangeSchedule(scheme="nq-gd", L=obj.L, D=problem.D,
-                              sigma=sigma_nq, rho=rho, R=R_k)
-        spec = QuantizerSpec(n, R_k)
-        workers.append(NQGDWorker(obj.grad, hp, sched, BitCoder(spec)))
-        channels.append(Channel(n, R_k))
-        schedules.append(sched)
-        coders.append(BitCoder(spec))
-    server = _ServerBase("gd", problem.x0, hp, schedules, coders)
-    return workers, server, channels
+    schedules = [RangeSchedule(scheme="nq-gd", L=obj.L, D=problem.D,
+                               sigma=sigma_nq, rho=rho, R=R_k)
+                 for obj, R_k in zip(problem.locals_, rates)]
+
+    def coders():
+        by_rate = {R: BitCoder(QuantizerSpec(n, R)) for R in rates}
+        return [by_rate[R] for R in rates]
+
+    worker = NQGDWorkers([obj.grad for obj in problem.locals_], schedules,
+                         coders())
+    server = _ServerBase("gd", problem.x0, hp, schedules, coders())
+    return worker, server, [Channel(n, R) for R in rates]

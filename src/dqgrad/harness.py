@@ -174,8 +174,8 @@ def run_nq(problem, rates, t_max=10_000):
     """K-worker naive quantization at the given per-worker integer rates."""
     if not isinstance(problem, MultiWorkerProblem):
         problem = MultiWorkerProblem((problem,), problem.x_star, problem.x0)
-    workers, server, channels = build_nq_engine(problem, rates)
-    record = _drive("nq-gd", sum(rates), problem, server, workers, channels,
+    worker, server, channels = build_nq_engine(problem, rates)
+    record = _drive("nq-gd", sum(rates), problem, server, [worker], channels,
                     t_max)
     return record, channels
 
@@ -449,11 +449,14 @@ def emit_svg(rows, path, title=""):
             pts_c = [(r.R, r.converse) for r in rows if r.algo == algo]
             series.append((f"converse ({fam})", pts_c, "1.5", "2 3"))
 
+    # the title as XML character data; xml.sax.saxutils.escape does the same
+    # but imports urllib.request, about 40 ms and 6 MB
+    text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{ml}" y="24" font-family="sans-serif" font-size="15">{title}</text>',
+        f'<text x="{ml}" y="24" font-family="sans-serif" font-size="15">{text}</text>',
         f'<line x1="{ml}" y1="{sy(0)}" x2="{width - mr}" y2="{sy(0)}" stroke="black"/>',
         f'<line x1="{ml}" y1="{sy(0)}" x2="{ml}" y2="{mt}" stroke="black"/>',
     ]

@@ -17,12 +17,23 @@ Cell indices travel as int64, which is exact for R <= MAX_RATE = 62; the
 uplink payload carries only the packed bits, n*R of them, coordinate-major
 and MSB first.
 
+Rows. quantize, reconstruct, encode_payload and decode_payload also take a
+(G, n) stack of rows of one rate, with one range per row as a (G, 1)
+column: that is how naive quantization's K workers encode and how the
+server decodes every channel of one rate in one call. Each element goes
+through exactly the arithmetic of the flat form at its row's range (the
+column broadcasts the IEEE operation the scalar does), so row g of a stack
+is bit for bit the flat result of row g alone; a float range serves every
+row. The flat forms are the case without the row axis, and the engines
+code a one-row group (a DQ server's one channel) with them.
+
 Hot path: at n = 16 a numpy call costs more than its arithmetic, so quantize,
 reconstruct and encode_payload work in place, bit-equal to the plain forms:
 in-place floor and clip equal np.clip(np.floor((u + r) / w), 0, 2**R - 1) on
 non-NaN u, -r + y equals y + (-r), and int64 idx >> R is 0 iff 0 <= idx < 2**R.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,17 +50,20 @@ _WEIGHTS = [np.left_shift(np.int64(1), s) for s in _SHIFTS]
 class RangeViolationError(Exception):
     """Quantizer input left the cube domain [-r, r]^n, or is not finite.
 
-    Carries the first offending coordinate; in a DQ run this signals a bug
-    in the dynamic-range schedule, not in the data.
+    Carries the first offending coordinate, and for a stack of rows the
+    first offending row (None for a flat input); in a DQ run this signals a
+    bug in the dynamic-range schedule, not in the data.
     """
 
-    def __init__(self, coord, value, r):
+    def __init__(self, coord, value, r, row=None):
+        where = "" if row is None else f"row {row}: "
         super().__init__(
-            f"input coordinate {coord} = {value!r} outside [-{r!r}, {r!r}]"
+            f"{where}input coordinate {coord} = {value!r} outside [-{r!r}, {r!r}]"
         )
         self.coord = coord
         self.value = value
         self.r = r
+        self.row = row
 
 
 class EncodingError(Exception):
@@ -82,7 +96,7 @@ class QuantizerSpec:
                 "longer be exact as int64 and float64"
             )
 
-    @property
+    @functools.cached_property  # read on every quantize and reconstruct
     def levels(self):
         return 1 << self.R
 
@@ -128,25 +142,53 @@ class ScaledQuantizer:
         reconstruction at the center; boundary values belong to the upper
         cell (round half toward +inf). NaN and +-inf coordinates raise
         RangeViolationError in both modes.
+
+        u is one row of shape (n,) at the float range r, or a (G, n) stack
+        at a float r or a (G, 1) column of ranges, one per row; a stack's
+        error names the first offending row in row order. A row whose cell
+        width underflows to 0 maps to index and reconstruction 0, as the
+        flat form does.
         """
         u = np.asarray(u, dtype=np.float64)
-        if u.shape != (self.base.n,):
-            raise ValueError(f"expected shape ({self.base.n},), got {u.shape}")
-        if self.r < 0:
+        n, r = self.base.n, self.r
+        column = False
+        if u.ndim == 1:
+            if u.shape != (n,):
+                raise ValueError(f"expected shape ({n},), got {u.shape}")
+        elif u.ndim != 2 or u.shape[1] != n:
+            raise ValueError(f"expected shape (G, {n}), got {u.shape}")
+        elif isinstance(r, np.ndarray):
+            if r.shape != (u.shape[0], 1):
+                raise ValueError(f"expected a ({u.shape[0]}, 1) column of "
+                                 f"ranges, got shape {r.shape}")
+            column = True
+        negative = np.count_nonzero(r < 0) if column else r < 0
+        if negative:
             raise ValueError("scale must be nonnegative")
         # written so that NaN fails the test
-        inside = np.isfinite(u) if self.saturate else np.abs(u) <= self.r
+        inside = np.isfinite(u) if self.saturate else np.abs(u) <= r
         if np.count_nonzero(inside) < u.size:
-            bad = int(np.argmin(inside))
-            raise RangeViolationError(bad, float(u[bad]), float(self.r))
+            row, coord = divmod(int(np.argmin(inside)), n)
+            if u.ndim == 1:
+                raise RangeViolationError(coord, float(u[coord]), float(r))
+            raise RangeViolationError(coord, float(u[row, coord]),
+                                      float(r[row, 0] if column else r), row)
         nlev = self.base.levels
-        width = 2.0 * self.r / nlev
-        if nlev == 1 or width == 0.0:  # r = 0, or below the resolvable cell
-            return np.zeros(self.base.n, dtype=np.int64), np.zeros(self.base.n)
+        if nlev == 1:
+            return np.zeros(u.shape, dtype=np.int64), np.zeros(u.shape)
+        width = 2.0 * r / nlev
+        dead = None
+        if not column:
+            if width == 0.0:  # r = 0, or below the resolvable cell
+                return np.zeros(u.shape, dtype=np.int64), np.zeros(u.shape)
+        elif np.count_nonzero(width == 0.0):
+            # such rows divide by 1 instead of 0 and are zeroed below
+            dead = (width == 0.0)[:, 0]
+            width = np.where(width == 0.0, 1.0, width)
         if self.saturate:  # |u| >> r would overflow the divide; input past
             # -r or nlev*width (2r unless width is subnormal) keeps its cell
-            u = np.minimum(np.maximum(u, -self.r), nlev * width)
-        cells = u + self.r
+            u = np.minimum(np.maximum(u, -r), nlev * width)
+        cells = u + r
         cells /= width
         np.floor(cells, out=cells)
         # u >= -r, so clip only the top, before the cast; above R = 53 the
@@ -155,7 +197,11 @@ class ScaledQuantizer:
         idx = cells.astype(np.int64)
         if self.base.R > 53:
             np.minimum(idx, nlev - 1, out=idx)
-        return idx, reconstruct(self.base, self.r, idx)
+        recon = reconstruct(self.base, r, idx)
+        if dead is not None:
+            idx[dead] = 0
+            recon[dead] = 0.0
+        return idx, recon
 
     def quantize_payload(self, iteration, u):
         idx, recon = self.quantize(u)
@@ -163,43 +209,67 @@ class ScaledQuantizer:
 
 
 def reconstruct(spec, r, indices):
-    """Cell centers for integer indices; shared verbatim by both channel ends."""
-    if spec.levels == 1:
-        return np.zeros(spec.n)
+    """Cell centers for integer indices; shared verbatim by both channel ends.
+
+    Flat indices take a float r; a (G, n) stack takes a float or a (G, 1)
+    column of ranges.
+    """
+    nlev = spec.levels
+    if nlev == 1:
+        return np.zeros(np.shape(indices))
     recon = np.add(indices, 0.5, dtype=np.float64)
-    recon *= 2.0 * r / spec.levels
+    recon *= 2.0 * r / nlev
     return np.add(recon, -r, out=recon)
-
-
-def _check_rate(R):
-    if not 0 <= R <= MAX_RATE:
-        raise EncodingError(f"rate {R} outside [0, {MAX_RATE}]")
 
 
 def encode_payload(indices, R):
     """Pack indices into a coordinate-major, MSB-first bit string.
 
     Returns (buf, nbits) with nbits = len(indices)*R exactly; the final
-    byte is zero-padded on the right.
+    byte is zero-padded on the right. A (G, n) stack of rows returns a list
+    of G such strings, each packed as its row alone would be, and the
+    per-row nbits = n*R.
     """
-    _check_rate(R)
+    if not 0 <= R <= MAX_RATE:
+        raise EncodingError(f"rate {R} outside [0, {MAX_RATE}]")
     idx = np.asarray(indices)
-    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
-        raise EncodingError("indices must be a flat sequence of integers")
+    if idx.ndim not in (1, 2) or (idx.size and idx.dtype.kind not in "iu"):
+        raise EncodingError("indices must be a flat sequence of integers, "
+                            "or a stack of such rows")
     idx64 = idx.astype(np.int64, copy=False)  # uint64 >= 2**63 turns negative
     if np.count_nonzero(idx64 >> R):
-        bad = idx[np.argmax((idx < 0) | (idx >= (1 << R)))]
+        bad = idx.flat[np.argmax((idx < 0) | (idx >= (1 << R)))]
         raise EncodingError(f"index {bad} does not fit in {R} bits")
-    bits = idx64[:, None] >> _SHIFTS[R]
+    if idx.ndim == 1:
+        bits = idx64[:, None] >> _SHIFTS[R]
+        bits &= 1
+        return np.packbits(bits).tobytes(), idx.size * R
+    # a stack's bits go to packbits as uint8, which it packs several times
+    # faster than int64; the cast keeps each shifted value's low bit
+    G, n = idx.shape
+    bits = (idx64[:, :, None] >> _SHIFTS[R]).astype(np.uint8)
     bits &= 1
-    return np.packbits(bits).tobytes(), idx.size * R
+    rows = np.packbits(bits.reshape(G, n * R), axis=1)
+    buf, nbytes = rows.tobytes(), rows.shape[1]
+    return [buf[i * nbytes:(i + 1) * nbytes] for i in range(G)], n * R
 
 
 def decode_payload(buf, nbits, n, R):
-    _check_rate(R)
+    """Cell indices from one payload's bytes, shape (n,); from a list of G
+    payloads of the same (n, R), a (G, n) stack."""
+    if not 0 <= R <= MAX_RATE:
+        raise EncodingError(f"rate {R} outside [0, {MAX_RATE}]")
     if nbits != n * R:
         raise EncodingError(f"expected {n * R} bits, got {nbits}")
     nbytes = (nbits + 7) // 8
+    if isinstance(buf, list):
+        for row in buf:
+            if len(row) != nbytes:
+                raise EncodingError(f"expected {nbytes} bytes, got {len(row)}")
+        G = len(buf)
+        data = np.frombuffer(b"".join(buf), dtype=np.uint8).reshape(G, nbytes)
+        bits = np.unpackbits(data, axis=1, count=nbits)
+        return bits.reshape(G, n, R) @ _WEIGHTS[R]
     if len(buf) != nbytes:
         raise EncodingError(f"expected {nbytes} bytes, got {len(buf)}")
     bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), count=nbits)

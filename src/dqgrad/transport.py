@@ -20,8 +20,6 @@ import struct
 
 import numpy as np
 
-from .quantizer import decode_payload
-
 
 class FramingError(Exception):
     pass
@@ -71,12 +69,14 @@ class Channel:
         self.trace.downlink_bytes.append(len(frame))
 
     def recv_payload_bits(self):
+        """The next payload's bytes, once its bit count is checked; the
+        server's coder decodes all channels of one rate together."""
         if not self._up:
             raise FramingError("uplink empty")
         buf, nbits = self._up.popleft()
         if nbits != self.n * self.R:
             raise FramingError(f"expected {self.n * self.R} payload bits, got {nbits}")
-        return decode_payload(buf, nbits, self.n, self.R)
+        return buf
 
     # worker side
     def recv_iterate(self):

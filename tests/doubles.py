@@ -14,8 +14,8 @@ class ExactCoder:
     def encode(self, t, r, u):
         return u.copy(), u.copy()
 
-    def decode(self, t, r, wire):
-        return wire
+    def decode(self, t, rs, wires):
+        return wires[0] if len(wires) == 1 else np.array(wires)
 
     def resend(self, t, wire):
         return wire.copy()

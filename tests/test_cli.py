@@ -145,3 +145,28 @@ def test_sweep_worker_problem_mismatch_fails_before_any_trial(
     assert err.startswith("error: [bad] " + detail)
     assert "Traceback" not in err
     assert not (tmp_path / "bad.csv").exists()
+
+
+def test_sweep_rejects_a_wide_matrix_when_loading(tmp_path, capsys):
+    (tmp_path / "wide.mtx").write_text(
+        "%%MatrixMarket matrix array real general\n2 3\n1\n2\n3\n4\n5\n6\n")
+    cfg = tmp_path / "wide.ini"
+    cfg.write_text("[wide]\nproblem = mtx\npath = wide.mtx\nalgos = gd, dq-gd\n"
+                   "rates = 2\ntrials = 1\ncsv = wide.csv\n")
+    assert main(["sweep", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [wide] matrix {tmp_path / 'wide.mtx'} is 2 x 3")
+    assert "Traceback" not in err
+    assert not (tmp_path / "wide.csv").exists()
+
+
+def test_sweep_reports_a_failed_trial_as_an_error(tmp_path, capsys):
+    # fewer rows than columns fails only when trial 0 builds its instance
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[short]\nproblem = gaussian\nm = 4\nn = 6\nkappa = 3\n"
+                   "algos = gd\nrates = 2\ntrials = 2\ncsv = short.csv\n")
+    assert main(["sweep", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [short] trial 0: ValueError('need m >= n")
+    assert "Traceback" not in err
+    assert not (tmp_path / "short.csv").exists()

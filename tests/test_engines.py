@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dqgrad import engines
+from dqgrad import engines, quantizer
 from dqgrad.bounds import agd_unquantized_envelopes
 from dqgrad.engines import (
     _DQ_PAIRS,
@@ -15,9 +15,11 @@ from dqgrad.engines import (
     DQAGDWorker,
     DQGDWorker,
     DQHBWorker,
+    NQGDWorkers,
     ScheduleViolationError,
     _ServerBase,
     build_dq_engine,
+    build_nq_engine,
     dq_schedule,
     initial_state,
     run_protocol,
@@ -26,7 +28,12 @@ from dqgrad.engines import (
 from dqgrad.harness import _drive, run_dq, run_nq
 from dqgrad.hyperparams import HyperParams, optimal_hyperparams
 from dqgrad.problems import make_gaussian_ls, make_interpolation_problem, make_worst_case_gd
-from dqgrad.quantizer import QuantizerSpec, RangeViolationError
+from dqgrad.quantizer import (
+    QuantizerSpec,
+    RangeViolationError,
+    decode_payload,
+    reconstruct,
+)
 from dqgrad.rng import make_rng
 from dqgrad.schedules import RangeSchedule, waterfill_bits
 from dqgrad.selfcheck import tracking_deviation
@@ -486,3 +493,136 @@ def test_replay_table_empties_when_a_stalled_range_moves():
     run_protocol(server, workers, channels, 40, on_iteration=observe)
     assert sizes[19] > 0 and sizes[20] == 0
     assert replayed[19] > 0 and replayed[-1] > replayed[21]
+
+
+# --- rows: the naive workers and the server's decode as (K, n) stacks --------
+
+
+def _shared_coders(n, rates):
+    """One BitCoder per rate, shared by its channels, as build_nq_engine does."""
+    by_rate = {R: BitCoder(QuantizerSpec(n, R)) for R in rates}
+    return [by_rate[R] for R in rates]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rates=st.lists(st.sampled_from([0, 1, 3, 8]), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_server_row_sum_is_the_left_to_right_sum(rates, seed):
+    # mixed rates, silent channels included: the direction is the flat
+    # decode of each channel, summed q0 + q1 + ... in channel order
+    gen = make_rng(seed)
+    K, n = len(rates), 5
+    ranges = gen.random(K) * 10.0 ** gen.integers(-3, 4, size=K)
+    hp = HyperParams(eta=0.7, gamma=0.0, sigma=0.0)
+    x0 = gen.standard_normal(n)
+    server = _ServerBase("gd", x0, hp, [constant_range(r) for r in ranges],
+                         _shared_coders(n, rates))
+    channels = [Channel(n, R) for R in rates]
+    qs = []
+    for ch, R, r in zip(channels, rates, ranges):
+        idx = gen.integers(0, 1 << R, size=n)
+        payload = quantizer.Payload.from_indices(0, idx, R)
+        ch.send_payload(payload)
+        spec = QuantizerSpec(n, R)
+        qs.append(reconstruct(spec, r, decode_payload(payload.bits, n * R, n, R)))
+    server.collect(channels)
+    direction = qs[0]
+    for q in qs[1:]:
+        direction = direction + q
+    assert server.x.tobytes() == (x0 - (0.7 / K) * direction).tobytes()
+
+
+def _flat_worker_round(problem, rates, channels, t):
+    """The payload bits each naive worker would send on its own."""
+    n = problem.x0.shape[0]
+    sigma = bounds.nq_sigma(problem.L_list, problem.mu, rates, n,
+                            bounds.default_rho(n))
+    out = []
+    for obj, R, ch in zip(problem.locals_, rates, channels):
+        _, x = ch.recv_iterate()
+        r = RangeSchedule("nq-gd", L=obj.L, D=problem.D, sigma=sigma,
+                          rho=bounds.default_rho(n), R=R).next(t, 0.0, 0.0)
+        payload, _ = QuantizerSpec(n, R).scaled(r).quantize_payload(t, obj.grad(x))
+        out.append(payload.bits)
+    return out
+
+
+@pytest.mark.parametrize("rates", [[5, 3, 5, 0], [4, 4, 4], [7]])
+def test_naive_rows_send_what_each_worker_would(rates):
+    prob = make_interpolation_problem(len(rates), 12, 24, [4.0, 2.0, 8.0, 3.0][:len(rates)],
+                                      19, L_list=[4.0, 1.0, 4.0, 0.25][:len(rates)])
+    worker, server, channels = build_nq_engine(prob, rates)
+    twins = [Channel(12, R) for R in rates]
+    for t in range(30):
+        server.broadcast(channels)
+        for ch in twins:
+            ch.send_iterate(t, server.x)
+        worker.round(channels)
+        sent = [ch._up[0][0] for ch in channels]
+        assert sent == _flat_worker_round(prob, rates, twins, t)
+        server.collect(channels)
+
+
+def _escape_rows(us, rates=(2, 3, 2)):
+    """NQGDWorkers over fixed quantizer inputs at range 1; rows 0 and 2
+    share a coder, so they are quantized together and before row 1."""
+    n = len(us[0])
+    worker = NQGDWorkers([lambda x, u=u: np.array(u) for u in us],
+                         [constant_range(1.0)] * len(us), _shared_coders(n, rates))
+    channels = [Channel(n, R) for R in rates]
+    for ch in channels:
+        ch.send_iterate(4, np.zeros(n))
+    return worker, channels
+
+
+OUT = [0.0, 1.0 + 5e-10, 0.0]  # inside the norm slack, outside the cube
+BIG = [0.0, 0.0, 2.0]  # outside both
+
+
+@pytest.mark.parametrize("us,row,coord", [
+    ([[0.0] * 3, OUT, BIG], 1, 1),  # a cube escape before a norm escape
+    ([[0.0] * 3, OUT, [1.0 + 5e-10, 0.0, 0.0]], 1, 1),  # in both groups
+    ([[0.0] * 3, [0.0] * 3, OUT], 2, 1),
+])
+def test_naive_rows_raise_the_first_cube_escape_in_channel_order(us, row, coord):
+    worker, channels = _escape_rows(us)
+    with pytest.raises(RangeViolationError) as exc:
+        worker.round(channels)
+    with pytest.raises(RangeViolationError) as flat:
+        QuantizerSpec(3, (2, 3, 2)[row]).scaled(1.0).quantize(np.array(us[row]))
+    assert (exc.value.coord, exc.value.value, exc.value.r) == (
+        flat.value.coord, flat.value.value, flat.value.r) == (coord, 1.0 + 5e-10, 1.0)
+
+
+def test_naive_rows_raise_the_first_norm_escape_in_channel_order():
+    worker, channels = _escape_rows([[0.0] * 3, BIG, [np.nan] * 3])
+    with pytest.raises(ScheduleViolationError) as exc:
+        worker.round(channels)
+    assert (exc.value.t, exc.value.u_norm, exc.value.r) == (4, 2.0, 1.0)
+
+
+def test_naive_rows_code_each_rate_once_per_round(monkeypatch):
+    # K = 8 workers at one rate: one quantize, encode, decode per round,
+    # and one reconstruct on each end
+    calls = dict.fromkeys(["quantize", "encode_payload", "decode_payload",
+                           "reconstruct"], 0)
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(quantizer.ScaledQuantizer, "quantize")
+    for name in ("encode_payload", "decode_payload", "reconstruct"):
+        counted(quantizer, name)
+    prob = make_interpolation_problem(8, 16, 32, [2.0] * 8, 23)
+    rates = waterfill_bits(prob.L_list, 40)
+    assert rates == [5] * 8
+    rec, _ = run_nq(prob, rates, t_max=50)
+    T = rec.terminal_T
+    assert calls == {"quantize": T, "encode_payload": T, "decode_payload": T,
+                     "reconstruct": 2 * T}

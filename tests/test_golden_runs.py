@@ -7,7 +7,9 @@ shows up here in a few seconds, long before the stock sweeps would catch it.
 The digests were recorded from the code as it stood before the hot path of
 the quantizer, the codec and the norms was rewritten for speed; the
 `STALLED_GOLDEN` ones from the code as it stood before the workers replayed
-repeated rounds.
+repeated rounds; the `FANIN_GOLDEN` and `UNEQUAL_GOLDEN` ones from the code
+as it stood before the naive-quantization workers and the server's decode
+ran as stacked rows.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ import pytest
 
 from dqgrad.harness import run_dq, run_nq, run_unquantized
 from dqgrad.problems import make_gaussian_ls, make_interpolation_problem
+from dqgrad.schedules import waterfill_bits
 
 T_MAX = 1500
 
@@ -75,6 +78,27 @@ UNQUANTIZED_GOLDEN = {
 # two workers, L = (4, 1), n = 16, m_k = 32, seed 5, rates (5, 3)
 NQ_GOLDEN = (
     "2beed3eeb54a0ba6e7e26824635cf4d14b6a9b919a9339aaced140b477c98759", 171)
+
+# The 8-worker instance of the nq-fanin benchmark workload at config seed 0,
+# trial 0: n = 64, m_k = 128, kappa_k = 2, 4, ..., 16, full t_max = 10 000.
+# Waterfilled sum rate -> (digest, terminal_T); every worker gets R/8 bits.
+FANIN_GOLDEN = {
+    56: ("2e04a1dae85d122c0c0467d5ea87b6999b574df9e2ca7ec3c654e7a68bdef44e", 134),
+    96: ("0d42f757da3157deef13f74e800c5faf61fdb3f10fbad438469a35207d64f1ff", 70),
+}
+
+# Unequal rates with a silent worker, so the server decodes several rate
+# groups, one of them interleaved: (rates, L_list) -> (digest, terminal_T).
+# Instances: n = 16, m_k = 32, seed 9, kappa_k = 4, 2, 8(, 3); t_max = T_MAX.
+# The first run diverges.
+UNEQUAL_GOLDEN = {
+    ((3, 2, 0), (4.0, 2.0, 1.0)): (
+        "90d07a260f993c90e45a00f8b886f854720dbda0f5c876759ab0a0f5d15febbd", 27),
+    ((6, 4, 0), (4.0, 2.0, 0.25)): (
+        "92fceadb8bd7a582f6709bf43a9d1e9861fcaf39bd4c72be2c9d1e8d7fd47718", 394),
+    ((6, 4, 6, 0), (4.0, 1.0, 4.0, 0.25)): (
+        "2f35d417a8a5e65492c04f4df37c527e29854072234ac9ad002e8f0dc367e183", 450),
+}
 
 
 # Full t_max = 10 000 runs whose range stops moving, so most of their rounds
@@ -144,3 +168,26 @@ def test_stalled_full_length_run_is_bit_identical(case):
     rec = run_dq(algo, stalled_instance(seed, trial, kappa), R, t_max=10_000)
     assert (*fingerprint(rec), rec.violations) == STALLED_GOLDEN[case]
     assert rec.bits_per_iteration == [16 * R] * rec.terminal_T
+
+
+@pytest.mark.parametrize("R", sorted(FANIN_GOLDEN))
+def test_eight_worker_fanin_run_is_bit_identical(R):
+    ss = np.random.SeedSequence(0, spawn_key=(0,))
+    prob = make_interpolation_problem(8, 64, 128, [2.0 * k for k in range(1, 9)],
+                                      ss)
+    rates = waterfill_bits(prob.L_list, R)
+    assert rates == [R // 8] * 8
+    rec, _ = run_nq(prob, rates)
+    assert fingerprint(rec) == FANIN_GOLDEN[R]
+    assert rec.bits_per_iteration == [64 * R] * rec.terminal_T
+
+
+@pytest.mark.parametrize("case", sorted(UNEQUAL_GOLDEN), ids=str)
+def test_unequal_rate_nq_run_is_bit_identical(case):
+    rates, L_list = case
+    kappas = [4.0, 2.0, 8.0, 3.0][:len(rates)]
+    prob = make_interpolation_problem(len(rates), 16, 32, kappas, 9,
+                                      L_list=L_list)
+    rec, _ = run_nq(prob, list(rates), t_max=T_MAX)
+    assert fingerprint(rec) == UNEQUAL_GOLDEN[case]
+    assert rec.bits_per_iteration == [16 * sum(rates)] * rec.terminal_T

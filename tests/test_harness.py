@@ -1,4 +1,5 @@
 import math
+import xml.dom.minidom
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -166,6 +167,12 @@ def test_svg_is_wellformed_xml(tmp_path):
         for pair in el.attrib["points"].split():
             x, y = pair.split(",")
             float(x), float(y)
+    # a section name with markup characters is escaped, not written raw
+    emit_svg(rows, path, title="[a & <b>]")
+    xml.dom.minidom.parse(str(path))
+    title = next(el for el in ET.parse(path).getroot().iter()
+                 if el.tag.endswith("text"))
+    assert title.text == "[a & <b>]"
 
 
 def test_config_validation():

@@ -390,3 +390,111 @@ def test_saturating_overflow_is_silent_and_moves_no_index():
         q = QuantizerSpec(3, 8).scaled(1e-321, saturate=True)
         idx, _ = q.quantize([1e-10, -1e-10, 1e-321])
         assert idx.tolist() == [255, 0, 202]
+
+
+# --- row forms: a (G, n) stack equals its rows' flat forms, bit for bit ------
+
+RANGES = (st.sampled_from([0.0, 5e-324, 1e-321, 1e-300, 1.0])
+          | st.floats(1e-6, 1e6))
+
+
+@st.composite
+def stack_cases(draw):
+    """(spec, ranges, saturate, u): G rows of one rate, one range each, with
+    cube faces, cell-boundary ties and, when saturating, far values."""
+    G = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 64))
+    R = draw(st.integers(0, MAX_RATE))
+    ranges = draw(st.lists(RANGES, min_size=G, max_size=G))
+    saturate = draw(st.booleans())
+    gen = make_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.empty((G, n))
+    for g, r in enumerate(ranges):
+        u[g] = r * (2.0 * gen.random(n) - 1.0)
+        width = 2.0 * r / (1 << R)
+        ties = np.clip([-r, r, 0.0, -r + width * float(gen.integers(0, 1 << R)),
+                        r - width], -r, r).tolist()
+        if saturate:
+            ties += [2.0 * r, -1e10, 1.7e308]
+        k = int(gen.integers(0, n + 1))
+        u[g, gen.integers(0, n, size=k)] = gen.choice(ties, size=k)
+    return QuantizerSpec(n, R), ranges, saturate, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack_cases())
+def test_row_quantize_equals_the_flat_quantize_of_each_row(case):
+    spec, ranges, saturate, u = case
+    column = np.array(ranges)[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a dead row must not divide by zero
+        idx, recon = spec.scaled(column, saturate).quantize(u)
+        shared_idx, shared_recon = spec.scaled(ranges[0], saturate).quantize(
+            np.clip(u, -ranges[0], ranges[0]))
+    assert idx.shape == recon.shape == u.shape and idx.dtype == np.int64
+    for g, r in enumerate(ranges):
+        flat_idx, flat_recon = spec.scaled(r, saturate).quantize(u[g])
+        assert np.array_equal(idx[g], flat_idx)
+        assert recon[g].tobytes() == flat_recon.tobytes()
+        assert (reconstruct(spec, column, idx)[g].tobytes()
+                == reconstruct(spec, r, idx[g]).tobytes())
+        # a float range serves every row
+        flat_idx, flat_recon = spec.scaled(ranges[0], saturate).quantize(
+            np.clip(u[g], -ranges[0], ranges[0]))
+        assert np.array_equal(shared_idx[g], flat_idx)
+        assert shared_recon[g].tobytes() == flat_recon.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(G=st.integers(1, 6), n=st.integers(1, 80), R=st.integers(0, MAX_RATE),
+       seed=st.integers(0, 2**32 - 1))
+def test_row_codec_equals_the_flat_codec_of_each_row(G, n, R, seed):
+    gen = make_rng(seed)
+    idx = gen.integers(0, 1 << R, size=(G, n))
+    idx[:, : n // 3] = (1 << R) - 1
+    bufs, nbits = encode_payload(idx, R)
+    assert nbits == n * R and len(bufs) == G
+    wires = [gen.bytes(len(buf)) for buf in bufs]  # padding bits included
+    assert np.array_equal(decode_payload(bufs, nbits, n, R), idx)
+    out = decode_payload(wires, nbits, n, R)
+    assert out.shape == (G, n) and out.dtype == np.int64
+    for g in range(G):
+        assert (bufs[g], nbits) == encode_payload(idx[g], R)
+        assert np.array_equal(out[g], decode_payload(wires[g], nbits, n, R))
+
+
+def test_row_codec_rejects_what_the_flat_codec_rejects():
+    idx = np.zeros((3, 5), dtype=np.int64)
+    idx[2, 4] = 8
+    with pytest.raises(EncodingError, match="index 8 does not fit in 3 bits"):
+        encode_payload(idx, 3)
+    bufs, nbits = encode_payload(np.zeros((3, 5), dtype=np.int64), 3)
+    with pytest.raises(EncodingError, match="expected 2 bytes, got 3"):
+        decode_payload([bufs[0], bufs[1] + b"\0", bufs[2]], nbits, 5, 3)
+    with pytest.raises(EncodingError, match="expected 15 bits"):
+        decode_payload(bufs, 14, 5, 3)
+
+
+@pytest.mark.parametrize("saturate", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_row_quantize_names_the_first_non_finite_row(saturate, bad):
+    spec = QuantizerSpec(4, 3)
+    u = np.zeros((3, 4))
+    u[1, 2] = bad
+    u[2, 0] = bad
+    with pytest.raises(RangeViolationError) as exc:
+        spec.scaled(np.array([[1.0], [2.0], [3.0]]), saturate).quantize(u)
+    assert exc.value.row == 1
+    assert (exc.value.coord, exc.value.r) == (2, 2.0)
+    assert exc.value.value == bad or np.isnan(exc.value.value)
+    with pytest.raises(RangeViolationError) as flat:
+        spec.scaled(2.0, saturate).quantize(u[1])
+    assert flat.value.row is None and flat.value.coord == 2
+
+
+def test_row_quantize_rejects_a_range_column_of_the_wrong_shape():
+    spec = QuantizerSpec(4, 3)
+    with pytest.raises(ValueError, match=r"\(2, 1\) column"):
+        spec.scaled(np.ones(2), False).quantize(np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        spec.scaled(np.array([[1.0], [-1.0]]), False).quantize(np.zeros((2, 4)))

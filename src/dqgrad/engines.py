@@ -269,8 +269,6 @@ class _RateGroup:
     def __init__(self, coder, members):
         self.coder = coder
         self.members = members  # channel indices, increasing
-        lo, hi = members[0], members[-1] + 1
-        self.at = slice(lo, hi) if members == list(range(lo, hi)) else members
         self.rs = [0.0] * len(members)
         self.items = [None] * len(members)  # quantizer inputs, or payload bits
 
@@ -304,26 +302,30 @@ class NQGDWorkers:
         self.cursors = [ScheduleCursor(s) for s in schedules]
         self.coders = coders
         self._groups, self._slots = _rate_groups(coders)
-        self._norms = [0.0] * len(grads)
-        self._rs = [0.0] * len(grads)
         self.last_u_norm = None  # largest ||u_k|| and r_k of the last round
         self.last_r = None
-        self.violations = []  # containment is strict: an escape raises
-        self.replayed = 0
+
+    # containment is strict (an escape raises) and nothing is replayed
+    violations = ()
+    replayed = 0
 
     def round(self, channels):
-        norms, rs = self._norms, self._rs
+        u_max = r_max = 0.0
         for k, (ch, cursor, grad, (group, j)) in enumerate(
                 zip(channels, self.cursors, self.grads, self._slots)):
             t, x = ch.recv_iterate()
-            r = rs[k] = group.rs[j] = cursor.step()
+            r = group.rs[j] = cursor.step()
             u = group.items[j] = grad(x)
-            u_norm = norms[k] = math.sqrt(u @ u)
+            u_norm = math.sqrt(u @ u)
             if not u_norm <= r * (1.0 + CONTAINMENT_RTOL):  # a NaN norm violates
                 self._first_escape(t, k)
                 raise ScheduleViolationError(t, u_norm, r)
-        self.last_u_norm = max(norms)
-        self.last_r = max(rs)
+            if u_norm > u_max:
+                u_max = u_norm
+            if r > r_max:
+                r_max = r
+        self.last_u_norm = u_max
+        self.last_r = r_max
         try:
             for g in self._groups:
                 wires = g.coder.encode_rows(t, g.rs, g.items)
@@ -382,7 +384,7 @@ class _ServerBase:
             if q is None:  # one coder decodes every channel, in order
                 q = g.coder.decode(self.t, g.rs, g.items)
             else:
-                q[g.at] = g.coder.decode(self.t, g.rs, g.items)
+                q[g.members] = g.coder.decode(self.t, g.rs, g.items)
         direction = q
         if q.ndim == 2:  # q_0 + q_1 + ..., left to right
             direction = q[0]

@@ -51,11 +51,18 @@ class InsufficientDataError(Exception):
 
 
 class TrialError(Exception):
-    """Engine/transport failure annotated with the trial that hit it."""
+    """Engine/transport failure annotated with the trial that hit it.
 
-    def __init__(self, trial, cause):
-        super().__init__(f"trial {trial}: {cause!r}")
+    Carries the cause as its repr, so that it pickles back from a pool
+    worker whatever the cause's own constructor takes.
+    """
+
+    def __init__(self, trial, detail):
+        super().__init__(trial, detail)
         self.trial = trial
+
+    def __str__(self):
+        return f"trial {self.trial}: {self.args[1]}"
 
 
 @dataclass
@@ -274,7 +281,7 @@ def _run_trial(config, trial):
     try:
         return _run_trial_inner(config, trial)
     except Exception as exc:
-        raise TrialError(trial, exc) from exc
+        raise TrialError(trial, repr(exc)) from exc
 
 
 def _run_trial_inner(config, trial):

@@ -160,12 +160,14 @@ def test_sweep_rejects_a_wide_matrix_when_loading(tmp_path, capsys):
     assert not (tmp_path / "wide.csv").exists()
 
 
-def test_sweep_reports_a_failed_trial_as_an_error(tmp_path, capsys):
-    # fewer rows than columns fails only when trial 0 builds its instance
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_reports_a_failed_trial_as_an_error(tmp_path, capsys, jobs):
+    # fewer rows than columns fails only when trial 0 builds its instance;
+    # with two jobs the error is raised in a pool worker and pickled back
     cfg = tmp_path / "exp.ini"
     cfg.write_text("[short]\nproblem = gaussian\nm = 4\nn = 6\nkappa = 3\n"
                    "algos = gd\nrates = 2\ntrials = 2\ncsv = short.csv\n")
-    assert main(["sweep", str(cfg)]) == 1
+    assert main(["sweep", str(cfg), "--jobs", jobs]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: [short] trial 0: ValueError('need m >= n")
     assert "Traceback" not in err

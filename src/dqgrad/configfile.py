@@ -87,6 +87,14 @@ def _problem_from_section(sec, base_dir):
         if m < n:  # every trial would fail building its least-squares instance
             raise ValueError(f"matrix {problem['path']} is {m} x {n}; least "
                              f"squares needs at least as many rows as columns")
+    else:  # the shape and spectrum every trial's instance build would reject
+        m, n = problem["m"], problem["n"]
+        if not m >= n >= 1:
+            raise ValueError(f"need m >= n >= 1, got {m} x {n}")
+        kappas = problem["kappas"] if kind == "interpolation" else [problem["kappa"]]
+        for kappa in kappas:
+            if not kappa >= 1:  # NaN fails too
+                raise ValueError(f"condition number must be >= 1, got {kappa}")
     return problem
 
 

@@ -45,12 +45,12 @@ bit-equal to np.linalg.norm.
 Replay. Below the threshold rate the range recursion reaches a fixed point
 in floating point, r_t == r_{t-1}, and the stalled run often cycles exactly
 through its iterates and errors. At a fixed r the worker's round is a pure
-function of (x, e1, e2): the quantizer input never reads t, and t reaches
-the payload only as Payload.iteration, which is not on the wire. So each
-worker keeps a table from the bytes of (x, e1, e2) to (payload, new e1,
-||u||). A round whose key is in the table sends the stored bits, stamped
-with its own t, and skips the gradient, the quantizer and the encoder; it
-still receives its frame, steps its cursor and runs the containment check.
+function of (x, e1, e2): the quantizer input never reads t, and a payload
+is its bits alone. So each worker keeps a table from the bytes of
+(x, e1, e2) to (payload, new e1, ||u||). A round whose key is in the table
+sends the stored payload again and skips the gradient, the quantizer and
+the encoder; it still receives its frame, steps its cursor and runs the
+containment check.
 The table empties whenever r changes (a run whose range keeps moving pays
 one float compare per round) and when it holds _REPLAY_SLOTS entries.
 Equal key bytes give equal bits, so a replayed run is bit-identical to a
@@ -137,20 +137,21 @@ class BitCoder:
         self.spec = spec
         self.saturate = saturate
 
-    def encode(self, t, r, u):
+    def encode(self, r, u):
         """(payload, reconstruction) of one row u."""
-        return self.spec.scaled(r, self.saturate).quantize_payload(t, u)
+        idx, recon = self.spec.scaled(r, self.saturate).quantize(u)
+        return Payload.from_indices(idx, self.spec.R), recon
 
-    def encode_rows(self, t, rs, u):
+    def encode_rows(self, rs, u):
         """One payload per row of u, a list of G rows."""
         if len(u) == 1:
-            return [self.encode(t, rs[0], u[0])[0]]
+            return [self.encode(rs[0], u[0])[0]]
         column = np.array(rs)[:, None]
         idx, _ = self.spec.scaled(column, self.saturate).quantize(u)
         bufs, nbits = quantizer.encode_payload(idx, self.spec.R)
-        return [Payload(t, buf, nbits) for buf in bufs]
+        return [Payload(buf, nbits) for buf in bufs]
 
-    def decode(self, t, rs, wires):
+    def decode(self, rs, wires):
         """Reconstructions from the G payloads' bits in wires: (G, n), or
         (n,) for one."""
         spec = self.spec
@@ -161,18 +162,12 @@ class BitCoder:
         indices = quantizer.decode_payload(wires, n * R, n, R)
         return quantizer.reconstruct(spec, np.array(rs)[:, None], indices)
 
-    def resend(self, t, payload):
-        """The bits of an earlier payload, sent as round t's."""
-        return Payload(t, payload.bits, payload.nbits)
-
 
 # ---------------------------------------------------------------------------
 # worker halves
 
 
 class _WorkerBase:
-    rows = 1  # channels served
-
     def __init__(self, grad, hp, schedule, coder, containment="strict"):
         if containment not in CONTAINMENT:
             raise ValueError(f"containment must be one of {CONTAINMENT}, "
@@ -226,12 +221,12 @@ class _WorkerBase:
                 self._admit(t, u_norm, r)
                 self.e2, self.e1 = self.e1, e1
                 self.replayed += 1
-                channel.send_payload(self.coder.resend(t, wire))
+                channel.send_payload(wire)
                 return
         u = self.quantizer_input(x)
         u_norm = math.sqrt(u @ u)
         self._admit(t, u_norm, r)
-        wire, recon = self.coder.encode(t, r, u)
+        wire, recon = self.coder.encode(r, u)
         self.e2, self.e1 = self.e1, recon - u
         if key is not None and _REPLAY_SLOTS:
             if len(table) >= _REPLAY_SLOTS:
@@ -297,7 +292,6 @@ class NQGDWorkers:
     """
 
     def __init__(self, grads, schedules, coders):
-        self.rows = len(grads)  # channels served, one per row
         self.grads = grads
         self.cursors = [ScheduleCursor(s) for s in schedules]
         self.coders = coders
@@ -318,7 +312,7 @@ class NQGDWorkers:
             u = group.items[j] = grad(x)
             u_norm = math.sqrt(u @ u)
             if not u_norm <= r * (1.0 + CONTAINMENT_RTOL):  # a NaN norm violates
-                self._first_escape(t, k)
+                self._first_escape(k)
                 raise ScheduleViolationError(t, u_norm, r)
             if u_norm > u_max:
                 u_max = u_norm
@@ -328,18 +322,18 @@ class NQGDWorkers:
         self.last_r = r_max
         try:
             for g in self._groups:
-                wires = g.coder.encode_rows(t, g.rs, g.items)
+                wires = g.coder.encode_rows(g.rs, g.items)
                 for k, wire in zip(g.members, wires):
                     channels[k].send_payload(wire)
         except RangeViolationError:
-            self._first_escape(t, len(channels))
+            self._first_escape(len(channels))
             raise
 
-    def _first_escape(self, t, upto):
+    def _first_escape(self, upto):
         """Quantize rows 0..upto-1 one at a time, in channel order, so the
         first that leaves its cube raises as its own worker would."""
         for coder, (g, j) in zip(self.coders, self._slots[:upto]):
-            coder.encode(t, g.rs[j], g.items[j])
+            coder.encode(g.rs[j], g.items[j])
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +376,9 @@ class _ServerBase:
         q = self._stack
         for g in self._groups:
             if q is None:  # one coder decodes every channel, in order
-                q = g.coder.decode(self.t, g.rs, g.items)
+                q = g.coder.decode(g.rs, g.items)
             else:
-                q[g.members] = g.coder.decode(self.t, g.rs, g.items)
+                q[g.members] = g.coder.decode(g.rs, g.items)
         direction = q
         if q.ndim == 2:  # q_0 + q_1 + ..., left to right
             direction = q[0]
@@ -394,23 +388,18 @@ class _ServerBase:
         self.t += 1
 
 
-def run_protocol(server, workers, channels, steps, on_iteration=None, stop=None):
+def run_protocol(server, worker, channels, steps, on_iteration=None, stop=None):
     """Strictly alternating rounds; returns the number of rounds run.
 
-    Each worker side serves its `rows` channels, taken in order: a DQ
-    worker one, NQGDWorkers all K.
+    The one worker side serves every channel: a DQ worker its one channel,
+    NQGDWorkers all K.
     """
-    served, k = [], 0
-    for w in workers:
-        served.append(channels[k:k + w.rows])
-        k += w.rows
     for t in range(steps):
         server.broadcast(channels)
-        for w, chs in zip(workers, served):
-            w.round(chs)
+        worker.round(channels)
         server.collect(channels)
         if on_iteration is not None:
-            on_iteration(t, server, workers)
+            on_iteration(t, server, worker)
         if stop is not None and stop(t, server):
             return t + 1
     return steps

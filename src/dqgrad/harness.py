@@ -15,7 +15,6 @@ transient constant, and the tail half suppresses it.
 import math
 import os
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -41,9 +40,6 @@ UNQUANTIZED = ("gd", "agd", "hb")
 # FLOOR_SCALE * max(1, D) or rises above DIVERGENCE_SCALE * max(1, D)
 FLOOR_SCALE = 1e-13
 DIVERGENCE_SCALE = 1e9
-
-_U_NORM = attrgetter("last_u_norm")
-_RANGE = attrgetter("last_r")
 
 
 class InsufficientDataError(Exception):
@@ -144,29 +140,30 @@ def run_unquantized(algo, objective, t_max=10_000):
     return record
 
 
-def _drive(algo, R, problem, server, workers, channels, t_max):
+def _drive(algo, R, problem, server, worker, channels, t_max):
     """Run the protocol until the stop test fires or t_max rounds pass.
 
-    Each round records the distance to the optimizer and the largest
-    quantizer input norm and range over the workers; the uplink bits per
-    round are summed over the channel traces once the run is over.
+    Each round records the distance to the optimizer and the worker side's
+    quantizer input norm and range (with K rows, the largest of each); the
+    uplink bits per round are summed over the channel traces once the run
+    is over.
     """
     record, stop = _start(algo, R, problem.D)
     x_star = problem.x_star
     distances, u_norms, ranges = record.distances, record.u_norms, record.ranges
 
-    def observe(t, srv, ws):
+    def observe(t, srv, w):
         d = srv.x - x_star
         distances.append(math.sqrt(d @ d))
-        u_norms.append(max(map(_U_NORM, ws)))
-        ranges.append(max(map(_RANGE, ws)))
+        u_norms.append(w.last_u_norm)
+        ranges.append(w.last_r)
 
-    run_protocol(server, workers, channels, t_max, on_iteration=observe,
+    run_protocol(server, worker, channels, t_max, on_iteration=observe,
                  stop=stop)
     record.bits_per_iteration = list(
         map(sum, zip(*(ch.trace.uplink_bits for ch in channels))))
-    record.violations = sum(len(w.violations) for w in workers)
-    record.replayed = sum(w.replayed for w in workers)
+    record.violations = len(worker.violations)
+    record.replayed = worker.replayed
     return record
 
 
@@ -174,7 +171,7 @@ def run_dq(algo, objective, R, t_max=10_000, alpha=0.0, containment=None):
     """One single-worker DQ run over the bit-exact channel."""
     worker, server, channel = build_dq_engine(algo, objective, R, alpha,
                                               containment)
-    return _drive(algo, R, objective, server, [worker], [channel], t_max)
+    return _drive(algo, R, objective, server, worker, [channel], t_max)
 
 
 def run_nq(problem, rates, t_max=10_000):
@@ -182,8 +179,7 @@ def run_nq(problem, rates, t_max=10_000):
     if not isinstance(problem, MultiWorkerProblem):
         problem = MultiWorkerProblem((problem,), problem.x_star, problem.x0)
     worker, server, channels = build_nq_engine(problem, rates)
-    record = _drive("nq-gd", sum(rates), problem, server, [worker], channels,
-                    t_max)
+    record = _drive("nq-gd", sum(rates), problem, server, worker, channels, t_max)
     return record, channels
 
 

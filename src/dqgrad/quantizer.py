@@ -203,10 +203,6 @@ class ScaledQuantizer:
             recon[dead] = 0.0
         return idx, recon
 
-    def quantize_payload(self, iteration, u):
-        idx, recon = self.quantize(u)
-        return Payload.from_indices(iteration, idx, self.base.R), recon
-
 
 def reconstruct(spec, r, indices):
     """Cell centers for integer indices; shared verbatim by both channel ends.
@@ -280,18 +276,15 @@ def decode_payload(buf, nbits, n, R):
 class Payload:
     """One uplink message: n cell indices packed into exactly n*R bits.
 
-    Only the packed bits travel; the receiver recovers the indices with
-    decode(n, R) from the public (n, R).
+    A payload is what travels and nothing more: its bits and their count.
+    The receiver recovers the indices with decode_payload from the public
+    (n, R). A payload is immutable, so a worker may send one again.
     """
 
-    iteration: int
     bits: bytes = field(repr=False)
     nbits: int
 
     @classmethod
-    def from_indices(cls, iteration, indices, R):
+    def from_indices(cls, indices, R):
         buf, nbits = encode_payload(indices, R)
-        return cls(iteration, buf, nbits)
-
-    def decode(self, n, R):
-        return decode_payload(self.bits, self.nbits, n, R)
+        return cls(buf, nbits)

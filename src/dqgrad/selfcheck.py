@@ -38,10 +38,10 @@ def tracking_deviation(algo, objective, R, steps, alpha=0.0):
     twin = initial_state(rule, objective.x0)
     worst = 0.0
 
-    def compare_with_twin(t, srv, ws):
+    def compare_with_twin(t, srv, w):
         nonlocal twin, worst
         twin = step(rule, twin, objective.grad(twin[0]), hp)
-        x_t, e_t, e_prev = twin[0], ws[0].e1, ws[0].e2
+        x_t, e_t, e_prev = twin[0], w.e1, w.e2
         if rule == "agd":
             y_t = twin[1]
             worst = max(
@@ -54,7 +54,7 @@ def tracking_deviation(algo, objective, R, steps, alpha=0.0):
         else:
             worst = max(worst, float(np.linalg.norm(srv.x - (x_t - hp.eta * e_t))))
 
-    run_protocol(server, [worker], [channel], steps,
+    run_protocol(server, worker, [channel], steps,
                  on_iteration=compare_with_twin)
     return worst
 

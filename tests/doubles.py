@@ -6,19 +6,19 @@ import numpy as np
 class ExactCoder:
     """Zero-error stand-in for rate = infinity runs.
 
-    The wire object is the float vector itself, so this only works over a
-    loopback channel; reconstruction equals the input bitwise and the
-    stored error stays exactly zero.
+    The wire object is a read-only copy of the float vector, so this only
+    works over a loopback channel, and a replayed round can send the same
+    wire again without anyone mutating it; reconstruction equals the input
+    bitwise and the stored error stays exactly zero.
     """
 
-    def encode(self, t, r, u):
-        return u.copy(), u.copy()
+    def encode(self, r, u):
+        wire = u.copy()
+        wire.flags.writeable = False
+        return wire, u.copy()
 
-    def decode(self, t, rs, wires):
+    def decode(self, rs, wires):
         return wires[0] if len(wires) == 1 else np.array(wires)
-
-    def resend(self, t, wire):
-        return wire.copy()
 
 
 class LoopbackChannel:

@@ -209,7 +209,7 @@ def test_c7_finite_t_envelopes():
                 worker, server, channel = build_dq_engine(algo, obj, R, alpha)
                 dists = [obj.D]
                 run_protocol(
-                    server, [worker], [channel], 300,
+                    server, worker, [channel], 300,
                     on_iteration=lambda t, srv, w: dists.append(
                         float(np.linalg.norm(srv.state[1] - obj.x_star))),
                     stop=lambda t, srv: np.linalg.norm(srv.state[1] - obj.x_star)

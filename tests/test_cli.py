@@ -92,17 +92,29 @@ GOOD = "algos = gd, dq-gd\nm = 32\nn = 16\nkappa = 5\n"
     (GOOD + "rates = 2-3\nfloor_scale = nan\n", "unknown key 'floor_scale'"),
     (GOOD + "rates = 2-3\n[DEFAULT]\nseeds = 3\n", "unknown key 'seeds'"),
     (GOOD + "rates = 2-3\npath = a.mtx\n", "unknown key 'path'"),
+    ("algos = gd\nm = 4\nn = 6\nkappa = 5\nrates = 2\n",
+     "need m >= n >= 1, got 4 x 6"),
+    ("algos = gd\nm = 4\nn = 0\nkappa = 5\nrates = 2\n",
+     "need m >= n >= 1, got 4 x 0"),
+    ("algos = gd\nm = 32\nn = 16\nkappa = 0.5\nrates = 2\n",
+     "condition number must be >= 1, got 0.5"),
+    ("problem = interpolation\nn = 8\nm = 4\nkappas = 2\nalgos = nq-gd\n"
+     "rates = 2\n", "need m >= n >= 1, got 4 x 8"),
 ], ids=["rate-zero", "empty-range", "no-m", "no-n", "no-kappa", "unknown-algo",
         "duplicate-key", "no-section-header", "typo-rate", "typo-trial",
-        "jobs-key", "floor-scale-key", "typo-in-default", "other-kind-key"])
+        "jobs-key", "floor-scale-key", "typo-in-default", "other-kind-key",
+        "gaussian-wide", "gaussian-n-zero", "gaussian-kappa-below-1",
+        "interpolation-wide"])
 def test_sweep_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, body,
                                                       detail):
+    # every case fails while loading, before a trial builds an instance
     cfg = tmp_path / "bad.ini"
     if body is None:  # keys before any [section]
         cfg.write_text("problem = gaussian\n" + GOOD + "csv = bad.csv\n")
         expected = f"error: {cfg}: "
     else:
-        cfg.write_text("[bad]\nproblem = gaussian\ntrials = 1\n"
+        kind = "" if body.startswith("problem =") else "problem = gaussian\n"
+        cfg.write_text("[bad]\n" + kind + "trials = 1\n"
                        + body + "csv = bad.csv\n")
         expected = "error: [DEFAULT] " if "[DEFAULT]" in body else "error: [bad] "
     assert main(["sweep", str(cfg)]) == 1
@@ -162,13 +174,17 @@ def test_sweep_rejects_a_wide_matrix_when_loading(tmp_path, capsys):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_reports_a_failed_trial_as_an_error(tmp_path, capsys, jobs):
-    # fewer rows than columns fails only when trial 0 builds its instance;
-    # with two jobs the error is raised in a pool worker and pickled back
+    # a zero column passes the shape check but gives mu = 0, which fails
+    # only when trial 0 builds its instance; with two jobs the error is
+    # raised in a pool worker and pickled back
+    (tmp_path / "zc.mtx").write_text(
+        "%%MatrixMarket matrix array real general\n3 2\n1\n2\n3\n0\n0\n0\n")
     cfg = tmp_path / "exp.ini"
-    cfg.write_text("[short]\nproblem = gaussian\nm = 4\nn = 6\nkappa = 3\n"
-                   "algos = gd\nrates = 2\ntrials = 2\ncsv = short.csv\n")
+    cfg.write_text("[zc]\nproblem = mtx\npath = zc.mtx\nalgos = gd\n"
+                   "rates = 2\ntrials = 2\ncsv = zc.csv\n")
     assert main(["sweep", str(cfg), "--jobs", jobs]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: [short] trial 0: ValueError('need m >= n")
+    assert err.startswith("error: [zc] trial 0: "
+                          "InvalidConstantsError('need L >= mu > 0")
     assert "Traceback" not in err
-    assert not (tmp_path / "short.csv").exists()
+    assert not (tmp_path / "zc.csv").exists()

@@ -123,7 +123,7 @@ def _zero_error_run(algo, obj, hp, steps):
     server = _ServerBase(rule, obj.x0, hp, [schedule], [coder])
     chan = LoopbackChannel()
     xs = []
-    run_protocol(server, [worker], [chan], steps,
+    run_protocol(server, worker, [chan], steps,
                  on_iteration=lambda t, s, w: xs.append(s.x.copy()))
     return xs
 
@@ -177,7 +177,7 @@ def test_zero_momentum_reduces_to_dq_gd_bitwise(algo):
         worker = worker_cls(obj.grad, hp, schedule, BitCoder(spec))
         server = _ServerBase(rule, obj.x0, hp, [schedule], [BitCoder(spec)])
         xs = []
-        run_protocol(server, [worker], [Channel(obj.n, R)], 80,
+        run_protocol(server, worker, [Channel(obj.n, R)], 80,
                      on_iteration=lambda t, s, w: xs.append(s.x.copy()))
         return xs
 
@@ -226,7 +226,7 @@ def test_schedule_violation_raises():
     worker = DQGDWorker(obj.grad, hp, tiny, BitCoder(QuantizerSpec(6, 4)))
     server = _ServerBase("gd", obj.x0, hp, [tiny], [BitCoder(QuantizerSpec(6, 4))])
     with pytest.raises(ScheduleViolationError):
-        run_protocol(server, [worker], [Channel(6, 4)], 5)
+        run_protocol(server, worker, [Channel(6, 4)], 5)
 
 
 def test_non_finite_quantizer_input_violates_containment():
@@ -241,14 +241,14 @@ def test_non_finite_quantizer_input_violates_containment():
     worker = DQGDWorker(nan_grad, hp, wide, BitCoder(spec))
     server = _ServerBase("gd", obj.x0, hp, [wide], [BitCoder(spec)])
     with pytest.raises(ScheduleViolationError):
-        run_protocol(server, [worker], [Channel(6, 4)], 5)
+        run_protocol(server, worker, [Channel(6, 4)], 5)
 
     # saturate mode counts the escape; the saturating quantizer still refuses
     worker = DQGDWorker(nan_grad, hp, wide, BitCoder(spec, saturate=True),
                         containment="saturate")
     server = _ServerBase("gd", obj.x0, hp, [wide], [BitCoder(spec, saturate=True)])
     with pytest.raises(RangeViolationError):
-        run_protocol(server, [worker], [Channel(6, 4)], 5)
+        run_protocol(server, worker, [Channel(6, 4)], 5)
     assert worker.violations == [0]
 
 
@@ -312,10 +312,10 @@ def test_stored_error_stays_within_covering_radius():
     worker, server, chan = build_dq_engine("dq-gd", obj, R)
     eps = np.sqrt(16) * 2.0 ** (-R)
 
-    def observe(t, srv, ws):
-        assert np.linalg.norm(ws[0].e1) <= ws[0].last_r * eps * (1 + 1e-12)
+    def observe(t, srv, w):
+        assert np.linalg.norm(w.e1) <= w.last_r * eps * (1 + 1e-12)
 
-    run_protocol(server, [worker], [chan], 120, on_iteration=observe)
+    run_protocol(server, worker, [chan], 120, on_iteration=observe)
 
 
 def test_nq_single_worker_zero_rate_is_stationary():
@@ -361,16 +361,17 @@ def _tapped_run(obj, t_max):
     send = channel.send_payload
 
     def tap(payload):
-        sent.append((payload.iteration, payload.bits, payload.nbits))
+        sent.append((payload.bits, payload.nbits))
         send(payload)
 
     channel.send_payload = tap
-    rec = _drive("dq-gd", 2, obj, server, [worker], [channel], t_max)
+    rec = _drive("dq-gd", 2, obj, server, worker, [channel], t_max)
+    assert len(sent) == rec.terminal_T  # one payload per round
     return rec, channel.trace, sent
 
 
-def _zero_gradient_engine(K, schedule):
-    """K saturating dq-gd workers with grad = 0, n = 16, R = 1, eta = 1.
+def _zero_gradient_engine(schedule):
+    """A saturating dq-gd worker with grad = 0, n = 16, R = 1, eta = 1.
 
     At the constant range 1, u is 0 and -1/2 per coordinate by turns, so
     ||u|| = 2 escapes the range every other round, and x cycles 0, -1/2.
@@ -378,11 +379,11 @@ def _zero_gradient_engine(K, schedule):
     n, R = 16, 1
     hp = HyperParams(eta=1.0, gamma=0.0, sigma=0.0)
     spec = QuantizerSpec(n, R)
-    workers = [DQGDWorker(np.zeros_like, hp, schedule, BitCoder(spec, True),
-                          containment="saturate") for _ in range(K)]
-    server = _ServerBase("gd", np.zeros(n), hp, [schedule] * K,
-                         [BitCoder(spec, True) for _ in range(K)])
-    return workers, server, [Channel(n, R) for _ in range(K)]
+    worker = DQGDWorker(np.zeros_like, hp, schedule, BitCoder(spec, True),
+                        containment="saturate")
+    server = _ServerBase("gd", np.zeros(n), hp, [schedule],
+                         [BitCoder(spec, True)])
+    return worker, server, [Channel(n, R)]
 
 
 def _same_bits(a, b):
@@ -405,7 +406,6 @@ def test_replay_sends_the_bits_a_computed_round_would(monkeypatch, seed, kappa):
     assert rec.violations == ref.violations
     assert trace == ref_trace
     assert sent == ref_sent
-    assert [t for t, _, _ in sent] == list(range(2000))
 
 
 def test_a_stalled_run_computes_few_gradients():
@@ -418,7 +418,7 @@ def test_a_stalled_run_computes_few_gradients():
         return obj.grad(z)
 
     worker.grad = grad
-    rec = _drive("dq-gd", 2, obj, server, [worker], [channel], 10_000)
+    rec = _drive("dq-gd", 2, obj, server, worker, [channel], 10_000)
     assert rec.terminal_T == 10_000
     assert len(calls) <= 200
     assert rec.replayed == worker.replayed == 10_000 - len(calls)
@@ -431,14 +431,14 @@ def test_replay_table_is_bounded_and_emptied_when_the_range_moves(monkeypatch,
     worker, server, channel = build_dq_engine("dq-gd", _stalled_gaussian_k5(), 2)
     sizes, moved, prev = [], [], [None]
 
-    def observe(t, srv, ws):
-        table, r = ws[0]._replay, ws[0].last_r
+    def observe(t, srv, w):
+        table, r = w._replay, w.last_r
         sizes.append(len(table))
         if r != prev[0]:
             moved.append(len(table))
         prev[0] = r
 
-    run_protocol(server, [worker], [channel], 600, on_iteration=observe)
+    run_protocol(server, worker, [channel], 600, on_iteration=observe)
     assert max(sizes) <= slots
     assert len(moved) > 50 and not any(moved)
     if slots < 6:  # shorter than the period: the table fills, empties, never hits
@@ -449,7 +449,7 @@ def test_replay_table_is_bounded_and_emptied_when_the_range_moves(monkeypatch,
 
 def test_replayed_error_memory_is_read_only():
     worker, server, channel = build_dq_engine("dq-gd", _stalled_gaussian_k5(), 2)
-    run_protocol(server, [worker], [channel], 300)
+    run_protocol(server, worker, [channel], 300)
     assert worker.replayed > 0 and worker._replay
     for _, e1, _ in worker._replay.values():
         with pytest.raises(ValueError, match="read-only"):
@@ -462,15 +462,14 @@ def test_replayed_rounds_still_check_containment(monkeypatch):
     target = SimpleNamespace(D=4.0, x_star=np.ones(16))
 
     def run():
-        workers, server, channels = _zero_gradient_engine(2, constant_range(1.0))
-        return _drive("dq-gd", 1, target, server, workers, channels, 40), workers
+        worker, server, channels = _zero_gradient_engine(constant_range(1.0))
+        return _drive("dq-gd", 1, target, server, worker, channels, 40), worker
 
-    rec, workers = run()
-    # rounds 0-2 fill the table, 3-39 are served from it, on both workers
-    assert rec.replayed == 2 * 37
-    for w in workers:
-        assert w.violations == list(range(1, 40, 2))
-    assert rec.violations == 2 * 20
+    rec, worker = run()
+    # rounds 0-2 fill the table, 3-39 are served from it
+    assert rec.replayed == worker.replayed == 37
+    assert worker.violations == list(range(1, 40, 2))
+    assert rec.violations == 20
     monkeypatch.setattr(engines, "_REPLAY_SLOTS", 0)
     ref, _ = run()
     assert ref.replayed == 0 and ref.violations == rec.violations
@@ -483,14 +482,14 @@ def test_replay_table_empties_when_a_stalled_range_moves():
         def next(self, t, r_prev, r_prev2):
             return 1.0 if t < 20 else 0.5
 
-    workers, server, channels = _zero_gradient_engine(1, StepRange())
+    worker, server, channels = _zero_gradient_engine(StepRange())
     sizes, replayed = [], []
 
-    def observe(t, srv, ws):
-        sizes.append(len(ws[0]._replay))
-        replayed.append(ws[0].replayed)
+    def observe(t, srv, w):
+        sizes.append(len(w._replay))
+        replayed.append(w.replayed)
 
-    run_protocol(server, workers, channels, 40, on_iteration=observe)
+    run_protocol(server, worker, channels, 40, on_iteration=observe)
     assert sizes[19] > 0 and sizes[20] == 0
     assert replayed[19] > 0 and replayed[-1] > replayed[21]
 
@@ -521,7 +520,7 @@ def test_server_row_sum_is_the_left_to_right_sum(rates, seed):
     qs = []
     for ch, R, r in zip(channels, rates, ranges):
         idx = gen.integers(0, 1 << R, size=n)
-        payload = quantizer.Payload.from_indices(0, idx, R)
+        payload = quantizer.Payload.from_indices(idx, R)
         ch.send_payload(payload)
         spec = QuantizerSpec(n, R)
         qs.append(reconstruct(spec, r, decode_payload(payload.bits, n * R, n, R)))
@@ -542,7 +541,7 @@ def _flat_worker_round(problem, rates, channels, t):
         _, x = ch.recv_iterate()
         r = RangeSchedule("nq-gd", L=obj.L, D=problem.D, sigma=sigma,
                           rho=bounds.default_rho(n), R=R).next(t, 0.0, 0.0)
-        payload, _ = QuantizerSpec(n, R).scaled(r).quantize_payload(t, obj.grad(x))
+        payload, _ = BitCoder(QuantizerSpec(n, R)).encode(r, obj.grad(x))
         out.append(payload.bits)
     return out
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dqgrad.engines import BitCoder
 from dqgrad.quantizer import (
     MAX_RATE,
     EncodingError,
@@ -142,9 +143,9 @@ def test_roundtrip_random():
 
 
 def test_payload_carries_exact_bit_count():
-    p = Payload.from_indices(0, [1, 2, 3], 4)
+    p = Payload.from_indices([1, 2, 3], 4)
     assert p.nbits == 12
-    assert p.decode(3, 4).tolist() == [1, 2, 3]
+    assert decode_payload(p.bits, p.nbits, 3, 4).tolist() == [1, 2, 3]
 
 
 def test_image_cardinality():
@@ -171,9 +172,10 @@ def test_invalid_specs_rejected():
 @pytest.mark.parametrize("R", [53, 54, 62])
 def test_top_cell_index_exact_at_high_rate(R):
     # the float clip bound 2**R - 1 rounds up to 2**R above R = 53
-    q = QuantizerSpec(3, R).scaled(1.0)
-    payload, _ = q.quantize_payload(0, np.array([1.0, -1.0, 0.0]))
-    assert payload.decode(3, R).tolist() == [(1 << R) - 1, 0, 1 << (R - 1)]
+    coder = BitCoder(QuantizerSpec(3, R))
+    payload, _ = coder.encode(1.0, np.array([1.0, -1.0, 0.0]))
+    idx = decode_payload(payload.bits, payload.nbits, 3, R)
+    assert idx.tolist() == [(1 << R) - 1, 0, 1 << (R - 1)]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -187,7 +189,7 @@ def test_non_finite_input_rejected(bad, saturate, r, R):
         q.quantize(u)
     assert exc.value.coord == 1
     with pytest.raises(RangeViolationError):
-        q.quantize_payload(0, u)
+        BitCoder(QuantizerSpec(3, R), saturate).encode(r, u)
 
 
 # --- codec properties against the original per-coordinate loop codec --------
@@ -390,6 +392,23 @@ def test_saturating_overflow_is_silent_and_moves_no_index():
         q = QuantizerSpec(3, 8).scaled(1e-321, saturate=True)
         idx, _ = q.quantize([1e-10, -1e-10, 1e-321])
         assert idx.tolist() == [255, 0, 202]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="when 0 < r and the cell width 2r/2**R underflows to 0, quantize "
+           "maps to index 0 with reconstruction 0, but reconstruct gives the "
+           "cell center -r; the two seed references pin these opposite "
+           "answers (test_quantizer_matches_seed_expressions and "
+           "test_reconstruct_matches_seed_expression). The saturating dq-hb "
+           "alpha = 0 runs at kappa = 5, R = 8 reach such r in 3 rounds each",
+)
+def test_worker_and_server_reconstruct_alike_when_the_width_underflows():
+    spec, r = QuantizerSpec(4, 8), 1e-322
+    assert 0.0 < r and 2.0 * r / spec.levels == 0.0
+    coder = BitCoder(spec, saturate=True)
+    payload, recon = coder.encode(r, np.zeros(4))
+    assert coder.decode([r], [payload.bits]).tobytes() == recon.tobytes()
 
 
 # --- row forms: a (G, n) stack equals its rows' flat forms, bit for bit ------

@@ -5,7 +5,9 @@ in `TRACED`, so two kinds of drift hide calls from it: a listed site that
 no longer exists, and a module that binds a traced function under a name
 that is not listed (`from .bounds import nq_sigma` in a caller would be
 called through that private binding and never reach the wrapper). Both
-are checked here against the live package; nothing is patched.
+are checked here against the live package, without patching it. The
+last test installs the run counter and the tracer on two short runs, to
+check that their wrappers still take the round protocol's call shape.
 """
 
 import importlib.util
@@ -63,3 +65,24 @@ def test_no_unlisted_binding_of_a_traced_function():
                     if value is fn and (module, attr) not in listed:
                         unlisted.append(f"{name}: dqgrad.{module}.{attr}")
     assert not unlisted, f"traced functions bound outside TRACED: {unlisted}"
+
+
+def test_counter_and_tracer_see_every_round():
+    counter = instruments.RunCounter(dqgrad)
+    tracer = instruments.Tracer(dqgrad, counter)
+    counter.install()  # in the order perfbench/run.py installs them
+    try:
+        tracer.install()
+        try:
+            _, obj = dqgrad.problems.make_gaussian_ls(32, 16, 5, 7)
+            records = [dqgrad.harness.run_dq("dq-gd", obj, 6),
+                       dqgrad.harness.run_nq(obj, [6])[0]]
+        finally:
+            tracer.remove()
+    finally:
+        counter.remove()
+    rounds = sum(rec.terminal_T for rec in records)
+    assert counter.errors == []
+    assert counter.snapshot()["engines.rounds"] == rounds
+    for name in ("harness.observe", "harness.stop"):
+        assert tracer.calls[instruments.NAMES.index(name)] == rounds, name

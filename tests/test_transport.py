@@ -47,8 +47,8 @@ def test_random_iterate_roundtrips_bitwise():
 def test_payload_length_enforced():
     ch = Channel(n=4, R=2)
     with pytest.raises(FramingError):
-        ch.send_payload(Payload.from_indices(0, [1, 2, 3], 2))  # 6 bits, not 8
-    ch.send_payload(Payload.from_indices(0, [1, 2, 3, 0], 2))
+        ch.send_payload(Payload.from_indices([1, 2, 3], 2))  # 6 bits, not 8
+    ch.send_payload(Payload.from_indices([1, 2, 3, 0], 2))
     assert ch.trace.uplink_bits == [8]
 
 
@@ -78,10 +78,10 @@ def test_server_sees_only_payload_bits():
     worker, server, channel = build_dq_engine("dq-gd", obj, R)
     wire, xs = [], []
 
-    def record(t, srv, ws):
+    def record(t, srv, w):
         wire.append(channel.trace.uplink_bits[-1])
         xs.append(srv.x.copy())
-        ws[0].e2 = ws[0].e2 + 123.0  # canary: private state, already consumed
+        w.e2 = w.e2 + 123.0  # canary: private state, already consumed
 
     bits = []
     orig_send = channel.send_payload
@@ -91,7 +91,7 @@ def test_server_sees_only_payload_bits():
         orig_send(payload)
 
     channel.send_payload = tap
-    run_protocol(server, [worker], [channel], 40, on_iteration=record)
+    run_protocol(server, worker, [channel], 40, on_iteration=record)
 
     _, server2, _ = build_dq_engine("dq-gd", obj, R)
 

@@ -107,8 +107,22 @@ UNEQUAL_GOLDEN = {
 #   gaussian-k5 trial 0 of the stock sweep (config seed 7): cycles from
 #     about round 95;
 #   momentum-k25 at config seed 8, trial 0;
-#   the saturating heavy-ball run at alpha = 0, whose range collapses to 0.
+#   the saturating heavy-ball run at alpha = 0, whose range collapses to 0;
+#   gaussian-k5 at config seeds 10 and 11, trial 0: cycles of period 16 and 22;
+#   momentum-k25 at config seed 7, trial 0: stalls but drifts without ever
+#     repeating its state.
+# The last three were recorded from the code as it stood before stalled runs
+# skipped their cycles.
 STALLED_GOLDEN = {
+    ("dq-gd", 10, 0, 5.0, 2): (
+        "73b967e4f3d8ca4f292a9832673fd07980980fa4acb119817beddc623c14be1a",
+        10_000, 0),
+    ("dq-gd", 11, 0, 5.0, 2): (
+        "316e6e7bb4f2d058e2474188f0d19542a38df42e27e2d5ea286b5fd098c2b37a",
+        10_000, 0),
+    ("dq-gd", 7, 0, 25.0, 2): (
+        "f603ee3076bc46412fa7e9406be17f62038332c875608f9858f5172116b10764",
+        10_000, 0),
     ("dq-gd", 7, 0, 5.0, 2): (
         "fce7a59aa5f2b9fb7d55927e1f5c683509b0750b51420026131f340851f22069",
         10_000, 0),

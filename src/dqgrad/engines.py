@@ -42,22 +42,34 @@ schedule, hyperparameters and containment from the problem alone. Hot
 path: that norm and the harness's distances are math.sqrt(u @ u),
 bit-equal to np.linalg.norm.
 
-Replay. Below the threshold rate the range recursion reaches a fixed point
-in floating point, r_t == r_{t-1}, and the stalled run often cycles exactly
-through its iterates and errors. At a fixed r the worker's round is a pure
-function of (x, e1, e2): the quantizer input never reads t, and a payload
-is its bits alone. So each worker keeps a table from the bytes of
-(x, e1, e2) to (payload, new e1, ||u||). A round whose key is in the table
-sends the stored payload again and skips the gradient, the quantizer and
-the encoder; it still receives its frame, steps its cursor and runs the
-containment check.
-The table empties whenever r changes (a run whose range keeps moving pays
-one float compare per round) and when it holds _REPLAY_SLOTS entries.
-Equal key bytes give equal bits, so a replayed run is bit-identical to a
-computed one.
+Cycles. Below the threshold rate the range recursion reaches a fixed
+point in floating point, and a stalled run often cycles exactly through
+its iterates and errors. run_protocol, the one loop that sees both
+parties, proves such a cycle and fills the rest of the run from it:
+
+  1. Settled range. Once every server cursor is settled
+     (RangeSchedule.settled: r_{t-1} == r_{t-2} is a fixed point of the
+     recursion, and its leading term is absorbed with a margin and can
+     only shrink), every later round runs at that same r.
+  2. Deterministic round. At a fixed r a round is a function of the
+     server's state and the worker side's memory (e1, e2) alone: the
+     quantizer input never reads t, a payload is its bits alone, and the
+     frame's t only labels an escape.
+  3. Periodic until t_max. So if the bytes of that state at the start of
+     round t equal those at round s < t, then rounds t, t+1, ... repeat
+     rounds s, s+1, ... with period p = t - s, to the last round.
+
+While the ranges are settled, each round is keyed by those bytes in a
+table of at most _CYCLE_SLOTS rounds, emptied when full, next to the state
+and observables it left behind. On a hit, every later round is restored
+from the period: the server's state, the worker's memory, ||u|| and r, the
+channel trace entries and the escapes, relabelled with their round. Every
+round still reaches on_iteration and stop, and each party ends where a
+computed run ends, bit for bit. server.cycle is then (s, p).
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -73,9 +85,9 @@ from .transport import Channel
 CONTAINMENT_RTOL = 1e-9
 # strict raises on an escape; saturate counts it and clamps the quantizer
 CONTAINMENT = ("strict", "saturate")
-# rounds each worker remembers while its range stands still; stalled runs
-# cycle with short periods, and a full table is emptied
-_REPLAY_SLOTS = 64
+# rounds run_protocol remembers while the ranges stand still; stalled runs
+# cycle with short periods, and a full table is emptied; 0 computes every round
+_CYCLE_SLOTS = 64
 
 
 class ScheduleViolationError(Exception):
@@ -143,11 +155,13 @@ class BitCoder:
         return Payload.from_indices(idx, self.spec.R), recon
 
     def encode_rows(self, rs, u):
-        """One payload per row of u, a list of G rows."""
+        """One payload per row of u, a list of G rows; nothing is
+        reconstructed."""
         if len(u) == 1:
-            return [self.encode(rs[0], u[0])[0]]
+            idx = self.spec.scaled(rs[0], self.saturate).indices(u[0])
+            return [Payload.from_indices(idx, self.spec.R)]
         column = np.array(rs)[:, None]
-        idx, _ = self.spec.scaled(column, self.saturate).quantize(u)
+        idx = self.spec.scaled(column, self.saturate).indices(u)
         bufs, nbits = quantizer.encode_payload(idx, self.spec.R)
         return [Payload(buf, nbits) for buf in bufs]
 
@@ -183,23 +197,25 @@ class _WorkerBase:
         self.last_r = None
         self.last_u_norm = None
         self.violations = []
-        self.replayed = 0
-        self._replay = {}
+
+    @property
+    def cursors(self):
+        return (self.cursor,)
+
+    @property
+    def memory(self):
+        """The error memory a round reads, (e1, e2)."""
+        return self.e1, self.e2
+
+    @memory.setter
+    def memory(self, value):
+        self.e1, self.e2 = value
 
     def _ensure_state(self, n):
         if self.e1 is None:
             self.n = n
             self.e1 = np.zeros(n)
             self.e2 = np.zeros(n)
-
-    def _admit(self, t, u_norm, r):
-        """The containment check of round t, computed or replayed."""
-        self.last_u_norm = u_norm
-        self.last_r = r
-        if not u_norm <= r * (1.0 + CONTAINMENT_RTOL):  # a NaN norm violates
-            if self.containment == "strict":
-                raise ScheduleViolationError(t, u_norm, r)
-            self.violations.append(t)
 
     def quantizer_input(self, x):
         raise NotImplementedError
@@ -208,31 +224,15 @@ class _WorkerBase:
         (channel,) = channels
         t, x = channel.recv_iterate()
         self._ensure_state(x.shape[0])
-        r = self.cursor.step()
-        table = self._replay
-        key = None
-        if r != self.last_r:
-            table.clear()
-        else:
-            key = x.tobytes() + self.e1.tobytes() + self.e2.tobytes()
-            hit = table.get(key)
-            if hit is not None:
-                wire, e1, u_norm = hit
-                self._admit(t, u_norm, r)
-                self.e2, self.e1 = self.e1, e1
-                self.replayed += 1
-                channel.send_payload(wire)
-                return
+        r = self.last_r = self.cursor.step()
         u = self.quantizer_input(x)
-        u_norm = math.sqrt(u @ u)
-        self._admit(t, u_norm, r)
+        u_norm = self.last_u_norm = math.sqrt(u @ u)
+        if not u_norm <= r * (1.0 + CONTAINMENT_RTOL):  # a NaN norm violates
+            if self.containment == "strict":
+                raise ScheduleViolationError(t, u_norm, r)
+            self.violations.append(t)
         wire, recon = self.coder.encode(r, u)
         self.e2, self.e1 = self.e1, recon - u
-        if key is not None and _REPLAY_SLOTS:
-            if len(table) >= _REPLAY_SLOTS:
-                table.clear()
-            self.e1.flags.writeable = False  # shared with the table
-            table[key] = (wire, self.e1, u_norm)
         channel.send_payload(wire)
 
 
@@ -287,8 +287,7 @@ class NQGDWorkers:
     Each rate's rows are then quantized and packed in one pass, one payload
     per channel. A row that leaves its cube raises what a worker-at-a-time
     loop would have raised first. Naive quantization never compensates, so
-    there is no error memory, and its range moves every round, so there is
-    nothing to replay.
+    there is no error memory, and its ranges never settle.
     """
 
     def __init__(self, grads, schedules, coders):
@@ -299,9 +298,9 @@ class NQGDWorkers:
         self.last_u_norm = None  # largest ||u_k|| and r_k of the last round
         self.last_r = None
 
-    # containment is strict (an escape raises) and nothing is replayed
+    # containment is strict (an escape raises), and there is no error memory
     violations = ()
-    replayed = 0
+    memory = ()
 
     def round(self, channels):
         u_max = r_max = 0.0
@@ -333,7 +332,7 @@ class NQGDWorkers:
         """Quantize rows 0..upto-1 one at a time, in channel order, so the
         first that leaves its cube raises as its own worker would."""
         for coder, (g, j) in zip(self.coders, self._slots[:upto]):
-            coder.encode(g.rs[j], g.items[j])
+            coder.encode_rows([g.rs[j]], [g.items[j]])
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +359,7 @@ class _ServerBase:
         self._stack = (np.empty((len(coders), self.x.shape[0]))
                        if len(self._groups) > 1 else None)
         self.t = 0
+        self.cycle = None  # (start, period) once run_protocol finds one
 
     @property
     def x(self):
@@ -392,9 +392,15 @@ def run_protocol(server, worker, channels, steps, on_iteration=None, stop=None):
     """Strictly alternating rounds; returns the number of rounds run.
 
     The one worker side serves every channel: a DQ worker its one channel,
-    NQGDWorkers all K.
+    NQGDWorkers all K. Rounds served from a proven cycle (see Cycles) count
+    as run, and every round reaches on_iteration and stop.
     """
+    cycles = _Cycles(server, worker, channels) if _CYCLE_SLOTS else None
     for t in range(steps):
+        if cycles is not None:
+            start = cycles.enter(t)
+            if start is not None:
+                return cycles.fill(start, t, steps, on_iteration, stop)
         server.broadcast(channels)
         worker.round(channels)
         server.collect(channels)
@@ -403,6 +409,86 @@ def run_protocol(server, worker, channels, steps, on_iteration=None, stop=None):
         if stop is not None and stop(t, server):
             return t + 1
     return steps
+
+
+class _Cycles:
+    """run_protocol's memory of the rounds run at settled ranges."""
+
+    def __init__(self, server, worker, channels):
+        self.server = server
+        self.worker = worker
+        self.channels = channels
+        self.starts = {}  # state bytes -> the round that started from them
+        # (server state, worker memory, ||u||, r) of each keyed round since
+        # the table was emptied, the last one excepted
+        self.outcomes = []
+
+    def enter(self, t):
+        """Before round t: the earlier round that started from the same
+        state, or None; keys round t while the ranges are settled."""
+        state, worker = self.server.state, self.worker
+        if self.starts:  # settled once, settled for good
+            memory = worker.memory
+            self.outcomes.append((state, memory, worker.last_u_norm,
+                                  worker.last_r))
+        else:
+            for cursor in self.server.cursors:
+                if not cursor.settled():
+                    return None
+            memory = worker.memory
+        key = b"".join([a.tobytes() for a in state + memory])
+        start = self.starts.get(key)
+        if start is not None:
+            return start
+        if len(self.starts) >= _CYCLE_SLOTS:
+            self.starts.clear()
+            self.outcomes.clear()
+        self.starts[key] = t
+        return None
+
+    def fill(self, start, t, steps, on_iteration, stop):
+        """Rounds t, t+1, ... restored from the period that began at round
+        start; returns the number of rounds run.
+
+        Every round appends one entry per channel trace, and an escape is
+        labelled with its round's server.t, so the period's entries and
+        escapes are the last ones. The period's arrays are restored once per
+        period, so they become read-only.
+        """
+        server, worker = self.server, self.worker
+        traces = [ch.trace for ch in self.channels]
+        p = t - start
+        server.cycle = (start, p)
+        for state, memory, _, _ in self.outcomes[-p:]:
+            for a in state + memory:
+                a.flags.writeable = False
+        escaped = [False] * p
+        for label in worker.violations[-p:]:
+            if label >= server.t - p:
+                escaped[label - server.t + p] = True
+        period = list(zip(self.outcomes[-p:], escaped,
+                          zip(*[tr.downlink_bytes[-p:] for tr in traces]),
+                          zip(*[tr.uplink_bits[-p:] for tr in traces])))
+        end = steps
+        for j, ((state, memory, u_norm, r), escape, downs, ups) in zip(
+                range(t, steps), itertools.cycle(period)):
+            for trace, down, up in zip(traces, downs, ups):
+                trace.downlink_bytes.append(down)
+                trace.uplink_bits.append(up)
+            if escape:
+                worker.violations.append(server.t)
+            worker.memory = memory
+            worker.last_u_norm, worker.last_r = u_norm, r
+            server.state = state
+            server.t += 1
+            if on_iteration is not None:
+                on_iteration(j, server, worker)
+            if stop is not None and stop(j, server):
+                end = j + 1
+                break
+        for cursor in (*server.cursors, *worker.cursors):
+            cursor.t += end - t
+        return end
 
 
 # ---------------------------------------------------------------------------

@@ -73,11 +73,16 @@ class RunRecord:
     ranges: list = field(default_factory=list)
     bits_per_iteration: list = field(default_factory=list)
     violations: int = 0
-    replayed: int = 0  # worker rounds served from the replay tables
+    cycle: tuple | None = None  # (start, period) of a run served from a cycle
 
     @property
     def terminal_T(self):
         return len(self.distances) - 1
+
+    @property
+    def replayed(self):
+        """Rounds served from the cycle: every round after its first period."""
+        return 0 if self.cycle is None else self.terminal_T - sum(self.cycle)
 
     @property
     def min_headroom(self):
@@ -163,7 +168,7 @@ def _drive(algo, R, problem, server, worker, channels, t_max):
     record.bits_per_iteration = list(
         map(sum, zip(*(ch.trace.uplink_bits for ch in channels))))
     record.violations = len(worker.violations)
-    record.replayed = worker.replayed
+    record.cycle = server.cycle
     return record
 
 

@@ -149,6 +149,22 @@ class ScaledQuantizer:
         width underflows to 0 maps to index and reconstruction 0, as the
         flat form does.
         """
+        idx, dead = self._cells(u)
+        if dead is True:
+            return idx, np.zeros(idx.shape)
+        recon = reconstruct(self.base, self.r, idx)
+        if dead is not None:
+            recon[dead] = 0.0
+        return idx, recon
+
+    def indices(self, u):
+        """The cell indices of quantize(u), without the reconstruction."""
+        return self._cells(u)[0]
+
+    def _cells(self, u):
+        """(indices, dead): dead is True when every row's reconstruction is
+        0 (one level, or a flat cell width of 0), a mask of the stack's rows
+        whose width underflowed, or None."""
         u = np.asarray(u, dtype=np.float64)
         n, r = self.base.n, self.r
         column = False
@@ -175,12 +191,12 @@ class ScaledQuantizer:
                                       float(r[row, 0] if column else r), row)
         nlev = self.base.levels
         if nlev == 1:
-            return np.zeros(u.shape, dtype=np.int64), np.zeros(u.shape)
+            return np.zeros(u.shape, dtype=np.int64), True
         width = 2.0 * r / nlev
         dead = None
         if not column:
             if width == 0.0:  # r = 0, or below the resolvable cell
-                return np.zeros(u.shape, dtype=np.int64), np.zeros(u.shape)
+                return np.zeros(u.shape, dtype=np.int64), True
         elif np.count_nonzero(width == 0.0):
             # such rows divide by 1 instead of 0 and are zeroed below
             dead = (width == 0.0)[:, 0]
@@ -197,11 +213,9 @@ class ScaledQuantizer:
         idx = cells.astype(np.int64)
         if self.base.R > 53:
             np.minimum(idx, nlev - 1, out=idx)
-        recon = reconstruct(self.base, r, idx)
         if dead is not None:
             idx[dead] = 0
-            recon[dead] = 0.0
-        return idx, recon
+        return idx, dead
 
 
 def reconstruct(spec, r, indices):

@@ -21,6 +21,7 @@ the experimental setting, which loses the containment guarantee).
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 SCHEMES = ("dq-gd", "dq-agd", "dq-hb", "nq-gd")
@@ -68,6 +69,38 @@ class RangeSchedule:
         feedback = r_prev + self.gamma * (r_prev + r_prev2)
         return self.leading(t) + self.eps * feedback
 
+    def settled(self, t, r_prev, r_prev2):
+        """True only if next() returns r = r_prev at t and at every later t.
+
+        Three tests, in floating point. The recursion is at a fixed point:
+        r_{t-1} == r_{t-2} == r and c = fl(eps * feedback(r, r)) == r. The
+        leading term is absorbed with a factor-2 margin, c + 2*lead(t) == c,
+        because pow is faithfully rounded but not guaranteed to be
+        monotone. And the leading term can only shrink from t on:
+        sigma <= 1, and for the heavy ball with alpha > 0, t is past the
+        peak alpha / ln(1/sigma) of t**alpha * sigma**t. sigma**t must also
+        still be a normal float (or sigma = 0), so that its rounding error
+        stays relative. Every later lead(t') then stays below 2*lead(t), and
+        rounding is monotone, so c + lead(t') == c == r.
+        With eps < 1 a range stands still only once it has collapsed into
+        the subnormals (or grown to inf); the naive ranges have no feedback
+        and never settle.
+        """
+        if t < 2 or r_prev != r_prev2 or self.scheme == "nq-gd":
+            return False
+        if self.scheme == "dq-gd":
+            c = self.eps * r_prev
+        else:
+            c = self.eps * (r_prev + self.gamma * (r_prev + r_prev2))
+        if c != r_prev or not self.sigma <= 1.0:
+            return False
+        if self.sigma != 0.0 and not self.sigma**t >= sys.float_info.min:
+            return False
+        if self.scheme == "dq-hb" and self.alpha > 0.0 and not (
+                self.sigma == 0.0 or t * -math.log(self.sigma) >= self.alpha):
+            return False
+        return c + 2.0 * self.leading(t) == c
+
 
 class ScheduleCursor:
     """Stateful unroll of a RangeSchedule, one instance per channel end."""
@@ -83,6 +116,11 @@ class ScheduleCursor:
         self._r2, self._r1 = self._r1, r
         self.t += 1
         return r
+
+    def settled(self):
+        """True once every later step() returns the last range again."""
+        return self._r1 == self._r2 and self.schedule.settled(
+            self.t, self._r1, self._r2)
 
 
 def waterfill(L_list, R_total, tol=1e-12, max_iter=200):

@@ -7,9 +7,8 @@ class ExactCoder:
     """Zero-error stand-in for rate = infinity runs.
 
     The wire object is a read-only copy of the float vector, so this only
-    works over a loopback channel, and a replayed round can send the same
-    wire again without anyone mutating it; reconstruction equals the input
-    bitwise and the stored error stays exactly zero.
+    works over a loopback channel; reconstruction equals the input bitwise
+    and the stored error stays exactly zero.
     """
 
     def encode(self, r, u):

@@ -1,6 +1,7 @@
 import math
 import struct
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -344,18 +345,24 @@ def test_sqrt_of_self_dot_is_the_vector_norm(v):
 
 
 # ---------------------------------------------------------------------------
-# replay of repeated rounds
+# rounds served from a proven cycle
 
 
 def _stalled_gaussian_k5():
     # trial 0 of the stock gaussian-k5 sweep: dq-gd at R = 2 stalls at the
-    # fixed point of its range and cycles from about round 95
+    # fixed point of its range and cycles with period 6 from round 96
     ss = np.random.SeedSequence(7, spawn_key=(0,))
     return make_gaussian_ls(32, 16, 5.0, ss)[1]
 
 
+def settled_range(r):
+    # dq-gd at eps = rho * 2**-R = 1 and sigma = 0: r_t = r for every t, and
+    # the cursor is settled from t = 2 on
+    return RangeSchedule("dq-gd", L=r, D=1.0, sigma=0.0, rho=2.0, R=1)
+
+
 def _tapped_run(obj, t_max):
-    """dq-gd at R = 2: the record, the channel trace and every payload."""
+    """dq-gd at R = 2: the record, the channel trace and every payload sent."""
     worker, server, channel = build_dq_engine("dq-gd", obj, 2)
     sent = []
     send = channel.send_payload
@@ -366,15 +373,14 @@ def _tapped_run(obj, t_max):
 
     channel.send_payload = tap
     rec = _drive("dq-gd", 2, obj, server, worker, [channel], t_max)
-    assert len(sent) == rec.terminal_T  # one payload per round
     return rec, channel.trace, sent
 
 
 def _zero_gradient_engine(schedule):
     """A saturating dq-gd worker with grad = 0, n = 16, R = 1, eta = 1.
 
-    At the constant range 1, u is 0 and -1/2 per coordinate by turns, so
-    ||u|| = 2 escapes the range every other round, and x cycles 0, -1/2.
+    At a constant range r, u is 0 and -r/2 per coordinate by turns, so
+    ||u|| = 2r escapes the range every other round, and x cycles 0, -r/2.
     """
     n, R = 16, 1
     hp = HyperParams(eta=1.0, gamma=0.0, sigma=0.0)
@@ -386,26 +392,44 @@ def _zero_gradient_engine(schedule):
     return worker, server, [Channel(n, R)]
 
 
+def _table_sizes(monkeypatch):
+    """The cycle table's size after run_protocol keys (or skips) each round."""
+    sizes = []
+
+    class Logged(engines._Cycles):
+        def enter(self, t):
+            start = super().enter(t)
+            sizes.append(len(self.starts))
+            return start
+
+    monkeypatch.setattr(engines, "_Cycles", Logged)
+    return sizes
+
+
 def _same_bits(a, b):
     return np.asarray(a, dtype="<f8").tobytes() == np.asarray(b, dtype="<f8").tobytes()
 
 
 @pytest.mark.parametrize("seed,kappa", [(7, 5.0), (8, 25.0)])
 def test_replay_sends_the_bits_a_computed_round_would(monkeypatch, seed, kappa):
-    # the stalled gaussian-k5 and momentum-k25 trials, with the table on
-    # and with no slots at all
+    # the stalled gaussian-k5 and momentum-k25 trials, served from their
+    # cycle and computed in full with no slots at all
     ss = np.random.SeedSequence(seed, spawn_key=(0,))
     obj = make_gaussian_ls(32, 16, kappa, ss)[1]
     rec, trace, sent = _tapped_run(obj, 2000)
-    monkeypatch.setattr(engines, "_REPLAY_SLOTS", 0)
+    monkeypatch.setattr(engines, "_CYCLE_SLOTS", 0)
     ref, ref_trace, ref_sent = _tapped_run(obj, 2000)
-    assert rec.replayed > 1000 and ref.replayed == 0
+    assert rec.replayed > 1000 and ref.replayed == 0 and ref.cycle is None
     for name in ("distances", "u_norms", "ranges"):
         assert _same_bits(getattr(rec, name), getattr(ref, name))
     assert rec.bits_per_iteration == ref.bits_per_iteration
     assert rec.violations == ref.violations
     assert trace == ref_trace
-    assert sent == ref_sent
+    # only the rounds up to the end of the first period are computed, and
+    # the computed run's payloads repeat with that period from its start
+    start, period = rec.cycle
+    assert sent == ref_sent[:start + period] and len(ref_sent) == 2000
+    assert ref_sent[start + period:] == ref_sent[start:2000 - period]
 
 
 def test_a_stalled_run_computes_few_gradients():
@@ -420,78 +444,159 @@ def test_a_stalled_run_computes_few_gradients():
     worker.grad = grad
     rec = _drive("dq-gd", 2, obj, server, worker, [channel], 10_000)
     assert rec.terminal_T == 10_000
-    assert len(calls) <= 200
-    assert rec.replayed == worker.replayed == 10_000 - len(calls)
+    assert rec.cycle == (96, 6) == server.cycle
+    assert len(calls) == sum(rec.cycle)
+    assert rec.replayed == 10_000 - len(calls)
 
 
-@pytest.mark.parametrize("slots", [4, engines._REPLAY_SLOTS])
+@pytest.mark.parametrize("slots", [4, engines._CYCLE_SLOTS])
 def test_replay_table_is_bounded_and_emptied_when_the_range_moves(monkeypatch,
                                                                    slots):
-    monkeypatch.setattr(engines, "_REPLAY_SLOTS", slots)
+    # the table keys no round while the range still moves, holds at most
+    # `slots` rounds, and empties when full
+    monkeypatch.setattr(engines, "_CYCLE_SLOTS", slots)
+    sizes = _table_sizes(monkeypatch)
     worker, server, channel = build_dq_engine("dq-gd", _stalled_gaussian_k5(), 2)
-    sizes, moved, prev = [], [], [None]
+    ranges = []
 
     def observe(t, srv, w):
-        table, r = w._replay, w.last_r
-        sizes.append(len(table))
-        if r != prev[0]:
-            moved.append(len(table))
-        prev[0] = r
+        ranges.append(w.last_r)
 
-    run_protocol(server, worker, [channel], 600, on_iteration=observe)
+    assert run_protocol(server, worker, [channel], 600,
+                        on_iteration=observe) == 600
+    moved = [t for t in range(1, len(sizes)) if ranges[t] != ranges[t - 1]]
+    assert len(moved) > 50 and not any(sizes[t] for t in moved)
     assert max(sizes) <= slots
-    assert len(moved) > 50 and not any(moved)
     if slots < 6:  # shorter than the period: the table fills, empties, never hits
-        assert max(sizes) == slots and worker.replayed == 0
+        assert server.cycle is None and len(sizes) == 600
+        assert max(sizes) == slots and sizes.count(1) > 100
     else:
-        assert worker.replayed > 0
+        assert server.cycle == (96, 6) and len(sizes) == 96 + 6 + 1
 
 
 def test_replayed_error_memory_is_read_only():
+    # a period's arrays are restored once per period, so nobody may write
+    # to them, the last ones the run leaves behind included
     worker, server, channel = build_dq_engine("dq-gd", _stalled_gaussian_k5(), 2)
     run_protocol(server, worker, [channel], 300)
-    assert worker.replayed > 0 and worker._replay
-    for _, e1, _ in worker._replay.values():
+    assert server.cycle is not None
+    for a in (*server.state, *worker.memory):
         with pytest.raises(ValueError, match="read-only"):
-            e1[0] = 0.0
+            a[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
-        worker.e1 += 1.0  # the last round was replayed
+        worker.e1 += 1.0
 
 
 def test_replayed_rounds_still_check_containment(monkeypatch):
+    # the escapes of the period come back at their shifted rounds
     target = SimpleNamespace(D=4.0, x_star=np.ones(16))
 
     def run():
-        worker, server, channels = _zero_gradient_engine(constant_range(1.0))
+        worker, server, channels = _zero_gradient_engine(settled_range(1.0))
         return _drive("dq-gd", 1, target, server, worker, channels, 40), worker
 
     rec, worker = run()
-    # rounds 0-2 fill the table, 3-39 are served from it
-    assert rec.replayed == worker.replayed == 37
+    # rounds 2 and 4 start from the same state: rounds 0-3 are computed
+    # and 4-39 are served from the period
+    assert rec.cycle == (2, 2) and rec.replayed == 36
     assert worker.violations == list(range(1, 40, 2))
     assert rec.violations == 20
-    monkeypatch.setattr(engines, "_REPLAY_SLOTS", 0)
-    ref, _ = run()
-    assert ref.replayed == 0 and ref.violations == rec.violations
+    monkeypatch.setattr(engines, "_CYCLE_SLOTS", 0)
+    ref, ref_worker = run()
+    assert ref.cycle is None and ref.replayed == 0
+    assert ref_worker.violations == worker.violations
     assert _same_bits(ref.u_norms, rec.u_norms)
     assert _same_bits(ref.distances, rec.distances)
 
 
-def test_replay_table_empties_when_a_stalled_range_moves():
-    class StepRange:  # stands at 1 for rounds 0-19, then at 1/2
-        def next(self, t, r_prev, r_prev2):
-            return 1.0 if t < 20 else 0.5
-
-    worker, server, channels = _zero_gradient_engine(StepRange())
-    sizes, replayed = [], []
+def test_cycle_table_waits_for_the_peak_of_a_stalled_range(monkeypatch):
+    # a heavy-ball range with alpha > 0 stands still from round 1, but its
+    # leading term t**alpha * sigma**t peaks at t = alpha / ln(1/sigma) = 2.1,
+    # so the range is settled only from round 3 on. (Past round 10 the
+    # subexponential factor overflows; the run stops before.)
+    sigma, alpha = math.exp(-100.0), 210.0
+    L = 1.0 / (math.e**alpha * math.sqrt(2.0))  # r_0 = 1 exactly
+    schedule = RangeSchedule("dq-hb", L=L, D=1.0, sigma=sigma, rho=2.0, R=1,
+                             alpha=alpha)
+    sizes = _table_sizes(monkeypatch)
+    worker, server, channels = _zero_gradient_engine(schedule)
+    ranges = []
 
     def observe(t, srv, w):
-        sizes.append(len(w._replay))
-        replayed.append(w.replayed)
+        ranges.append(w.last_r)
 
-    run_protocol(server, worker, channels, 40, on_iteration=observe)
-    assert sizes[19] > 0 and sizes[20] == 0
-    assert replayed[19] > 0 and replayed[-1] > replayed[21]
+    assert run_protocol(server, worker, channels, 10, on_iteration=observe) == 10
+    assert set(ranges) == {1.0}
+    assert sizes[:4] == [0, 0, 0, 1]
+    assert server.cycle == (3, 2)
+    monkeypatch.setattr(engines, "_CYCLE_SLOTS", 0)
+    ref_worker, ref_server, ref_channels = _zero_gradient_engine(schedule)
+    run_protocol(ref_server, ref_worker, ref_channels, 10)
+    assert ref_worker.violations == worker.violations
+    assert _same_bits(ref_server.x, server.x)
+
+
+def _end_state(server, worker, channels):
+    """Every party's state after a run, as comparable values."""
+    def cursor(c):
+        return (c.t, c._r1, c._r2)
+
+    return (
+        [np.asarray(a).tobytes() for a in (*server.state, *worker.memory)],
+        server.t, [cursor(c) for c in (*server.cursors, *worker.cursors)],
+        worker.last_u_norm, worker.last_r, list(worker.violations),
+        [(ch.trace.downlink_bytes, ch.trace.uplink_bits) for ch in channels],
+        [(len(ch._down), len(ch._up)) for ch in channels],
+    )
+
+
+@pytest.mark.parametrize("stop_at", [None, 1234])
+@pytest.mark.parametrize("engine", ["stalled-k5", "zero-gradient"])
+def test_a_skipped_run_ends_where_a_computed_run_ends(monkeypatch, engine,
+                                                      stop_at):
+    def build():
+        if engine == "stalled-k5":
+            return build_dq_engine("dq-gd", _stalled_gaussian_k5(), 2)
+        worker, server, channels = _zero_gradient_engine(settled_range(1.0))
+        return worker, server, channels[0]
+
+    def run():
+        worker, server, channel = build()
+        seen = []
+
+        def observe(t, srv, w):
+            seen.append((t, srv.x.tobytes(), w.e1.tobytes(), w.last_u_norm))
+
+        def stop(t, srv):
+            return t == stop_at
+
+        rounds = run_protocol(server, worker, [channel], 3000,
+                              on_iteration=observe, stop=stop)
+        return rounds, seen, _end_state(server, worker, [channel]), server
+
+    rounds, seen, end, server = run()
+    assert server.cycle is not None
+    monkeypatch.setattr(engines, "_CYCLE_SLOTS", 0)
+    ref_rounds, ref_seen, ref_end, ref_server = run()
+    assert ref_server.cycle is None
+    assert rounds == ref_rounds == (3000 if stop_at is None else stop_at + 1)
+    assert seen == ref_seen
+    assert end == ref_end
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kappa=st.floats(2.0, 50.0))
+def test_skipping_cycles_changes_no_bit(seed, kappa):
+    _, obj = make_gaussian_ls(32, 16, kappa, seed)
+    for algo in ("dq-gd", "dq-agd", "dq-hb"):
+        rec = run_dq(algo, obj, 2, t_max=3000)
+        with mock.patch.object(engines, "_CYCLE_SLOTS", 0):
+            ref = run_dq(algo, obj, 2, t_max=3000)
+        assert ref.cycle is None
+        for name in ("distances", "u_norms", "ranges"):
+            assert _same_bits(getattr(rec, name), getattr(ref, name))
+        assert rec.bits_per_iteration == ref.bits_per_iteration
+        assert rec.violations == ref.violations
 
 
 # --- rows: the naive workers and the server's decode as (K, n) stacks --------
@@ -601,9 +706,10 @@ def test_naive_rows_raise_the_first_norm_escape_in_channel_order():
 
 
 def test_naive_rows_code_each_rate_once_per_round(monkeypatch):
-    # K = 8 workers at one rate: one quantize, encode, decode per round,
-    # and one reconstruct on each end
-    calls = dict.fromkeys(["quantize", "encode_payload", "decode_payload",
+    # K = 8 workers at one rate: one index pass, encode and decode per
+    # round, and one reconstruct, on the server; naive workers keep no error
+    # memory, so they never reconstruct
+    calls = dict.fromkeys(["indices", "encode_payload", "decode_payload",
                            "reconstruct"], 0)
 
     def counted(owner, name):
@@ -615,7 +721,7 @@ def test_naive_rows_code_each_rate_once_per_round(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(quantizer.ScaledQuantizer, "quantize")
+    counted(quantizer.ScaledQuantizer, "indices")
     for name in ("encode_payload", "decode_payload", "reconstruct"):
         counted(quantizer, name)
     prob = make_interpolation_problem(8, 16, 32, [2.0] * 8, 23)
@@ -623,5 +729,5 @@ def test_naive_rows_code_each_rate_once_per_round(monkeypatch):
     assert rates == [5] * 8
     rec, _ = run_nq(prob, rates, t_max=50)
     T = rec.terminal_T
-    assert calls == {"quantize": T, "encode_payload": T, "decode_payload": T,
-                     "reconstruct": 2 * T}
+    assert calls == {"indices": T, "encode_payload": T, "decode_payload": T,
+                     "reconstruct": T}

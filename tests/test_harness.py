@@ -70,15 +70,22 @@ def test_runs_report_headroom_and_replayed_rounds():
     strict = run_dq("dq-gd", obj, 4, t_max=500)
     assert strict.min_headroom == min(r - u for r, u in
                                       zip(strict.ranges, strict.u_norms)) > 0
-    assert strict.replayed == 0  # the range keeps moving until the floor
+    # the range keeps moving until the floor
+    assert strict.cycle is None and strict.replayed == 0
     # heavy ball at alpha = 0 saturates once its range collapses
     saturated = run_dq("dq-hb", obj, 8, t_max=1500)
     assert saturated.violations > 0 and saturated.min_headroom < 0
     assert run_unquantized("gd", obj, t_max=50).min_headroom == math.inf
-    # the naive ranges shrink every round, so no worker round is replayed
+    # the naive ranges never settle, so no round is served from a cycle
     prob = make_interpolation_problem(2, 8, 16, [4.0, 2.0], 15)
     rec, _ = run_nq(prob, [3, 2], t_max=300)
-    assert rec.replayed == 0 and rec.min_headroom > 0
+    assert rec.cycle is None and rec.replayed == 0 and rec.min_headroom > 0
+    # a stalled dq-gd run at eps = sqrt(16) * 2**-2 = 1 cycles; every round
+    # after its first period is served from it
+    stalled = run_dq("dq-gd", obj, 2, t_max=3000)
+    start, period = stalled.cycle
+    assert stalled.terminal_T == 3000
+    assert stalled.replayed == 3000 - start - period > 2000
 
 
 SMALL = ExperimentConfig(

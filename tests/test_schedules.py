@@ -1,8 +1,11 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dqgrad.hyperparams import optimal_hyperparams
+from dqgrad.hyperparams import agd_lambda, optimal_hyperparams
 from dqgrad.rng import make_rng
 from dqgrad.schedules import (
     SCHEMES,
@@ -165,3 +168,67 @@ def test_channel_ends_stay_in_schedule_sync(scheme, L, D, sigma, gamma, rho, R,
     assert worker.eps == server.eps == rho * 2.0**-R
     assert unroll(worker, 60) == unroll(server, 60)
     assert worker.eps == rho * 2.0**-R  # cached, unchanged after use
+
+
+# ---------------------------------------------------------------------------
+# settled ranges
+
+
+@settings(max_examples=150, deadline=None)
+@given(scheme=st.sampled_from(("dq-gd", "dq-agd", "dq-hb")),
+       kappa=st.floats(1.5, 100.0), n=st.sampled_from((4, 16, 64)),
+       R=st.integers(1, 4), alpha=st.sampled_from((0.0, 0.5, 3.0)),
+       LD=st.floats(1e-3, 1e3))
+def test_a_settled_range_stands_still_for_good(scheme, kappa, n, R, alpha, LD):
+    # the paper's constants, with eps = sqrt(n) * 2**-R from 1/8 to 8 and
+    # exactly 1 at (n, R) = (4, 1), (16, 2), (64, 3)
+    hp = optimal_hyperparams(1.0, 1.0 / kappa, scheme[3:])
+    s = RangeSchedule(scheme=scheme, L=LD, D=1.0, sigma=hp.sigma,
+                      gamma=hp.gamma, rho=math.sqrt(n), R=R,
+                      lam=agd_lambda(kappa) if scheme == "dq-agd" else 1.0,
+                      alpha=alpha if scheme == "dq-hb" else 0.0)
+    peak = s.alpha / -math.log(s.sigma) if s.alpha else 0.0
+    cur = ScheduleCursor(s)
+    while not cur.settled():
+        if cur.t == 3000:
+            return
+        cur.step()
+    r = cur.step()
+    # below eps = 1 only a range that collapsed into the subnormals, where
+    # rounding holds it, or that grew to inf stands still
+    assert s.eps >= 1.0 or not sys.float_info.min <= r < math.inf
+    assert cur.t - 1 >= peak
+    assert all(cur.step() == r for _ in range(2000))
+
+
+def test_a_stalled_range_settles_only_past_its_peak():
+    # eps = 1, gamma = 0: the heavy-ball range stands still from t = 1, and
+    # its leading term is absorbed at t = 2, but t**alpha * sigma**t still
+    # rises there: its peak is at alpha / ln(1/sigma) = 2.1
+    sigma, alpha = math.exp(-100.0), 210.0
+    s = RangeSchedule(scheme="dq-hb", L=1.0, D=1.0, sigma=sigma, rho=2.0, R=1,
+                      alpha=alpha)
+    r = s.next(0, 0.0, 0.0)
+    assert s.next(1, r, 0.0) == s.next(2, r, r) == r
+    assert r + 2.0 * s.leading(2) == r
+    assert not s.settled(2, r, r)
+    assert s.settled(3, r, r)
+
+
+@pytest.mark.parametrize("scheme", ["dq-gd", "dq-agd", "dq-hb", "nq-gd"])
+def test_settled_needs_a_fixed_point(scheme):
+    # eps = 1 and sigma = 0: from t = 2 on the leading term is 0
+    s = RangeSchedule(scheme=scheme, L=1.0, D=1.0, sigma=0.0, rho=2.0, R=1)
+    assert not s.settled(1, 1.0, 1.0)  # r_{t-2} is not a range yet
+    assert not s.settled(5, 1.0, 2.0)
+    assert not s.settled(5, math.nan, math.nan)
+    # gd's feedback is r itself; a zero momentum makes the others alike; the
+    # naive range has no feedback at all
+    assert s.settled(5, 1.0, 1.0) == (scheme != "nq-gd")
+    grows = RangeSchedule(scheme=scheme, L=1.0, D=1.0, sigma=1.5, rho=2.0, R=1)
+    assert not grows.settled(5, 1.0, 1.0)
+    # sigma = 1/2: 2**-5 is not absorbed into 1, 2**-60 is; past t = 1022,
+    # sigma**t is no normal float and its rounding error is no longer relative
+    halves = RangeSchedule(scheme=scheme, L=1.0, D=1.0, sigma=0.5, rho=2.0, R=1)
+    assert [halves.settled(t, 1.0, 1.0) for t in (5, 60, 1100)] == [
+        False, scheme != "nq-gd", False]

@@ -19,7 +19,8 @@ and MSB first.
 
 Rows. quantize, reconstruct, encode_payload and decode_payload also take a
 (G, n) stack of rows of one rate, with one range per row as a (G, 1)
-column: that is how naive quantization's K workers encode and how the
+column: that is how naive quantization's K workers encode (with indices,
+quantize without the reconstruction they have no use for) and how the
 server decodes every channel of one rate in one call. Each element goes
 through exactly the arithmetic of the flat form at its row's range (the
 column broadcasts the IEEE operation the scalar does), so row g of a stack

@@ -584,14 +584,14 @@ def test_a_skipped_run_ends_where_a_computed_run_ends(monkeypatch, engine,
     assert end == ref_end
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), kappa=st.floats(2.0, 50.0))
 def test_skipping_cycles_changes_no_bit(seed, kappa):
     _, obj = make_gaussian_ls(32, 16, kappa, seed)
     for algo in ("dq-gd", "dq-agd", "dq-hb"):
-        rec = run_dq(algo, obj, 2, t_max=3000)
+        rec = run_dq(algo, obj, 2, t_max=1500)
         with mock.patch.object(engines, "_CYCLE_SLOTS", 0):
-            ref = run_dq(algo, obj, 2, t_max=3000)
+            ref = run_dq(algo, obj, 2, t_max=1500)
         assert ref.cycle is None
         for name in ("distances", "u_norms", "ranges"):
             assert _same_bits(getattr(rec, name), getattr(ref, name))

@@ -33,6 +33,8 @@ bookkeeping per algorithm:
   nq-gd   u = grad(x)                         (no compensation)
 
 e1, e2 are the last two quantization errors (zero-initialized). The
+worker reconstructs through quantizer.reconstruct, as the server decodes,
+so e1 is exactly what the server applied minus u, in every round. The
 containment invariant ||u_t|| <= r_t is asserted each round with a small
 relative slack for float roundoff (containment="strict"). The heavy-ball
 schedule at alpha = 0 has only an empirical guarantee, so its engine runs
@@ -182,16 +184,14 @@ class BitCoder:
 
 
 class _WorkerBase:
-    def __init__(self, grad, hp, schedule, coder, containment="strict"):
-        if containment not in CONTAINMENT:
-            raise ValueError(f"containment must be one of {CONTAINMENT}, "
-                             f"got {containment!r}")
+    """The worker half of a DQ engine; its coder's saturate flag is its
+    containment: an escape raises when strict and is counted otherwise."""
+
+    def __init__(self, grad, hp, schedule, coder):
         self.grad = grad
         self.hp = hp
         self.cursor = ScheduleCursor(schedule)
         self.coder = coder
-        self.containment = containment
-        self.n = None
         self.e1 = None
         self.e2 = None
         self.last_r = None
@@ -213,7 +213,6 @@ class _WorkerBase:
 
     def _ensure_state(self, n):
         if self.e1 is None:
-            self.n = n
             self.e1 = np.zeros(n)
             self.e2 = np.zeros(n)
 
@@ -228,7 +227,7 @@ class _WorkerBase:
         u = self.quantizer_input(x)
         u_norm = self.last_u_norm = math.sqrt(u @ u)
         if not u_norm <= r * (1.0 + CONTAINMENT_RTOL):  # a NaN norm violates
-            if self.containment == "strict":
+            if not self.coder.saturate:
                 raise ScheduleViolationError(t, u_norm, r)
             self.violations.append(t)
         wire, recon = self.coder.encode(r, u)
@@ -534,17 +533,19 @@ def build_dq_engine(algo, objective, R, alpha=0.0, containment=None):
 
     containment=None is "strict" wherever containment is provable for the
     schedule, and "saturate" for dq-hb at alpha = 0, which has no
-    guarantee. Both halves get their own schedule cursor and coder so
-    nothing is shared beyond public constants.
+    guarantee; any other value raises ValueError. Both halves get their own
+    schedule cursor and coder so nothing is shared beyond public constants.
     """
     if containment is None:
         containment = "saturate" if algo == "dq-hb" and alpha == 0.0 else "strict"
+    if containment not in CONTAINMENT:
+        raise ValueError(f"containment must be one of {CONTAINMENT}, "
+                         f"got {containment!r}")
     schedule, hp = dq_schedule(algo, objective, R, alpha)
     worker_cls, rule = _DQ_PAIRS[algo]
     spec = QuantizerSpec(objective.n, R)
     saturate = containment == "saturate"
-    worker = worker_cls(objective.grad, hp, schedule, BitCoder(spec, saturate),
-                        containment)
+    worker = worker_cls(objective.grad, hp, schedule, BitCoder(spec, saturate))
     server = _ServerBase(rule, objective.x0, hp, [schedule],
                          [BitCoder(spec, saturate)])
     return worker, server, Channel(objective.n, R)

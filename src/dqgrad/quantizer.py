@@ -146,26 +146,17 @@ class ScaledQuantizer:
 
         u is one row of shape (n,) at the float range r, or a (G, n) stack
         at a float r or a (G, 1) column of ranges, one per row; a stack's
-        error names the first offending row in row order. A row whose cell
-        width underflows to 0 maps to index and reconstruction 0, as the
-        flat form does.
+        error names the first offending row in row order. The
+        reconstruction is reconstruct(base, r, indices), the server's
+        answer to the same indices; so a row whose cell width underflows
+        to 0 maps to index 0 and reconstructs at -r, the center of that
+        cell.
         """
-        idx, dead = self._cells(u)
-        if dead is True:
-            return idx, np.zeros(idx.shape)
-        recon = reconstruct(self.base, self.r, idx)
-        if dead is not None:
-            recon[dead] = 0.0
-        return idx, recon
+        idx = self.indices(u)
+        return idx, reconstruct(self.base, self.r, idx)
 
     def indices(self, u):
         """The cell indices of quantize(u), without the reconstruction."""
-        return self._cells(u)[0]
-
-    def _cells(self, u):
-        """(indices, dead): dead is True when every row's reconstruction is
-        0 (one level, or a flat cell width of 0), a mask of the stack's rows
-        whose width underflowed, or None."""
         u = np.asarray(u, dtype=np.float64)
         n, r = self.base.n, self.r
         column = False
@@ -192,12 +183,12 @@ class ScaledQuantizer:
                                       float(r[row, 0] if column else r), row)
         nlev = self.base.levels
         if nlev == 1:
-            return np.zeros(u.shape, dtype=np.int64), True
+            return np.zeros(u.shape, dtype=np.int64)
         width = 2.0 * r / nlev
         dead = None
         if not column:
             if width == 0.0:  # r = 0, or below the resolvable cell
-                return np.zeros(u.shape, dtype=np.int64), True
+                return np.zeros(u.shape, dtype=np.int64)
         elif np.count_nonzero(width == 0.0):
             # such rows divide by 1 instead of 0 and are zeroed below
             dead = (width == 0.0)[:, 0]
@@ -216,11 +207,12 @@ class ScaledQuantizer:
             np.minimum(idx, nlev - 1, out=idx)
         if dead is not None:
             idx[dead] = 0
-        return idx, dead
+        return idx
 
 
 def reconstruct(spec, r, indices):
-    """Cell centers for integer indices; shared verbatim by both channel ends.
+    """Cell centers for integer indices: the one map from indices to values,
+    on both channel ends (the worker's quantize reconstructs through it).
 
     Flat indices take a float r; a (G, n) stack takes a float or a (G, 1)
     column of ranges.
@@ -293,7 +285,7 @@ class Payload:
 
     A payload is what travels and nothing more: its bits and their count.
     The receiver recovers the indices with decode_payload from the public
-    (n, R). A payload is immutable, so a worker may send one again.
+    (n, R).
     """
 
     bits: bytes = field(repr=False)

@@ -8,8 +8,11 @@ class ExactCoder:
 
     The wire object is a read-only copy of the float vector, so this only
     works over a loopback channel; reconstruction equals the input bitwise
-    and the stored error stays exactly zero.
+    and the stored error stays exactly zero. It never clamps, so a worker
+    over it counts escapes instead of raising, as over a saturating coder.
     """
+
+    saturate = True
 
     def encode(self, r, u):
         wire = u.copy()

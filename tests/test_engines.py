@@ -120,7 +120,7 @@ def _zero_error_run(algo, obj, hp, steps):
     schedule, _ = dq_schedule(algo, obj, R=8)
     coder = ExactCoder()
     # the schedule is irrelevant at zero quantization error
-    worker = worker_cls(obj.grad, hp, schedule, coder, containment="saturate")
+    worker = worker_cls(obj.grad, hp, schedule, coder)
     server = _ServerBase(rule, obj.x0, hp, [schedule], [coder])
     chan = LoopbackChannel()
     xs = []
@@ -245,8 +245,7 @@ def test_non_finite_quantizer_input_violates_containment():
         run_protocol(server, worker, [Channel(6, 4)], 5)
 
     # saturate mode counts the escape; the saturating quantizer still refuses
-    worker = DQGDWorker(nan_grad, hp, wide, BitCoder(spec, saturate=True),
-                        containment="saturate")
+    worker = DQGDWorker(nan_grad, hp, wide, BitCoder(spec, saturate=True))
     server = _ServerBase("gd", obj.x0, hp, [wide], [BitCoder(spec, saturate=True)])
     with pytest.raises(RangeViolationError):
         run_protocol(server, worker, [Channel(6, 4)], 5)
@@ -269,12 +268,10 @@ def test_builder_saturates_only_heavy_ball_at_alpha_zero(algo, alpha):
     _, obj = make_gaussian_ls(32, 16, 25, 14)
     worker, server, _ = build_dq_engine(algo, obj, 8, alpha)
     saturate = algo == "dq-hb" and alpha == 0.0
-    assert worker.containment == ("saturate" if saturate else "strict")
     assert worker.coder.saturate is saturate
     assert server.coders[0].saturate is saturate
     # an explicit value overrides the default on both halves
     worker, server, _ = build_dq_engine(algo, obj, 8, alpha, containment="strict")
-    assert worker.containment == "strict"
     assert not worker.coder.saturate and not server.coders[0].saturate
 
 
@@ -284,9 +281,6 @@ def test_unknown_containment_is_rejected(bad):
     _, obj = make_gaussian_ls(32, 16, 25, 14)
     with pytest.raises(ValueError, match="containment"):
         run_dq("dq-hb", obj, 8, containment=bad)
-    with pytest.raises(ValueError, match="containment"):
-        DQGDWorker(obj.grad, optimal_hyperparams(obj.L, obj.mu, "gd"),
-                   constant_range(1.0), ExactCoder(), containment=bad)
 
 
 def test_nq_multiworker_run_and_envelope():
@@ -317,6 +311,34 @@ def test_stored_error_stays_within_covering_radius():
         assert np.linalg.norm(w.e1) <= w.last_r * eps * (1 + 1e-12)
 
     run_protocol(server, worker, [chan], 120, on_iteration=observe)
+
+
+def test_worker_and_server_reconstruct_alike_in_every_round():
+    # the saturating dq-hb run at kappa = 5, R = 8 reaches ranges whose cell
+    # width underflows to 0; the worker's stored error must still come from
+    # what the server decodes, round by round, in all 1500 rounds
+    _, obj = make_gaussian_ls(32, 16, 5.0, 3)
+    worker, server, channel = build_dq_engine("dq-hb", obj, 8)
+    worker_recon, server_recon = [], []
+    encode, decode = worker.coder.encode, server.coders[0].decode
+
+    def tapped_encode(r, u):
+        wire, recon = encode(r, u)
+        worker_recon.append(recon.tobytes())
+        return wire, recon
+
+    def tapped_decode(rs, wires):
+        q = decode(rs, wires)
+        server_recon.append(q.tobytes())
+        return q
+
+    worker.coder.encode = tapped_encode
+    server.coders[0].decode = tapped_decode
+    rec = _drive("dq-hb", 8, obj, server, worker, [channel], 1500)
+    assert rec.terminal_T == 1500 and server.cycle is None
+    assert len(worker_recon) == len(server_recon) == 1500
+    assert [t for t, (a, b) in enumerate(zip(worker_recon, server_recon))
+            if a != b] == []
 
 
 def test_nq_single_worker_zero_rate_is_stationary():
@@ -385,8 +407,7 @@ def _zero_gradient_engine(schedule):
     n, R = 16, 1
     hp = HyperParams(eta=1.0, gamma=0.0, sigma=0.0)
     spec = QuantizerSpec(n, R)
-    worker = DQGDWorker(np.zeros_like, hp, schedule, BitCoder(spec, True),
-                        containment="saturate")
+    worker = DQGDWorker(np.zeros_like, hp, schedule, BitCoder(spec, True))
     server = _ServerBase("gd", np.zeros(n), hp, [schedule],
                          [BitCoder(spec, True)])
     return worker, server, [Channel(n, R)]

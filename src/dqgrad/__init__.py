@@ -34,6 +34,7 @@ from .harness import (
 from .hyperparams import HyperParams, optimal_hyperparams
 from .problems import (
     LeastSquares,
+    LeastSquaresStack,
     MultiWorkerProblem,
     Objective,
     load_matrix_market,

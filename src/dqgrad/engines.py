@@ -16,10 +16,15 @@ Every server takes this one path: a DQ engine has one channel, so it is
 row 0 and its direction is q_0 itself. A one-row group is coded by the
 quantizer's flat forms, the same arithmetic without the numpy cost of a
 row axis, so K = 1 pays nothing for the stack. Naive quantization's K
-workers are rows of one worker side too (NQGDWorkers): each row reads its
-own channel's frame, steps its own cursor and calls its own gradient
-oracle, and each rate's rows are quantized and packed in one pass, one
-payload per channel.
+workers are rows of one worker side too (NQGDWorkers). The server packs
+one downlink frame per broadcast and queues it on every channel; each
+channel checks the length of its frame, and the worker side reads the K
+frames as one (K, n) stack of iterates. One stacked oracle
+(problems.LeastSquaresStack) gives the K gradients and one matmul every
+row's u_k @ u_k, each bit-equal to its row's flat call. Each row steps
+its own cursor, and each rate's rows are quantized and packed in one
+pass, one payload per channel. By the same rule as the coder's, one
+worker (K = 1) is sent, read, evaluated and measured by the flat calls.
 
 The worker compensates past quantization errors so that it always
 evaluates the gradient on the unquantized method's trajectory; the exact
@@ -61,11 +66,14 @@ parties, proves such a cycle and fills the rest of the run from it:
      round t equal those at round s < t, then rounds t, t+1, ... repeat
      rounds s, s+1, ... with period p = t - s, to the last round.
 
-While the ranges are settled, each round is keyed by those bytes in a
-table of at most _CYCLE_SLOTS rounds, emptied when full, next to the state
-and observables it left behind. On a hit, every later round is restored
-from the period: the server's state, the worker's memory, ||u|| and r, the
-channel trace entries and the escapes, relabelled with their round. Every
+While the ranges are settled, each round is keyed in a table of at most
+_CYCLE_SLOTS rounds, emptied when full, next to the state and observables
+it left behind. The key is the bytes of x, and the rest of the state is
+compared only when an earlier round started from the same x; a round that
+shares x but not the rest is keyed by the bytes of its whole state. On a
+hit, every later round is restored from the period: the server's state,
+the worker's memory, ||u|| and r, the channel trace entries and the
+escapes, relabelled with their round. Every
 round still reaches on_iteration and stop, and each party ends where a
 computed run ends, bit for bit. server.cycle is then (s, p).
 """
@@ -80,7 +88,7 @@ from . import bounds, quantizer
 from .hyperparams import agd_lambda, optimal_hyperparams
 from .quantizer import Payload, QuantizerSpec, RangeViolationError
 from .schedules import RangeSchedule, ScheduleCursor
-from .transport import Channel
+from .transport import Channel, pack_iterate, unpack_iterates
 
 # absorbs roundoff in the containment check; the underlying inequality is
 # exact in real arithmetic and can be tight on adversarial instances
@@ -260,11 +268,13 @@ class DQHBWorker(_WorkerBase):
 class _RateGroup:
     """The channels that share one coder, and this round's rows of them."""
 
-    def __init__(self, coder, members):
+    def __init__(self, coder, members, everyone):
         self.coder = coder
         self.members = members  # channel indices, increasing
+        # index of its rows in a stack of every channel's
+        self.rows = slice(None) if everyone else members
         self.rs = [0.0] * len(members)
-        self.items = [None] * len(members)  # quantizer inputs, or payload bits
+        self.items = [None] * len(members)  # payload bits, on the server
 
 
 def _rate_groups(coders):
@@ -273,7 +283,8 @@ def _rate_groups(coders):
     members = {}
     for k, coder in enumerate(coders):
         members.setdefault(coder, []).append(k)
-    groups = [_RateGroup(coder, ks) for coder, ks in members.items()]
+    groups = [_RateGroup(coder, ks, len(members) == 1)
+              for coder, ks in members.items()]
     slots = {k: (g, j) for g in groups for j, k in enumerate(g.members)}
     return groups, [slots[k] for k in range(len(coders))]
 
@@ -281,16 +292,19 @@ def _rate_groups(coders):
 class NQGDWorkers:
     """The K naive-quantization workers, run as the rows of one stack.
 
-    Row k reads channel k's frame, steps cursor k and evaluates
-    u_k = grads[k](x); containment is checked row by row in channel order.
-    Each rate's rows are then quantized and packed in one pass, one payload
-    per channel. A row that leaves its cube raises what a worker-at-a-time
-    loop would have raised first. Naive quantization never compensates, so
-    there is no error memory, and its ranges never settle.
+    grad maps the (K, n) stack of iterates to the (K, n) stack of local
+    gradients u_k. The K channels' frames are read as one stack, and one
+    matmul gives every row's u_k @ u_k; containment is checked row by row
+    in channel order. Each rate's rows are then quantized and packed in one
+    pass, one payload per channel. A row that leaves its cube raises what a
+    worker-at-a-time loop would have raised first. One row (K = 1) is read,
+    evaluated and measured flat: grad then maps (n,) to (n,). Naive
+    quantization never compensates, so there is no error memory, and its
+    ranges never settle.
     """
 
-    def __init__(self, grads, schedules, coders):
-        self.grads = grads
+    def __init__(self, grad, schedules, coders):
+        self.grad = grad
         self.cursors = [ScheduleCursor(s) for s in schedules]
         self.coders = coders
         self._groups, self._slots = _rate_groups(coders)
@@ -302,16 +316,22 @@ class NQGDWorkers:
     memory = ()
 
     def round(self, channels):
+        if len(channels) == 1:
+            t, x = channels[0].recv_iterate()
+            u = self.grad(x)
+            ts, U, norms = (t,), (u,), (math.sqrt(u @ u),)
+        else:
+            ts, X = unpack_iterates([ch.recv_frame() for ch in channels])
+            U = self.grad(X)
+            norms = np.matmul(U[:, None, :], U[:, :, None])  # each u_k @ u_k
+            norms = np.sqrt(norms).ravel().tolist()
         u_max = r_max = 0.0
-        for k, (ch, cursor, grad, (group, j)) in enumerate(
-                zip(channels, self.cursors, self.grads, self._slots)):
-            t, x = ch.recv_iterate()
+        for k, (cursor, (group, j), u_norm) in enumerate(
+                zip(self.cursors, self._slots, norms)):
             r = group.rs[j] = cursor.step()
-            u = group.items[j] = grad(x)
-            u_norm = math.sqrt(u @ u)
             if not u_norm <= r * (1.0 + CONTAINMENT_RTOL):  # a NaN norm violates
-                self._first_escape(k)
-                raise ScheduleViolationError(t, u_norm, r)
+                self._first_escape(k, U)
+                raise ScheduleViolationError(ts[k], u_norm, r)
             if u_norm > u_max:
                 u_max = u_norm
             if r > r_max:
@@ -320,18 +340,18 @@ class NQGDWorkers:
         self.last_r = r_max
         try:
             for g in self._groups:
-                wires = g.coder.encode_rows(g.rs, g.items)
+                wires = g.coder.encode_rows(g.rs, U[g.rows])
                 for k, wire in zip(g.members, wires):
                     channels[k].send_payload(wire)
         except RangeViolationError:
-            self._first_escape(len(channels))
+            self._first_escape(len(channels), U)
             raise
 
-    def _first_escape(self, upto):
-        """Quantize rows 0..upto-1 one at a time, in channel order, so the
-        first that leaves its cube raises as its own worker would."""
-        for coder, (g, j) in zip(self.coders, self._slots[:upto]):
-            coder.encode_rows([g.rs[j]], [g.items[j]])
+    def _first_escape(self, upto, U):
+        """Quantize rows 0..upto-1 of U one at a time, in channel order, so
+        the first that leaves its cube raises as its own worker would."""
+        for coder, (g, j), u in zip(self.coders, self._slots[:upto], U):
+            coder.encode_rows([g.rs[j]], [u])
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +385,13 @@ class _ServerBase:
         return self.state[0]
 
     def broadcast(self, channels):
+        """(t, x) down every channel; K > 1 channels share one packed frame."""
+        if len(channels) == 1:
+            channels[0].send_iterate(self.t, self.x)
+            return
+        frame = pack_iterate(self.t, self.x)
         for ch in channels:
-            ch.send_iterate(self.t, self.x)
+            ch.send_frame(frame)
 
     def collect(self, channels):
         for ch, cursor, (g, j) in zip(channels, self.cursors, self._slots):
@@ -377,7 +402,7 @@ class _ServerBase:
             if q is None:  # one coder decodes every channel, in order
                 q = g.coder.decode(g.rs, g.items)
             else:
-                q[g.members] = g.coder.decode(g.rs, g.items)
+                q[g.rows] = g.coder.decode(g.rs, g.items)
         direction = q
         if q.ndim == 2:  # q_0 + q_1 + ..., left to right
             direction = q[0]
@@ -417,14 +442,20 @@ class _Cycles:
         self.server = server
         self.worker = worker
         self.channels = channels
-        self.starts = {}  # state bytes -> the round that started from them
+        # the bytes of x, or of a round's whole state when an earlier round
+        # started from the same x -> (round, server state, worker memory)
+        self.starts = {}
         # (server state, worker memory, ||u||, r) of each keyed round since
         # the table was emptied, the last one excepted
         self.outcomes = []
 
     def enter(self, t):
         """Before round t: the earlier round that started from the same
-        state, or None; keys round t while the ranges are settled."""
+        state, or None; keys round t while the ranges are settled.
+
+        A settled run that drifts never repeats its iterate, so a round is
+        keyed by the bytes of x alone, and the rest of the state is compared
+        only when x matches."""
         state, worker = self.server.state, self.worker
         if self.starts:  # settled once, settled for good
             memory = worker.memory
@@ -435,14 +466,22 @@ class _Cycles:
                 if not cursor.settled():
                     return None
             memory = worker.memory
-        key = b"".join([a.tobytes() for a in state + memory])
-        start = self.starts.get(key)
-        if start is not None:
-            return start
+        key = x = state[0].tobytes()
+        seen = self.starts.get(x)
+        if seen is not None:
+            start, old_state, old_memory = seen
+            if all(a.tobytes() == b.tobytes() for a, b in
+                   zip(state[1:] + memory, old_state[1:] + old_memory)):
+                return start
+            key = b"".join([a.tobytes() for a in state + memory])
+            seen = self.starts.get(key)
+            if seen is not None:
+                return seen[0]
         if len(self.starts) >= _CYCLE_SLOTS:
             self.starts.clear()
             self.outcomes.clear()
-        self.starts[key] = t
+            key = x
+        self.starts[key] = (t, state, memory)
         return None
 
     def fill(self, start, t, steps, on_iteration, stop):
@@ -570,7 +609,7 @@ def build_nq_engine(problem, rates):
         by_rate = {R: BitCoder(QuantizerSpec(n, R)) for R in rates}
         return [by_rate[R] for R in rates]
 
-    worker = NQGDWorkers([obj.grad for obj in problem.locals_], schedules,
-                         coders())
+    grad = problem.locals_[0].grad if problem.K == 1 else problem.stack.grad
+    worker = NQGDWorkers(grad, schedules, coders())
     server = _ServerBase("gd", problem.x0, hp, schedules, coders())
     return worker, server, [Channel(n, R) for R in rates]

@@ -12,8 +12,11 @@ half of above-floor iterations: the raw T-th root would carry the
 transient constant, and the tail half suppresses it.
 """
 
+import contextlib
+import functools
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +43,15 @@ UNQUANTIZED = ("gd", "agd", "hb")
 # FLOOR_SCALE * max(1, D) or rises above DIVERGENCE_SCALE * max(1, D)
 FLOOR_SCALE = 1e-13
 DIVERGENCE_SCALE = 1e9
+# from this n up, the BLAS thread count changes the bits of the instance
+# constants and of the gradients (measured with numpy's bundled OpenBLAS)
+BLAS_THREAD_BITS_N = 384
+# (get, set) thread-count symbols of numpy's bundled OpenBLAS builds
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 class InsufficientDataError(Exception):
@@ -339,22 +351,75 @@ _SIGMA_OF = {"gd": sigma_gd, "dq-gd": sigma_gd, "nq-gd": sigma_gd,
              "hb": sigma_hb, "dq-hb": sigma_hb}
 
 
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, as ctypes
+    functions, or None when no such library or symbol is found; looked up
+    once per process."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+def _pin_blas_thread():
+    """Set numpy's OpenBLAS to one thread; the old count, or None."""
+    calls = _blas_threads()
+    if calls is None:
+        return None
+    get, set_ = calls
+    old = get()
+    set_(1)
+    return old
+
+
+@contextlib.contextmanager
+def _one_blas_thread(n):
+    """One BLAS thread inside, the old count after: from n = 384 up the
+    thread count changes result bits, and a sweep's bytes must not depend
+    on it. Warns at such n when the count cannot be set."""
+    old = _pin_blas_thread()
+    if old is None and n >= BLAS_THREAD_BITS_N:
+        warnings.warn(f"cannot pin numpy's BLAS to one thread; at n = {n} the "
+                      f"sweep's bytes may depend on the BLAS thread count",
+                      RuntimeWarning, stacklevel=3)
+    try:
+        yield
+    finally:
+        if old is not None:
+            _blas_threads()[1](old)
+
+
 def run_sweep(config):
-    """Mean and percentile empirical factors per (algo, R), with overlays."""
-    if config.jobs > 1:
-        # imported here: it costs a serial `import dqgrad` about 20 ms
-        from concurrent.futures import ProcessPoolExecutor
+    """Mean and percentile empirical factors per (algo, R), with overlays.
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            trial_results = list(
-                pool.map(_run_trial, [config] * config.trials, range(config.trials))
-            )
-    else:
-        trial_results = [_run_trial(config, t) for t in range(config.trials)]
-
-    kappa = _reference_kappa(config)
+    The trials run on one BLAS thread, in every pool worker too."""
     n = (config.problem.get("n")
          or np.asarray(config.problem["matrix"]).shape[1])
+    with _one_blas_thread(n):
+        if config.jobs > 1:
+            # imported here: it costs a serial `import dqgrad` about 20 ms
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=config.jobs,
+                                     initializer=_pin_blas_thread) as pool:
+                trial_results = list(
+                    pool.map(_run_trial, [config] * config.trials,
+                             range(config.trials))
+                )
+        else:
+            trial_results = [_run_trial(config, t) for t in range(config.trials)]
+        kappa = _reference_kappa(config)
+
     rho = bounds.default_rho(n)
     rows = []
     for algo in config.algos:

@@ -179,17 +179,42 @@ def make_worst_case_gd(x0, L, mu, D, eta):
 
 
 @dataclass(frozen=True)
+class LeastSquaresStack:
+    """K least-squares problems of one shape, as (K, m, n) and (K, m) stacks.
+
+    grad maps a (K, n) stack of points to the (K, n) stack of gradients
+    A_k^T (A_k x_k - y_k). np.matmul runs the same gemv on each slice as
+    LeastSquares.grad on its own A_k, so row k is that gradient bit for bit.
+    """
+
+    A: np.ndarray
+    y: np.ndarray
+
+    def grad(self, X):
+        A = self.A
+        residual = np.matmul(A, X[:, :, None]) - self.y[:, :, None]
+        return np.matmul(A.transpose(0, 2, 1), residual)[:, :, 0]
+
+
+@dataclass(frozen=True)
 class MultiWorkerProblem:
     """K local objectives sharing one optimizer (interpolation setting).
 
     L and mu are the averages of the local constants: valid smoothness and
     strong-convexity constants for the average objective, not necessarily
-    tight ones.
+    tight ones. stack holds the K local problems as one LeastSquaresStack,
+    whose slices the local gradient oracles read; one objective needs none.
     """
 
     locals_: tuple
     x_star: np.ndarray
     x0: np.ndarray
+    stack: LeastSquaresStack | None = None
+
+    def __post_init__(self):
+        if self.K > 1 and self.stack is None:
+            raise ValueError("K > 1 local problems need their stack, the "
+                             "LeastSquaresStack the K workers' gradients read")
 
     @property
     def K(self):
@@ -216,14 +241,16 @@ class MultiWorkerProblem:
         return float(np.linalg.norm(self.x_star - self.x0))
 
 
-def make_interpolation_problem(K, n, m_k, kappa_list, seed, L_list=None):
+def make_interpolation_problem(K, n, m, kappa_list, seed, L_list=None):
     """K least-squares objectives f_k(x) = 0.5*||A_k (x - x_star)||^2.
 
-    A shared x_star is drawn first, then each A_k gets an independent
+    A shared x_star is drawn first, then each m x n A_k gets an independent
     Gaussian draw remapped to its prescribed condition number; y_k = A_k
     x_star makes every local gradient vanish at x_star by construction.
     L_list prescribes per-worker smoothness constants (default 1 each),
-    which is what makes non-uniform rate allocation interesting.
+    which is what makes non-uniform rate allocation interesting. The A_k
+    and y_k are slices of one (K, m, n) and one (K, m) array, the
+    problem's stack.
     """
     if K < 1:
         raise ValueError("need at least one worker")
@@ -232,27 +259,22 @@ def make_interpolation_problem(K, n, m_k, kappa_list, seed, L_list=None):
     Ls = [1.0] * K if L_list is None else [float(v) for v in L_list]
     if len(Ls) != K or any(v <= 0 for v in Ls):
         raise ValueError("need one positive smoothness target per worker")
-    ms = [m_k] * K if np.isscalar(m_k) else list(m_k)
     gen = rngmod.make_rng(seed)
     x_star = rngmod.standard_normal(gen, n)
     x0 = rngmod.standard_normal(gen, n)
+    stack = LeastSquaresStack(np.empty((K, m, n)), np.empty((K, m)))
+    D = float(np.linalg.norm(x_star - x0))
     locals_ = []
     for k in range(K):
-        A = np.sqrt(Ls[k]) * remap_spectrum(
-            rngmod.normal_matrix(gen, ms[k], n), kappa_list[k])
-        ls = LeastSquares(A, A @ x_star)
+        A = stack.A[k]
+        A[...] = np.sqrt(Ls[k]) * remap_spectrum(
+            rngmod.normal_matrix(gen, m, n), kappa_list[k])
+        stack.y[k] = A @ x_star
+        ls = LeastSquares(A, stack.y[k])
         L, mu = ls.spectrum_bounds()
-        locals_.append(
-            Objective(
-                grad=ls.grad,
-                L=L,
-                mu=mu,
-                x_star=x_star,
-                x0=x0,
-                D=float(np.linalg.norm(x_star - x0)),
-            )
-        )
-    return MultiWorkerProblem(tuple(locals_), x_star, x0)
+        locals_.append(Objective(grad=ls.grad, L=L, mu=mu, x_star=x_star,
+                                 x0=x0, D=D))
+    return MultiWorkerProblem(tuple(locals_), x_star, x0, stack)
 
 
 def load_matrix_market(path):

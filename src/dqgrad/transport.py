@@ -9,7 +9,10 @@ channel; the frame formats below would let a socket backend replace them.
 Frame formats
 -------------
 downlink  : uint32 little-endian iteration index, then n float64
-            little-endian coordinates (4 + 8n bytes).
+            little-endian coordinates (4 + 8n bytes). A broadcast packs
+            one frame and queues it on every channel; each channel checks
+            the length of what it delivers, and a worker side that reads
+            several channels decodes their frames as one stack.
 uplink    : the packed payload bits, zero-padded to a whole byte; the bit
             count n*R is implied by the public (n, R) and checked.
 """
@@ -40,6 +43,14 @@ def unpack_iterate(frame):
     return iteration, x
 
 
+def unpack_iterates(frames):
+    """(iteration indices, (K, n) iterates) of K frames of one length."""
+    n = (len(frames[0]) - 4) // 8
+    rows = np.frombuffer(b"".join(frames),
+                         dtype=np.dtype([("t", "<u4"), ("x", "<f8", (n,))]))
+    return rows["t"].tolist(), rows["x"].astype(np.float64)
+
+
 @dataclass
 class ChannelTrace:
     """Per-iteration bit/byte accounting for one worker's channel."""
@@ -64,7 +75,11 @@ class Channel:
 
     # server side
     def send_iterate(self, iteration, x):
-        frame = pack_iterate(iteration, x)
+        self.send_frame(pack_iterate(iteration, x))
+
+    def send_frame(self, frame):
+        """Queue one packed downlink frame, shared by every channel of a
+        broadcast."""
         self._down.append(frame)
         self.trace.downlink_bytes.append(len(frame))
 
@@ -80,9 +95,18 @@ class Channel:
 
     # worker side
     def recv_iterate(self):
+        return unpack_iterate(self.recv_frame())
+
+    def recv_frame(self):
+        """The next downlink frame, once its length is checked against n;
+        the worker side decodes it."""
         if not self._down:
             raise FramingError("downlink empty")
-        return unpack_iterate(self._down.popleft())
+        frame = self._down.popleft()
+        if len(frame) != 4 + 8 * self.n:
+            raise FramingError(f"expected a {4 + 8 * self.n}-byte downlink "
+                               f"frame, got {len(frame)} bytes")
+        return frame
 
     def send_payload(self, payload):
         if payload.nbits != self.n * self.R:

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from dqgrad.transport import unpack_iterate
+
 
 class ExactCoder:
     """Zero-error stand-in for rate = infinity runs.
@@ -24,7 +26,11 @@ class ExactCoder:
 
 
 class LoopbackChannel:
-    """Channel double that carries arbitrary objects; no bit accounting."""
+    """Channel double that carries arbitrary objects; no bit accounting.
+
+    The downlink holds (iteration, x) pairs; a broadcast's frame is
+    unpacked on the way in.
+    """
 
     def __init__(self):
         self._down = []
@@ -32,6 +38,9 @@ class LoopbackChannel:
 
     def send_iterate(self, iteration, x):
         self._down.append((iteration, np.array(x)))
+
+    def send_frame(self, frame):
+        self._down.append(unpack_iterate(frame))
 
     def recv_iterate(self):
         return self._down.pop(0)

@@ -557,6 +557,24 @@ def test_cycle_table_waits_for_the_peak_of_a_stalled_range(monkeypatch):
     assert _same_bits(ref_server.x, server.x)
 
 
+def test_cycle_table_compares_the_whole_state_of_rounds_that_share_x():
+    # rounds are keyed by x; a round that shares x with an earlier one but
+    # not its error memory is keyed by its whole state, and both are found
+    a, b = np.zeros(2), np.ones(2)
+    m = [(np.full(2, v), np.full(2, -v)) for v in (1.0, 2.0, 3.0)]
+    server = SimpleNamespace(state=None,
+                             cursors=[SimpleNamespace(settled=lambda: True)])
+    worker = SimpleNamespace(memory=None, last_u_norm=0.0, last_r=1.0)
+    cycles = engines._Cycles(server, worker, [])
+    found = []
+    for t, (x, memory) in enumerate([(a, m[0]), (a, m[1]), (b, m[2]),
+                                     (a, m[1]), (a, m[0]), (b, m[0])]):
+        server.state, worker.memory = (x,), memory
+        found.append(cycles.enter(t))
+    assert found == [None, None, None, 1, 0, None]
+    assert len(cycles.starts) == 4
+
+
 def _end_state(server, worker, channels):
     """Every party's state after a run, as comparable values."""
     def cursor(c):
@@ -692,7 +710,7 @@ def _escape_rows(us, rates=(2, 3, 2)):
     """NQGDWorkers over fixed quantizer inputs at range 1; rows 0 and 2
     share a coder, so they are quantized together and before row 1."""
     n = len(us[0])
-    worker = NQGDWorkers([lambda x, u=u: np.array(u) for u in us],
+    worker = NQGDWorkers(lambda X: np.array(us, dtype=np.float64),
                          [constant_range(1.0)] * len(us), _shared_coders(n, rates))
     channels = [Channel(n, R) for R in rates]
     for ch in channels:

@@ -1,10 +1,12 @@
 import math
+import warnings
 import xml.dom.minidom
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from dqgrad import harness
 from dqgrad.configfile import ConfigError, load_experiments, parse_rates
 from dqgrad.harness import (
     CSV_HEADER,
@@ -342,3 +344,46 @@ def test_mtx_config_runs(tmp_path):
     rows = run_sweep(config)
     assert len(rows) == 2
     assert all(0 < r.emp_mean <= 1 for r in rows)
+
+
+# --- one BLAS thread per sweep ------------------------------------------------
+
+BLAS_SECTION = ExperimentConfig(
+    name="n384", algos=("gd", "dq-gd"),
+    problem={"kind": "gaussian", "m": 768, "n": 384, "kappa": 100.0},
+    rates=(8,), trials=1, seed=3, t_max=300)
+
+
+def _blas_sweep_bytes(tmp_path, threads):
+    """The CSV bytes of BLAS_SECTION swept with numpy's BLAS at `threads`."""
+    get, set_ = harness._blas_threads()
+    set_(threads)
+    rows = run_sweep(BLAS_SECTION)
+    assert get() == threads  # the sweep puts the old count back
+    path = tmp_path / f"threads{threads}.csv"
+    emit_csv(rows, path)
+    return path.read_bytes()
+
+
+def test_a_large_section_gives_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # from n = 384 up the BLAS thread count moves result bits; the sweep
+    # pins one thread, so the count it is started with does not matter
+    if harness._blas_threads() is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be set here")
+    get, set_ = harness._blas_threads()
+    old = get()
+    try:
+        assert (_blas_sweep_bytes(tmp_path, 1)
+                == _blas_sweep_bytes(tmp_path, 2))
+    finally:
+        set_(old)
+
+
+def test_a_sweep_warns_at_large_n_when_blas_cannot_be_pinned(monkeypatch):
+    monkeypatch.setattr(harness, "_blas_threads", lambda: None)
+    small = ExperimentConfig(algos=("gd",), trials=1, t_max=300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_sweep(small)  # n = 16: nothing to warn about
+    with pytest.warns(RuntimeWarning, match="n = 384"):
+        run_sweep(BLAS_SECTION)

@@ -3,12 +3,15 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dqgrad.hyperparams import optimal_hyperparams
 from dqgrad.problems import (
     DegenerateInstanceError,
     LeastSquares,
+    LeastSquaresStack,
     MatrixMarketError,
+    MultiWorkerProblem,
     load_matrix_market,
     make_gaussian_ls,
     make_interpolation_problem,
@@ -137,6 +140,42 @@ def test_interpolation_average_constants():
     evals = np.linalg.eigvalsh(H)
     assert evals[-1] <= prob.L * (1 + 1e-9)
     assert evals[0] >= prob.mu * (1 - 1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(K=st.integers(2, 8), n=st.integers(1, 128), extra=st.integers(0, 64),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_oracle_is_each_rows_gradient_bitwise(K, n, extra, seed):
+    # a different point per row, and each row against its own fresh problem
+    gen = make_rng(seed)
+    m = n + extra
+    stack = LeastSquaresStack(gen.standard_normal((K, m, n)),
+                              gen.standard_normal((K, m)))
+    X = gen.standard_normal((K, n))
+    G = stack.grad(X)
+    assert G.shape == (K, n)
+    for k in range(K):
+        ls = LeastSquares(stack.A[k].copy(), stack.y[k].copy())
+        assert G[k].tobytes() == ls.grad(X[k]).tobytes()
+
+
+def test_interpolation_locals_are_slices_of_the_stack():
+    prob = make_interpolation_problem(3, 8, 20, [2.0, 5.0, 9.0], 8)
+    assert prob.stack.A.shape == (3, 20, 8) and prob.stack.y.shape == (3, 20)
+    X = np.stack([prob.x0, prob.x_star, prob.x0 + 1.0])
+    G = prob.stack.grad(X)
+    for k, (obj, x) in enumerate(zip(prob.locals_, X)):
+        ls = obj.grad.__self__
+        assert ls.A.base is prob.stack.A and ls.y.base is prob.stack.y
+        assert G[k].tobytes() == obj.grad(x).tobytes()
+
+
+def test_several_local_problems_need_their_stack():
+    prob = make_interpolation_problem(2, 4, 8, [2.0, 3.0], 1)
+    with pytest.raises(ValueError, match="stack"):
+        MultiWorkerProblem(prob.locals_, prob.x_star, prob.x0)
+    one = MultiWorkerProblem(prob.locals_[:1], prob.x_star, prob.x0)
+    assert one.stack is None
 
 
 # --- objective(): SVD and solve on two threads -------------------------------

@@ -75,14 +75,20 @@ def test_counter_and_tracer_see_every_round():
         tracer.install()
         try:
             _, obj = dqgrad.problems.make_gaussian_ls(32, 16, 5, 7)
+            prob = dqgrad.problems.make_interpolation_problem(
+                3, 16, 32, [2.0, 4.0, 6.0], 7)
             records = [dqgrad.harness.run_dq("dq-gd", obj, 6),
-                       dqgrad.harness.run_nq(obj, [6])[0]]
+                       dqgrad.harness.run_nq(obj, [6])[0],
+                       dqgrad.harness.run_nq(prob, [6, 6, 6])[0]]
         finally:
             tracer.remove()
     finally:
         counter.remove()
     rounds = sum(rec.terminal_T for rec in records)
+    # one 4 + 8n byte frame per channel and round, n = 16
+    frames = sum(rec.terminal_T * K for rec, K in zip(records, (1, 1, 3)))
     assert counter.errors == []
     assert counter.snapshot()["engines.rounds"] == rounds
+    assert counter.snapshot()["transport.downlink_bytes"] == frames * (4 + 8 * 16)
     for name in ("harness.observe", "harness.stop"):
         assert tracer.calls[instruments.NAMES.index(name)] == rounds, name

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from dqgrad.engines import build_dq_engine, run_protocol
+from dqgrad.engines import build_dq_engine, build_nq_engine, run_protocol
 from dqgrad.harness import run_dq
-from dqgrad.problems import make_gaussian_ls
+from dqgrad.problems import make_gaussian_ls, make_interpolation_problem
 from dqgrad.quantizer import Payload
 from dqgrad.rng import make_rng
 from dqgrad.transport import (
@@ -11,6 +11,7 @@ from dqgrad.transport import (
     FramingError,
     pack_iterate,
     unpack_iterate,
+    unpack_iterates,
 )
 
 
@@ -42,6 +43,39 @@ def test_random_iterate_roundtrips_bitwise():
         t2, x2 = unpack_iterate(pack_iterate(t, x))
         assert t2 == t
         assert np.array_equal(x2, x)
+
+
+def test_stacked_frames_read_as_rows():
+    frames = [pack_iterate(t, x) for t, x in
+              [(3, np.array([1.0, -0.0])), (4, np.array([np.inf, 2.5]))]]
+    ts, X = unpack_iterates(frames)
+    assert ts == [3, 4]
+    assert X.flags.aligned and X.flags.writeable and X.shape == (2, 2)
+    assert X.tobytes() == np.array([[1.0, -0.0], [np.inf, 2.5]]).tobytes()
+
+
+def test_broadcast_queues_one_frame_on_every_channel():
+    prob = make_interpolation_problem(3, 4, 8, [2.0, 3.0, 4.0], 1)
+    _, server, channels = build_nq_engine(prob, [2, 2, 3])
+    server.broadcast(channels)
+    frames = [ch.recv_frame() for ch in channels]
+    assert all(f is frames[0] for f in frames)
+    assert frames[0] == pack_iterate(0, prob.x0)
+    assert [ch.trace.downlink_bytes for ch in channels] == [[4 + 8 * 4]] * 3
+
+
+@pytest.mark.parametrize("size", [3, 5])
+def test_mis_sized_frame_on_one_channel_fails_the_stacked_read(size):
+    # channel 1 carries a frame of another length: the round reads nothing
+    # past it, whatever the other channels hold
+    prob = make_interpolation_problem(3, 4, 8, [2.0, 3.0, 4.0], 1)
+    worker, _, channels = build_nq_engine(prob, [2, 2, 3])
+    for k, ch in enumerate(channels):
+        ch.send_frame(pack_iterate(0, np.zeros(size if k == 1 else 4)))
+    with pytest.raises(FramingError, match=f"expected a 36-byte downlink "
+                                           f"frame, got {4 + 8 * size}"):
+        worker.round(channels)
+    assert all(ch.trace.uplink_bits == [] for ch in channels)
 
 
 def test_payload_length_enforced():

@@ -24,7 +24,7 @@ frames as one (K, n) stack of iterates. One stacked oracle
 row's u_k @ u_k, each bit-equal to its row's flat call. Each row steps
 its own cursor, and each rate's rows are quantized and packed in one
 pass, one payload per channel. By the same rule as the coder's, one
-worker (K = 1) is sent, read, evaluated and measured by the flat calls.
+worker (K = 1) is read, evaluated and measured by the flat calls.
 
 The worker compensates past quantization errors so that it always
 evaluates the gradient on the unquantized method's trajectory; the exact
@@ -268,11 +268,9 @@ class DQHBWorker(_WorkerBase):
 class _RateGroup:
     """The channels that share one coder, and this round's rows of them."""
 
-    def __init__(self, coder, members, everyone):
+    def __init__(self, coder, members):
         self.coder = coder
         self.members = members  # channel indices, increasing
-        # index of its rows in a stack of every channel's
-        self.rows = slice(None) if everyone else members
         self.rs = [0.0] * len(members)
         self.items = [None] * len(members)  # payload bits, on the server
 
@@ -283,8 +281,7 @@ def _rate_groups(coders):
     members = {}
     for k, coder in enumerate(coders):
         members.setdefault(coder, []).append(k)
-    groups = [_RateGroup(coder, ks, len(members) == 1)
-              for coder, ks in members.items()]
+    groups = [_RateGroup(coder, ks) for coder, ks in members.items()]
     slots = {k: (g, j) for g in groups for j, k in enumerate(g.members)}
     return groups, [slots[k] for k in range(len(coders))]
 
@@ -296,8 +293,11 @@ class NQGDWorkers:
     gradients u_k. The K channels' frames are read as one stack, and one
     matmul gives every row's u_k @ u_k; containment is checked row by row
     in channel order. Each rate's rows are then quantized and packed in one
-    pass, one payload per channel. A row that leaves its cube raises what a
-    worker-at-a-time loop would have raised first. One row (K = 1) is read,
+    pass, one payload per channel. Every channel's frame is read and its
+    length checked before any row's containment, so a mis-sized frame on
+    any channel raises FramingError, even after a row that escapes. Past
+    the read, a row that leaves its cube raises what a worker-at-a-time
+    loop would have raised first. One row (K = 1) is read,
     evaluated and measured flat: grad then maps (n,) to (n,). Naive
     quantization never compensates, so there is no error memory, and its
     ranges never settle.
@@ -338,9 +338,10 @@ class NQGDWorkers:
                 r_max = r
         self.last_u_norm = u_max
         self.last_r = r_max
+        one = len(self._groups) == 1  # then its rows are all of U
         try:
             for g in self._groups:
-                wires = g.coder.encode_rows(g.rs, U[g.rows])
+                wires = g.coder.encode_rows(g.rs, U if one else U[g.members])
                 for k, wire in zip(g.members, wires):
                     channels[k].send_payload(wire)
         except RangeViolationError:
@@ -385,10 +386,7 @@ class _ServerBase:
         return self.state[0]
 
     def broadcast(self, channels):
-        """(t, x) down every channel; K > 1 channels share one packed frame."""
-        if len(channels) == 1:
-            channels[0].send_iterate(self.t, self.x)
-            return
+        """(t, x) down every channel, as one frame packed once."""
         frame = pack_iterate(self.t, self.x)
         for ch in channels:
             ch.send_frame(frame)
@@ -402,7 +400,7 @@ class _ServerBase:
             if q is None:  # one coder decodes every channel, in order
                 q = g.coder.decode(g.rs, g.items)
             else:
-                q[g.rows] = g.coder.decode(g.rs, g.items)
+                q[g.members] = g.coder.decode(g.rs, g.items)
         direction = q
         if q.ndim == 2:  # q_0 + q_1 + ..., left to right
             direction = q[0]
@@ -609,7 +607,15 @@ def build_nq_engine(problem, rates):
         by_rate = {R: BitCoder(QuantizerSpec(n, R)) for R in rates}
         return [by_rate[R] for R in rates]
 
-    grad = problem.locals_[0].grad if problem.K == 1 else problem.stack.grad
+    if problem.K == 1:
+        grad = problem.locals_[0].grad
+    elif problem.stack is not None:
+        grad = problem.stack.grad
+    else:  # general local objectives: one oracle call per row
+        grads = [obj.grad for obj in problem.locals_]
+
+        def grad(X):
+            return np.array([g(x) for g, x in zip(grads, X)])
     worker = NQGDWorkers(grad, schedules, coders())
     server = _ServerBase("gd", problem.x0, hp, schedules, coders())
     return worker, server, [Channel(n, R) for R in rates]

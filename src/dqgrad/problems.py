@@ -202,8 +202,10 @@ class MultiWorkerProblem:
 
     L and mu are the averages of the local constants: valid smoothness and
     strong-convexity constants for the average objective, not necessarily
-    tight ones. stack holds the K local problems as one LeastSquaresStack,
-    whose slices the local gradient oracles read; one objective needs none.
+    tight ones. stack, when given, holds the K local problems as one
+    LeastSquaresStack, and the naive workers take their K gradients from it
+    in one call; without it each local oracle is called on its own row. A
+    stack is checked against the local oracles at x0.
     """
 
     locals_: tuple
@@ -212,9 +214,13 @@ class MultiWorkerProblem:
     stack: LeastSquaresStack | None = None
 
     def __post_init__(self):
-        if self.K > 1 and self.stack is None:
-            raise ValueError("K > 1 local problems need their stack, the "
-                             "LeastSquaresStack the K workers' gradients read")
+        if self.stack is None:
+            return
+        if (self.stack.A.shape[0] != self.K or not np.array_equal(
+                self.stack.grad(np.tile(self.x0, (self.K, 1))),
+                [o.grad(self.x0) for o in self.locals_])):
+            raise ValueError("the stack's gradients at x0 are not those of "
+                             "the local objectives")
 
     @property
     def K(self):

@@ -12,7 +12,9 @@ downlink  : uint32 little-endian iteration index, then n float64
             little-endian coordinates (4 + 8n bytes). A broadcast packs
             one frame and queues it on every channel; each channel checks
             the length of what it delivers, and a worker side that reads
-            several channels decodes their frames as one stack.
+            several channels decodes their frames as one stack. That side
+            reads and checks every channel's frame before it checks any
+            worker's containment.
 uplink    : the packed payload bits, zero-padded to a whole byte; the bit
             count n*R is implied by the public (n, R) and checked.
 """

@@ -28,16 +28,13 @@ class ExactCoder:
 class LoopbackChannel:
     """Channel double that carries arbitrary objects; no bit accounting.
 
-    The downlink holds (iteration, x) pairs; a broadcast's frame is
+    The downlink holds (iteration, x) pairs; each broadcast frame is
     unpacked on the way in.
     """
 
     def __init__(self):
         self._down = []
         self._up = []
-
-    def send_iterate(self, iteration, x):
-        self._down.append((iteration, np.array(x)))
 
     def send_frame(self, frame):
         self._down.append(unpack_iterate(frame))

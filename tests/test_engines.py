@@ -38,7 +38,7 @@ from dqgrad.quantizer import (
 from dqgrad.rng import make_rng
 from dqgrad.schedules import RangeSchedule, waterfill_bits
 from dqgrad.selfcheck import tracking_deviation
-from dqgrad.transport import Channel
+from dqgrad.transport import Channel, FramingError, pack_iterate
 from dqgrad import bounds
 
 from doubles import ExactCoder, LoopbackChannel
@@ -742,6 +742,17 @@ def test_naive_rows_raise_the_first_norm_escape_in_channel_order():
     with pytest.raises(ScheduleViolationError) as exc:
         worker.round(channels)
     assert (exc.value.t, exc.value.u_norm, exc.value.r) == (4, 2.0, 1.0)
+
+
+def test_naive_rows_check_every_frame_before_containment():
+    # row 0 leaves its range and channel 2 holds a mis-sized frame: the
+    # stacked read checks every frame first, so the round raises
+    # FramingError, with every channel's frame taken
+    worker, channels = _escape_rows([BIG, [0.0] * 3, [0.0] * 3])
+    channels[2]._down[0] = pack_iterate(4, np.zeros(4))
+    with pytest.raises(FramingError, match="expected a 28-byte"):
+        worker.round(channels)
+    assert not any(ch._down for ch in channels)
 
 
 def test_naive_rows_code_each_rate_once_per_round(monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dqgrad.harness import run_nq
 from dqgrad.hyperparams import optimal_hyperparams
 from dqgrad.problems import (
     DegenerateInstanceError,
@@ -170,12 +171,25 @@ def test_interpolation_locals_are_slices_of_the_stack():
         assert G[k].tobytes() == obj.grad(x).tobytes()
 
 
-def test_several_local_problems_need_their_stack():
+def test_a_stack_must_hold_the_local_problems():
     prob = make_interpolation_problem(2, 4, 8, [2.0, 3.0], 1)
-    with pytest.raises(ValueError, match="stack"):
-        MultiWorkerProblem(prob.locals_, prob.x_star, prob.x0)
-    one = MultiWorkerProblem(prob.locals_[:1], prob.x_star, prob.x0)
-    assert one.stack is None
+    other = make_interpolation_problem(2, 4, 8, [2.0, 3.0], 2)
+    three = make_interpolation_problem(3, 4, 8, [2.0, 3.0, 4.0], 1)
+    for stack in (other.stack, three.stack):
+        with pytest.raises(ValueError, match="stack"):
+            MultiWorkerProblem(prob.locals_, prob.x_star, prob.x0, stack)
+
+
+def test_local_objectives_without_a_stack_run_as_with_it():
+    # general objectives: the naive workers call each local oracle on its
+    # row, and the run is the stacked one bit for bit
+    prob = make_interpolation_problem(3, 6, 12, [2.0, 5.0, 3.0], 4)
+    bare = MultiWorkerProblem(prob.locals_, prob.x_star, prob.x0)
+    (stacked, _), (rowwise, _) = (run_nq(p, [4, 6, 4], t_max=300)
+                                  for p in (prob, bare))
+    assert stacked.terminal_T == rowwise.terminal_T
+    assert (np.asarray(stacked.distances).tobytes()
+            == np.asarray(rowwise.distances).tobytes())
 
 
 # --- objective(): SVD and solve on two threads -------------------------------

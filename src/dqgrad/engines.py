@@ -13,13 +13,14 @@ Rows. The server holds one row per channel. Channels that share a coder
 (one per rate) are decoded in one call, with one range per row, and the
 rows are summed in channel order, q_0 + q_1 + ..., into the direction.
 Every server takes this one path: a DQ engine has one channel, so it is
-row 0 and its direction is q_0 itself. A one-row group is coded by the
-quantizer's flat forms, the same arithmetic without the numpy cost of a
-row axis, so K = 1 pays nothing for the stack. Naive quantization's K
-workers are rows of one worker side too (NQGDWorkers). The server packs
-one downlink frame per broadcast and queues it on every channel; each
-channel checks the length of its frame, and the worker side reads the K
-frames as one (K, n) stack of iterates. One stacked oracle
+row 0 and its direction is q_0 itself. A one-row group is coded by
+BitCoder's one-row pass: the quantizer's cell map, bit layout and cell
+centers on float cells, bit-equal to its flat forms, without a row axis
+or their repeated checks, so K = 1 pays nothing for the stack. Naive
+quantization's K workers are rows of one worker side too (NQGDWorkers).
+The server packs one downlink frame per broadcast and queues it on every
+channel; each channel checks the length of its frame, and the worker side
+reads the K frames as one (K, n) stack of iterates. One stacked oracle
 (problems.LeastSquaresStack) gives the K gradients and one matmul every
 row's u_k @ u_k, each bit-equal to its row's flat call. Each row steps
 its own cursor, and each rate's rows are quantized and packed in one
@@ -38,16 +39,16 @@ bookkeeping per algorithm:
   nq-gd   u = grad(x)                         (no compensation)
 
 e1, e2 are the last two quantization errors (zero-initialized). The
-worker reconstructs through quantizer.reconstruct, as the server decodes,
-so e1 is exactly what the server applied minus u, in every round. The
-containment invariant ||u_t|| <= r_t is asserted each round with a small
-relative slack for float roundoff (containment="strict"). The heavy-ball
-schedule at alpha = 0 has only an empirical guarantee, so its engine runs
-with containment="saturate": the worker records each escape and the
-quantizer clamps to its range instead of raising. The builders derive the
-schedule, hyperparameters and containment from the problem alone. Hot
-path: that norm and the harness's distances are math.sqrt(u @ u),
-bit-equal to np.linalg.norm.
+worker reconstructs through the quantizer's one cell-center map, as the
+server decodes, so e1 is exactly what the server applied minus u, in
+every round. The containment invariant ||u_t|| <= r_t is asserted each
+round with a small relative slack for float roundoff
+(containment="strict"). The heavy-ball schedule at alpha = 0 has only an
+empirical guarantee, so its engine runs with containment="saturate": the
+worker records each escape and the quantizer clamps to its range instead
+of raising. The builders derive the schedule, hyperparameters and
+containment from the problem alone. Hot path: that norm and the harness's
+distances are math.sqrt(u @ u), bit-equal to np.linalg.norm.
 
 Cycles. Below the threshold rate the range recursion reaches a fixed
 point in floating point, and a stalled run often cycles exactly through
@@ -149,27 +150,74 @@ def step(algo, state, direction, hp):
 class BitCoder:
     """Scalar-uniform quantization to/from exactly n*R payload bits.
 
-    Channels that share a coder share its rate and are coded in one call:
-    the row forms take G rows and their G ranges rs, which the quantizer
-    gets as a (G, 1) column. A single row is coded by the flat forms at
-    its float range, the same arithmetic without a row axis.
+    One row takes one pass over its rate's constants: the domain check
+    (|u| <= r, or finiteness when saturating), the quantizer's cell map on
+    float cells, the payload bits packed from those cells, and the
+    reconstruction from the same cells, bit-equal to reconstruct on their
+    int64 indices. The domain check and the map's clip hold every index in
+    [0, 2**R - 1], so the bits are packed without encode_payload's range
+    check. The float cells are exact only for 1 <= R <= 53, and need a
+    positive finite cell width; any other rate or width, and any row that
+    fails the check, takes ScaledQuantizer's own route, with its errors
+    and its answer for a width that underflows to 0. Decoding one row
+    unpacks its bits straight to float cells. Channels that share a coder
+    share its rate and are coded in one call: the row forms take G rows
+    and their G ranges rs, which the quantizer gets as a (G, 1) column.
     """
 
     def __init__(self, spec, saturate=False):
         self.spec = spec
         self.saturate = saturate
+        self._float = 0 < spec.R <= quantizer.FLOAT_RATE
+        self._layout = quantizer._layout(spec.R)
+        self._nbits = spec.n * spec.R
+        self._nbytes = (self._nbits + 7) // 8
+
+    def _row_cells(self, r, u):
+        """(float cells, cell width) of one row u at range r; None when the
+        quantizer's own route must answer."""
+        if not self._float:
+            return None
+        u = np.asarray(u, dtype=np.float64)
+        if u.shape != (self.spec.n,):
+            return None
+        nlev = self.spec.levels
+        width = 2.0 * r / nlev
+        if not 0.0 < width < math.inf:  # also a negative or NaN range
+            return None
+        top = np.abs(u).max()  # NaN if any coordinate is, and then fails
+        if top <= r:
+            clamp = False
+        elif self.saturate and top < math.inf:
+            clamp = True
+        else:
+            return None
+        return quantizer._cells(u, r, width, nlev, clamp), width
+
+    def _payload(self, cells):
+        return Payload(quantizer._pack(cells, self.spec.R).tobytes(),
+                       self._nbits)
 
     def encode(self, r, u):
         """(payload, reconstruction) of one row u."""
-        idx, recon = self.spec.scaled(r, self.saturate).quantize(u)
-        return Payload.from_indices(idx, self.spec.R), recon
+        found = self._row_cells(r, u)
+        if found is None:
+            idx, recon = self.spec.scaled(r, self.saturate).quantize(u)
+            return self._payload(idx), recon
+        cells, width = found
+        payload = self._payload(cells)  # before the centers overwrite cells
+        return payload, quantizer._centers(cells, r, width, out=cells)
 
     def encode_rows(self, rs, u):
         """One payload per row of u, a list of G rows; nothing is
         reconstructed."""
         if len(u) == 1:
-            idx = self.spec.scaled(rs[0], self.saturate).indices(u[0])
-            return [Payload.from_indices(idx, self.spec.R)]
+            found = self._row_cells(rs[0], u[0])
+            if found is None:
+                cells = self.spec.scaled(rs[0], self.saturate).indices(u[0])
+            else:
+                cells = found[0]
+            return [self._payload(cells)]
         column = np.array(rs)[:, None]
         idx = self.spec.scaled(column, self.saturate).indices(u)
         bufs, nbits = quantizer.encode_payload(idx, self.spec.R)
@@ -180,11 +228,17 @@ class BitCoder:
         (n,) for one."""
         spec = self.spec
         n, R = spec.n, spec.R
-        if len(wires) == 1:
+        if len(wires) > 1:
+            indices = quantizer.decode_payload(wires, n * R, n, R)
+            return quantizer.reconstruct(spec, np.array(rs)[:, None], indices)
+        r = rs[0]
+        if not self._float:
             indices = quantizer.decode_payload(wires[0], n * R, n, R)
-            return quantizer.reconstruct(spec, rs[0], indices)
-        indices = quantizer.decode_payload(wires, n * R, n, R)
-        return quantizer.reconstruct(spec, np.array(rs)[:, None], indices)
+            return quantizer.reconstruct(spec, r, indices)
+        data = quantizer._wire(wires[0], self._nbytes)
+        cells = np.dot(quantizer._unpack(data, n, R),
+                       self._layout.float_weights)
+        return quantizer._centers(cells, r, 2.0 * r / spec.levels, out=cells)
 
 
 # ---------------------------------------------------------------------------

@@ -25,15 +25,30 @@ server decodes every channel of one rate in one call. Each element goes
 through exactly the arithmetic of the flat form at its row's range (the
 column broadcasts the IEEE operation the scalar does), so row g of a stack
 is bit for bit the flat result of row g alone; a float range serves every
-row. The flat forms are the case without the row axis, and the engines
-code a one-row group (a DQ server's one channel) with them.
+row. The flat forms are the case without the row axis. A one-row group
+(every DQ channel, and a one-worker naive run) is coded by
+engines.BitCoder in one pass of its own, through the same private pieces
+these functions use: the cell map (_cells), the cell centers (_centers)
+and the bit layout (_pack, _unpack). There is one copy of each.
 
-Hot path: at n = 16 a numpy call costs more than its arithmetic, so quantize,
-reconstruct and encode_payload work in place, bit-equal to the plain forms:
-in-place floor and clip equal np.clip(np.floor((u + r) / w), 0, 2**R - 1) on
-non-NaN u, -r + y equals y + (-r), and int64 idx >> R is 0 iff 0 <= idx < 2**R.
+Hot path: at n = 16 a numpy call costs more than its arithmetic, so the
+pieces work in place, bit-equal to the plain forms: in-place floor and clip
+equal np.clip(np.floor((u + r) / w), 0, 2**R - 1) on non-NaN u >= -r, and
+-r + y equals y + (-r). The bit layout packs uint8 bits, which packbits
+takes several times faster than int64: up to R = 8 it looks each index up
+in a table of every index's bits, above that it shifts them out of int64.
+Those tables, shifts and weights are built once per rate and are read-only
+(_layout). The one-row coder keeps its cells in float64, exact for
+R <= FLOAT_RATE = 53, so the bits and the centers come from the same
+numbers as int64 indices would give. Its domain check (|u| <= r, or
+finiteness when saturating) and the clip at 2**R - 1 already hold every
+index in [0, 2**R - 1], so it packs without encode_payload's range check
+(int64 idx >> R is 0 iff 0 <= idx < 2**R), which public callers still get.
+Rate 0, rates above 53, a cell width that is 0 or not finite, and a row
+that fails the domain check go through quantize instead, with its errors.
 """
 
+import collections
 import functools
 from dataclasses import dataclass, field
 
@@ -43,9 +58,36 @@ import numpy as np
 # at R = 63 the bound 2**63 - 1 rounds to 2**63, which int64 cannot hold
 MAX_RATE = 62
 
-# per-rate MSB-first bit positions and their weights 2**k, for the codec
-_SHIFTS = [np.arange(R - 1, -1, -1, dtype=np.int64) for R in range(MAX_RATE + 1)]
-_WEIGHTS = [np.left_shift(np.int64(1), s) for s in _SHIFTS]
+# largest rate whose cell numbers stay exact in float64: every index below
+# 2**53 and every sum of its bit weights is a float64 integer
+FLOAT_RATE = 53
+# largest rate whose bits come from a table of every index, (2**R, R) uint8:
+# 2 KB at R = 8; above it the bits are shifted out of int64 and cast to uint8
+_TABLE_RATE = 8
+
+
+# one rate's constants of the bit layout: up to R = 8 the MSB-first bits of
+# every index as a (2**R, R) uint8 table (else None), the int64 bit positions
+# R - 1, ..., 0, and their weights 2**k as int64 and as float64
+_Layout = collections.namedtuple("_Layout",
+                                 "table shifts weights float_weights")
+
+
+@functools.cache
+def _layout(R):
+    """The _Layout of rate R, built on first use and read-only, since every
+    caller of the rate shares it."""
+    shifts = np.arange(R - 1, -1, -1, dtype=np.int64)
+    table = None
+    if R <= _TABLE_RATE:
+        every = np.arange(1 << R, dtype=np.uint8)[:, None]
+        table = np.unpackbits(every, axis=1)[:, 8 - R:].copy()
+    weights = np.left_shift(np.int64(1), shifts)
+    layout = _Layout(table, shifts, weights, weights.astype(np.float64))
+    for a in layout:
+        if a is not None:
+            a.flags.writeable = False
+    return layout
 
 
 class RangeViolationError(Exception):
@@ -193,17 +235,8 @@ class ScaledQuantizer:
             # such rows divide by 1 instead of 0 and are zeroed below
             dead = (width == 0.0)[:, 0]
             width = np.where(width == 0.0, 1.0, width)
-        if self.saturate:  # |u| >> r would overflow the divide; input past
-            # -r or nlev*width (2r unless width is subnormal) keeps its cell
-            u = np.minimum(np.maximum(u, -r), nlev * width)
-        cells = u + r
-        cells /= width
-        np.floor(cells, out=cells)
-        # u >= -r, so clip only the top, before the cast; above R = 53 the
-        # bound nlev - 1 rounds up to nlev, so int64 enforces it again
-        np.minimum(cells, nlev - 1, out=cells)
-        idx = cells.astype(np.int64)
-        if self.base.R > 53:
+        idx = _cells(u, r, width, nlev, self.saturate).astype(np.int64)
+        if self.base.R > FLOAT_RATE:  # the float clip bound rounded up
             np.minimum(idx, nlev - 1, out=idx)
         if dead is not None:
             idx[dead] = 0
@@ -211,8 +244,9 @@ class ScaledQuantizer:
 
 
 def reconstruct(spec, r, indices):
-    """Cell centers for integer indices: the one map from indices to values,
-    on both channel ends (the worker's quantize reconstructs through it).
+    """Cell centers for integer indices, through _centers: the one map from
+    cell numbers to values, on both channel ends (the worker's quantize
+    reconstructs through it, and the one-row coder applies it to its cells).
 
     Flat indices take a float r; a (G, n) stack takes a float or a (G, 1)
     column of ranges.
@@ -220,9 +254,72 @@ def reconstruct(spec, r, indices):
     nlev = spec.levels
     if nlev == 1:
         return np.zeros(np.shape(indices))
-    recon = np.add(indices, 0.5, dtype=np.float64)
-    recon *= 2.0 * r / nlev
+    return _centers(indices, r, 2.0 * r / nlev)
+
+
+def _cells(u, r, width, nlev, clamp):
+    """The cell map: floor((u + r) / width) clipped to nlev - 1, in float64,
+    for u >= -r; u is a row at a float r and width, or a stack at floats or
+    at (G, 1) columns of them.
+
+    clamp first limits u to [-r, nlev*width] (2r unless width is subnormal),
+    so that |u| >> r cannot overflow the divide and input past either end
+    keeps its boundary cell. Above R = 53 the bound nlev - 1 rounds up to
+    nlev, so a caller that casts to int64 must clip again.
+    """
+    if clamp:
+        u = np.minimum(np.maximum(u, -r), nlev * width)
+    cells = u + r
+    cells /= width
+    np.floor(cells, out=cells)
+    # u >= -r, so u + r >= 0 and only the top needs the clip
+    return np.minimum(cells, nlev - 1, out=cells)
+
+
+def _centers(cells, r, width, out=None):
+    """The cell centers -r + (cells + 0.5)*width of integer or float cell
+    numbers, in float64; in place with out=cells."""
+    recon = np.add(cells, 0.5, out=out, dtype=np.float64)
+    recon *= width
     return np.add(recon, -r, out=recon)
+
+
+def _pack(cells, R):
+    """The bit layout: each row of whole-number cells in [0, 2**R), int or
+    float, as its packed bits, uint8, coordinate-major and MSB first, the
+    last byte zero-padded; (nbytes,) for one row, (G, nbytes) for a stack.
+
+    Nothing here checks the range: a value outside it packs garbage.
+    """
+    layout = _layout(R)
+    if layout.table is not None:
+        bits = layout.table.take(cells.astype(np.uint8), axis=0)
+    else:
+        # packbits takes uint8 several times faster than int64; the cast
+        # keeps each shifted value's low bit
+        bits = cells.astype(np.int64, copy=False)[..., None] >> layout.shifts
+        bits = bits.astype(np.uint8)
+        bits &= 1
+    if cells.ndim == 1:  # packbits is much faster without an axis
+        return np.packbits(bits)
+    G, n = cells.shape
+    return np.packbits(bits.reshape(G, n * R), axis=1)
+
+
+def _unpack(data, n, R):
+    """The bits of packed rows, uint8: (n, R) of one row's (nbytes,) data,
+    (G, n, R) of a stack's (G, nbytes)."""
+    if data.ndim == 1:
+        return np.unpackbits(data, count=n * R).reshape(n, R)
+    bits = np.unpackbits(data, axis=1, count=n * R)
+    return bits.reshape(len(data), n, R)
+
+
+def _wire(buf, nbytes):
+    """One payload's bytes as uint8, once their count is checked."""
+    if len(buf) != nbytes:
+        raise EncodingError(f"expected {nbytes} bytes, got {len(buf)}")
+    return np.frombuffer(buf, dtype=np.uint8)
 
 
 def encode_payload(indices, R):
@@ -244,15 +341,9 @@ def encode_payload(indices, R):
         bad = idx.flat[np.argmax((idx < 0) | (idx >= (1 << R)))]
         raise EncodingError(f"index {bad} does not fit in {R} bits")
     if idx.ndim == 1:
-        bits = idx64[:, None] >> _SHIFTS[R]
-        bits &= 1
-        return np.packbits(bits).tobytes(), idx.size * R
-    # a stack's bits go to packbits as uint8, which it packs several times
-    # faster than int64; the cast keeps each shifted value's low bit
+        return _pack(idx64, R).tobytes(), idx.size * R
     G, n = idx.shape
-    bits = (idx64[:, :, None] >> _SHIFTS[R]).astype(np.uint8)
-    bits &= 1
-    rows = np.packbits(bits.reshape(G, n * R), axis=1)
+    rows = _pack(idx64, R)
     buf, nbytes = rows.tobytes(), rows.shape[1]
     return [buf[i * nbytes:(i + 1) * nbytes] for i in range(G)], n * R
 
@@ -271,12 +362,9 @@ def decode_payload(buf, nbits, n, R):
                 raise EncodingError(f"expected {nbytes} bytes, got {len(row)}")
         G = len(buf)
         data = np.frombuffer(b"".join(buf), dtype=np.uint8).reshape(G, nbytes)
-        bits = np.unpackbits(data, axis=1, count=nbits)
-        return bits.reshape(G, n, R) @ _WEIGHTS[R]
-    if len(buf) != nbytes:
-        raise EncodingError(f"expected {nbytes} bytes, got {len(buf)}")
-    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), count=nbits)
-    return bits.reshape(n, R) @ _WEIGHTS[R]
+    else:
+        data = _wire(buf, nbytes)
+    return _unpack(data, n, R) @ _layout(R).weights
 
 
 @dataclass(frozen=True)

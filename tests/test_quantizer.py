@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dqgrad import quantizer
 from dqgrad.engines import BitCoder
 from dqgrad.quantizer import (
     MAX_RATE,
@@ -408,10 +409,134 @@ def test_worker_and_server_reconstruct_alike_when_the_width_underflows():
     assert coder.decode([r], [payload.bits]).tobytes() == recon.tobytes()
 
 
-# --- row forms: a (G, n) stack equals its rows' flat forms, bit for bit ------
+# --- the one-row coder against the reference chain -----------------------
 
 RANGES = (st.sampled_from([0.0, 5e-324, 1e-321, 1e-300, 1.0])
           | st.floats(1e-6, 1e6))
+
+
+@st.composite
+def row_cases(draw):
+    """(spec, r, saturate, u, seed): one row with cube faces, cell-edge ties
+    and, when saturating, far values."""
+    n = draw(st.integers(1, 300))
+    R = draw(st.integers(0, MAX_RATE))
+    r = draw(RANGES)
+    saturate = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    gen = make_rng(seed)
+    u = r * (2.0 * gen.random(n) - 1.0)
+    width = 2.0 * r / (1 << R)
+    ties = np.clip([-r, r, 0.0, -0.0, -r + width, r - width,
+                    -r + width * float(gen.integers(0, 1 << R))], -r, r).tolist()
+    if saturate:
+        ties += [2.0 * r, -2.0 * r, r * (1 + 2**-40), 1e10, -1e10, 1.7e308,
+                 -1.7e308]
+    k = int(gen.integers(0, n + 1))
+    u[gen.integers(0, n, size=k)] = gen.choice(ties, size=k)
+    return QuantizerSpec(n, R), r, saturate, u, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_cases())
+def test_one_row_coder_equals_the_reference_chain(case):
+    # scaled(r).quantize -> encode_payload, and decode_payload -> reconstruct
+    spec, r, saturate, u, seed = case
+    idx, ref_recon = spec.scaled(r, saturate).quantize(u)
+    ref_bits, nbits = encode_payload(idx, spec.R)
+    coder = BitCoder(spec, saturate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow, no divide by zero
+        payload, recon = coder.encode(r, u)
+        rows = coder.encode_rows([r], [u])
+    assert (payload.bits, payload.nbits) == (ref_bits, nbits)
+    assert recon.tobytes() == ref_recon.tobytes()
+    assert rows == [payload]
+    # any wire bytes, padding bits included, decode as the chain decodes them
+    for bits in (ref_bits, make_rng(seed).bytes(len(ref_bits))):
+        ref = reconstruct(spec, r, decode_payload(bits, nbits, spec.n, spec.R))
+        assert coder.decode([r], [bits]).tobytes() == ref.tobytes()
+
+
+def _fields(error):
+    return (type(error), error.coord, repr(error.value), repr(error.r),
+            error.row, str(error))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 300), R=st.integers(0, MAX_RATE), r=RANGES,
+       saturate=st.booleans(), data=st.data())
+def test_one_row_coder_raises_what_the_reference_chain_raises(
+        n, R, r, saturate, data):
+    spec = QuantizerSpec(n, R)
+    coder = BitCoder(spec, saturate)
+    u = r * (2.0 * make_rng(data.draw(st.integers(0, 2**32 - 1))).random(n) - 1.0)
+    bad = [np.nan, np.inf, -np.inf]
+    if not saturate:  # just off each face of the cube, and far off it
+        bad += [np.nextafter(r, np.inf), -np.nextafter(r, np.inf), 2.0 * r + 1.0,
+                -1e300]
+    for pos in sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                        max_size=3))):
+        u[pos] = data.draw(st.sampled_from(bad))
+    with pytest.raises(RangeViolationError) as ref:
+        spec.scaled(r, saturate).quantize(u)
+    with pytest.raises(RangeViolationError) as exc:
+        coder.encode(r, u)
+    assert _fields(exc.value) == _fields(ref.value)
+    with pytest.raises(RangeViolationError) as exc:
+        coder.encode_rows([r], [u])
+    assert _fields(exc.value) == _fields(ref.value)
+
+    buf, nbits = encode_payload(np.zeros(n, dtype=np.int64), R)
+    wrong = data.draw(st.integers(0, len(buf) + 2).filter(lambda b: b != len(buf)))
+    with pytest.raises(EncodingError) as ref:
+        decode_payload(bytes(wrong), nbits, n, R)
+    with pytest.raises(EncodingError) as exc:
+        coder.decode([r], [bytes(wrong)])
+    assert str(exc.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("saturate", [False, True])
+def test_one_row_coder_skips_the_general_route(monkeypatch, saturate):
+    def general(*args, **kwargs):
+        raise AssertionError("the one-row coder took the general route")
+
+    for owner, name in ((quantizer.ScaledQuantizer, "indices"),
+                        (quantizer, "encode_payload"),
+                        (quantizer, "decode_payload"),
+                        (quantizer, "reconstruct")):
+        monkeypatch.setattr(owner, name, general)
+    coder = BitCoder(QuantizerSpec(16, 8), saturate)
+    u = np.linspace(-1.0, 1.0, 16)
+    if saturate:
+        u[3] = 1e300  # clamped on the same pass
+    payload, _ = coder.encode(1.0, u)
+    assert coder.encode_rows([1.0], [u]) == [payload]
+    coder.decode([1.0], [payload.bits])
+
+
+def test_rate_constants_are_shared_read_only_and_small():
+    a = BitCoder(QuantizerSpec(4, 5))
+    b = BitCoder(QuantizerSpec(300, 5), saturate=True)
+    assert a._layout is b._layout
+    assert a._layout is not BitCoder(QuantizerSpec(4, 6))._layout
+    for R in range(MAX_RATE + 1):
+        layout = quantizer._layout(R)
+        assert (layout.table is not None) == (R <= 8)
+        for table in layout:
+            if table is None:
+                continue
+            assert not table.flags.writeable
+            assert table.nbytes <= 2048  # the R = 8 table is 256 x 8 bytes
+            if table.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0] = 0
+    # row i of the table holds the bits of index i, MSB first
+    assert quantizer._layout(3).table.tolist()[6] == [1, 1, 0]
+    assert quantizer._layout(8).table.shape == (256, 8)
+
+
+# --- row forms: a (G, n) stack equals its rows' flat forms, bit for bit ------
 
 
 @st.composite

@@ -11,21 +11,24 @@ or quantization errors, workers never see the optimizer.
 
 Rows. The server holds one row per channel. Channels that share a coder
 (one per rate) are decoded in one call, with one range per row, and the
-rows are summed in channel order, q_0 + q_1 + ..., into the direction.
-Every server takes this one path: a DQ engine has one channel, so it is
-row 0 and its direction is q_0 itself. A one-row group is coded by
-BitCoder's one-row pass: the quantizer's cell map, bit layout and cell
-centers on float cells, bit-equal to its flat forms, without a row axis
-or their repeated checks, so K = 1 pays nothing for the stack. Naive
-quantization's K workers are rows of one worker side too (NQGDWorkers).
-The server packs one downlink frame per broadcast and queues it on every
-channel; each channel checks the length of its frame, and the worker side
-reads the K frames as one (K, n) stack of iterates. One stacked oracle
+rows are summed in channel order, q_0 + q_1 + ..., into the direction: the
+last row of one np.add.accumulate over them (np.add.reduce sums in another
+order for some row counts). Every server takes this one path: a DQ engine
+has one channel, so it is row 0 and its direction is q_0 itself. BitCoder
+codes any number of rows of one rate in one pass: the quantizer's cell
+map, bit layout and cell centers on float cells, bit-equal to its public
+forms, without their repeated checks. One row at a float range keeps the
+flat shapes, so K = 1 pays nothing for the stack. Naive quantization's K
+workers are rows of one worker side too (NQGDWorkers). The server packs
+one downlink frame per broadcast and queues it on every channel; each
+channel checks the length of its frame, and the worker side reads the K
+frames as one (K, n) stack of iterates. One stacked oracle
 (problems.LeastSquaresStack) gives the K gradients and one matmul every
-row's u_k @ u_k, each bit-equal to its row's flat call. Each row steps
-its own cursor, and each rate's rows are quantized and packed in one
-pass, one payload per channel. By the same rule as the coder's, one
-worker (K = 1) is read, evaluated and measured by the flat calls.
+row's u_k @ u_k, each bit-equal to its row's flat call. Each side steps
+one cursor for all K ranges (schedules.naive_rows), and each rate's rows
+are quantized and packed in one pass, one payload per channel. By the
+same rule as the coder's, one worker (K = 1) is read, evaluated, measured
+and stepped by the flat calls and a scalar cursor, as is every DQ engine.
 
 The worker compensates past quantization errors so that it always
 evaluates the gradient on the unquantized method's trajectory; the exact
@@ -88,7 +91,7 @@ import numpy as np
 from . import bounds, quantizer
 from .hyperparams import agd_lambda, optimal_hyperparams
 from .quantizer import Payload, QuantizerSpec, RangeViolationError
-from .schedules import RangeSchedule, ScheduleCursor
+from .schedules import RangeSchedule, ScheduleCursor, naive_rows
 from .transport import Channel, pack_iterate, unpack_iterates
 
 # absorbs roundoff in the containment check; the underlying inequality is
@@ -150,19 +153,24 @@ def step(algo, state, direction, hp):
 class BitCoder:
     """Scalar-uniform quantization to/from exactly n*R payload bits.
 
-    One row takes one pass over its rate's constants: the domain check
+    One pass codes any number of rows of one rate: one row u (n,) at a
+    float range r, or a (G, n) stack at a (G, 1) column of ranges, one per
+    row. Every shape takes the same cell step: the domain check
     (|u| <= r, or finiteness when saturating), the quantizer's cell map on
-    float cells, the payload bits packed from those cells, and the
+    float cells, the payload bits packed from those cells in one buffer and
+    split into one payload per row, and (encode, one row) the
     reconstruction from the same cells, bit-equal to reconstruct on their
     int64 indices. The domain check and the map's clip hold every index in
     [0, 2**R - 1], so the bits are packed without encode_payload's range
-    check. The float cells are exact only for 1 <= R <= 53, and need a
-    positive finite cell width; any other rate or width, and any row that
-    fails the check, takes ScaledQuantizer's own route, with its errors
-    and its answer for a width that underflows to 0. Decoding one row
-    unpacks its bits straight to float cells. Channels that share a coder
-    share its rate and are coded in one call: the row forms take G rows
-    and their G ranges rs, which the quantizer gets as a (G, 1) column.
+    check. The float cells are exact only for 1 <= R <= 53, and need
+    positive finite cell widths; any other rate or width, any row that
+    fails the check, and a saturating stack (no engine makes one) take
+    ScaledQuantizer's own route, then encode_payload, with their errors (a
+    stack's names its first failing row) and their answer for a width that
+    underflows to 0. Decoding checks
+    each payload's length, unpacks the joined bytes once and contracts the
+    bits with float weights straight to float cells; rate 0 and R > 53
+    decode through decode_payload and reconstruct.
     """
 
     def __init__(self, spec, saturate=False):
@@ -173,71 +181,70 @@ class BitCoder:
         self._nbits = spec.n * spec.R
         self._nbytes = (self._nbits + 7) // 8
 
-    def _row_cells(self, r, u):
-        """(float cells, cell width) of one row u at range r; None when the
-        quantizer's own route must answer."""
+    def _cells(self, r, u):
+        """(float cells, cell widths) of the rows u at their ranges r; None
+        when the quantizer's own route must answer."""
         if not self._float:
             return None
         u = np.asarray(u, dtype=np.float64)
-        if u.shape != (self.spec.n,):
-            return None
         nlev = self.spec.levels
         width = 2.0 * r / nlev
-        if not 0.0 < width < math.inf:  # also a negative or NaN range
+        if u.shape != getattr(r, "shape", ())[:1] + (self.spec.n,):
             return None
-        top = np.abs(u).max()  # NaN if any coordinate is, and then fails
-        if top <= r:
+        # every width > 0 and finite, so no negative or NaN range either
+        if isinstance(width, float):
+            if not 0.0 < width < math.inf:
+                return None
+        elif np.count_nonzero((0.0 < width) & (width < math.inf)) < len(width):
+            return None
+        mag = np.abs(u)
+        if not self.saturate:
+            if np.count_nonzero(mag <= r) < u.size:  # NaN fails
+                return None
             clamp = False
-        elif self.saturate and top < math.inf:
-            clamp = True
-        else:
-            return None
+        else:  # one row: its clamp runs only if some |u| > r
+            top = mag.max()  # NaN if any coordinate is, and then fails
+            if u.ndim > 1 or not top < math.inf:
+                return None
+            clamp = not top <= r
         return quantizer._cells(u, r, width, nlev, clamp), width
 
-    def _payload(self, cells):
-        return Payload(quantizer._pack(cells, self.spec.R).tobytes(),
-                       self._nbits)
-
     def encode(self, r, u):
-        """(payload, reconstruction) of one row u."""
-        found = self._row_cells(r, u)
+        """(payload, reconstruction) of one row u at range r."""
+        found = self._cells(r, u)
         if found is None:
             idx, recon = self.spec.scaled(r, self.saturate).quantize(u)
-            return self._payload(idx), recon
+            return Payload.from_indices(idx, self.spec.R), recon
         cells, width = found
-        payload = self._payload(cells)  # before the centers overwrite cells
+        payload = Payload(quantizer._pack(cells, self.spec.R).tobytes(),
+                          self._nbits)  # before the centers overwrite cells
         return payload, quantizer._centers(cells, r, width, out=cells)
 
-    def encode_rows(self, rs, u):
-        """One payload per row of u, a list of G rows; nothing is
+    def encode_rows(self, r, u):
+        """One payload per row of u, split from one buffer; nothing is
         reconstructed."""
-        if len(u) == 1:
-            found = self._row_cells(rs[0], u[0])
-            if found is None:
-                cells = self.spec.scaled(rs[0], self.saturate).indices(u[0])
-            else:
-                cells = found[0]
-            return [self._payload(cells)]
-        column = np.array(rs)[:, None]
-        idx = self.spec.scaled(column, self.saturate).indices(u)
-        bufs, nbits = quantizer.encode_payload(idx, self.spec.R)
-        return [Payload(buf, nbits) for buf in bufs]
+        found = self._cells(r, u)
+        if found is None:
+            idx = self.spec.scaled(r, self.saturate).indices(u)
+            bufs, nbits = quantizer.encode_payload(
+                idx.reshape(-1, self.spec.n), self.spec.R)
+            return [Payload(buf, nbits) for buf in bufs]
+        buf = quantizer._pack(found[0], self.spec.R).tobytes()
+        size, nbits = self._nbytes, self._nbits
+        return [Payload(buf[i:i + size], nbits)
+                for i in range(0, len(buf), size)]
 
-    def decode(self, rs, wires):
-        """Reconstructions from the G payloads' bits in wires: (G, n), or
-        (n,) for one."""
+    def decode(self, r, wires):
+        """Reconstructions from the payload bits in wires: (n,) of one at a
+        float range r, (G, n) of G at a (G, 1) column."""
         spec = self.spec
         n, R = spec.n, spec.R
-        if len(wires) > 1:
-            indices = quantizer.decode_payload(wires, n * R, n, R)
-            return quantizer.reconstruct(spec, np.array(rs)[:, None], indices)
-        r = rs[0]
+        rows = getattr(r, "shape", ())[:1]  # () for a float r, (G,) for a column
         if not self._float:
-            indices = quantizer.decode_payload(wires[0], n * R, n, R)
-            return quantizer.reconstruct(spec, r, indices)
-        data = quantizer._wire(wires[0], self._nbytes)
-        cells = np.dot(quantizer._unpack(data, n, R),
-                       self._layout.float_weights)
+            indices = quantizer.decode_payload(list(wires), n * R, n, R)
+            return quantizer.reconstruct(spec, r, indices.reshape(rows + (n,)))
+        data = quantizer._wires(wires, rows + (self._nbytes,))
+        cells = quantizer._unpack(data, n, R, self._layout.float_weights)
         return quantizer._centers(cells, r, 2.0 * r / spec.levels, out=cells)
 
 
@@ -319,49 +326,47 @@ class DQHBWorker(_WorkerBase):
         return self.grad(z) - c
 
 
-class _RateGroup:
-    """The channels that share one coder, and this round's rows of them."""
-
-    def __init__(self, coder, members):
-        self.coder = coder
-        self.members = members  # channel indices, increasing
-        self.rs = [0.0] * len(members)
-        self.items = [None] * len(members)  # payload bits, on the server
-
-
 def _rate_groups(coders):
-    """One _RateGroup per distinct coder, in order of first use, and the
-    (group, position) of each channel's row."""
+    """(coder, channel indices) of each distinct coder, in order of first
+    use; the indices increase."""
     members = {}
     for k, coder in enumerate(coders):
         members.setdefault(coder, []).append(k)
-    groups = [_RateGroup(coder, ks) for coder, ks in members.items()]
-    slots = {k: (g, j) for g in groups for j, k in enumerate(g.members)}
-    return groups, [slots[k] for k in range(len(coders))]
+    return list(members.items())
+
+
+def _cursor(schedules):
+    """One cursor for every channel's range: it steps to a float for one
+    channel, and to the (K, 1) column of the K naive ranges for K."""
+    if len(schedules) == 1:
+        return ScheduleCursor(schedules[0])
+    return ScheduleCursor(naive_rows(schedules))
 
 
 class NQGDWorkers:
     """The K naive-quantization workers, run as the rows of one stack.
 
     grad maps the (K, n) stack of iterates to the (K, n) stack of local
-    gradients u_k. The K channels' frames are read as one stack, and one
-    matmul gives every row's u_k @ u_k; containment is checked row by row
-    in channel order. Each rate's rows are then quantized and packed in one
-    pass, one payload per channel. Every channel's frame is read and its
-    length checked before any row's containment, so a mis-sized frame on
-    any channel raises FramingError, even after a row that escapes. Past
-    the read, a row that leaves its cube raises what a worker-at-a-time
-    loop would have raised first. One row (K = 1) is read,
-    evaluated and measured flat: grad then maps (n,) to (n,). Naive
-    quantization never compensates, so there is no error memory, and its
-    ranges never settle.
+    gradients u_k. The K channels' frames are read as one stack, one matmul
+    gives every row's u_k @ u_k, one cursor step gives the (K, 1) column of
+    their ranges, and containment is one comparison of the two. Each
+    rate's rows are then quantized and packed in one pass, one payload per
+    channel. Every channel's frame is read and its length checked before
+    any row's containment, so a mis-sized frame on any channel raises
+    FramingError, even after a row that escapes. Past the read, a row that
+    leaves its cube raises what a worker-at-a-time loop would have raised
+    first, with that row's own t, ||u|| and r. One row (K = 1) is read,
+    evaluated, measured and stepped flat: grad then maps (n,) to (n,), and
+    its range is a float. Naive quantization never compensates, so there
+    is no error memory, and its ranges never settle.
     """
 
     def __init__(self, grad, schedules, coders):
         self.grad = grad
-        self.cursors = [ScheduleCursor(s) for s in schedules]
+        self.cursor = _cursor(schedules)
+        self.cursors = (self.cursor,)
         self.coders = coders
-        self._groups, self._slots = _rate_groups(coders)
+        self._groups = _rate_groups(coders)
         self.last_u_norm = None  # largest ||u_k|| and r_k of the last round
         self.last_r = None
 
@@ -371,42 +376,44 @@ class NQGDWorkers:
 
     def round(self, channels):
         if len(channels) == 1:
-            t, x = channels[0].recv_iterate()
+            (channel,) = channels
+            t, x = channel.recv_iterate()
             u = self.grad(x)
-            ts, U, norms = (t,), (u,), (math.sqrt(u @ u),)
-        else:
-            ts, X = unpack_iterates([ch.recv_frame() for ch in channels])
-            U = self.grad(X)
-            norms = np.matmul(U[:, None, :], U[:, :, None])  # each u_k @ u_k
-            norms = np.sqrt(norms).ravel().tolist()
-        u_max = r_max = 0.0
-        for k, (cursor, (group, j), u_norm) in enumerate(
-                zip(self.cursors, self._slots, norms)):
-            r = group.rs[j] = cursor.step()
+            u_norm, r = math.sqrt(u @ u), self.cursor.step()
             if not u_norm <= r * (1.0 + CONTAINMENT_RTOL):  # a NaN norm violates
-                self._first_escape(k, U)
-                raise ScheduleViolationError(ts[k], u_norm, r)
-            if u_norm > u_max:
-                u_max = u_norm
-            if r > r_max:
-                r_max = r
-        self.last_u_norm = u_max
-        self.last_r = r_max
+                raise ScheduleViolationError(t, u_norm, r)
+            self.last_u_norm, self.last_r = u_norm, r
+            (wire,) = self.coders[0].encode_rows(r, u)
+            channel.send_payload(wire)
+            return
+        ts, X = unpack_iterates([ch.recv_frame() for ch in channels])
+        U = self.grad(X)
+        norms = np.sqrt(np.matmul(U[:, None, :], U[:, :, None])[:, 0])
+        r = self.cursor.step()  # the (K, 1) column, as norms
+        if np.count_nonzero(norms <= r * (1.0 + CONTAINMENT_RTOL)) < len(U):
+            self._first_escape(ts, norms, r, U)  # a NaN norm violates
+        self.last_u_norm = float(norms.max())
+        self.last_r = float(r.max())
         one = len(self._groups) == 1  # then its rows are all of U
         try:
-            for g in self._groups:
-                wires = g.coder.encode_rows(g.rs, U if one else U[g.members])
-                for k, wire in zip(g.members, wires):
+            for coder, rows in self._groups:
+                wires = coder.encode_rows(r if one else r[rows],
+                                          U if one else U[rows])
+                for k, wire in zip(rows, wires):
                     channels[k].send_payload(wire)
         except RangeViolationError:
-            self._first_escape(len(channels), U)
+            self._first_escape(ts, norms, r, U)
             raise
 
-    def _first_escape(self, upto, U):
-        """Quantize rows 0..upto-1 of U one at a time, in channel order, so
-        the first that leaves its cube raises as its own worker would."""
-        for coder, (g, j), u in zip(self.coders, self._slots[:upto], U):
-            coder.encode_rows([g.rs[j]], [u])
+    def _first_escape(self, ts, norms, ranges, U):
+        """Check and quantize the rows one at a time, in channel order, so
+        the first that escapes its range or leaves its cube raises as its
+        own worker would."""
+        for coder, t, u_norm, r, u in zip(self.coders, ts, norms[:, 0].tolist(),
+                                          ranges[:, 0].tolist(), U):
+            if not u_norm <= r * (1.0 + CONTAINMENT_RTOL):
+                raise ScheduleViolationError(t, u_norm, r)
+            coder.encode_rows(r, u)
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +433,10 @@ class _ServerBase:
         self.algo = algo
         self.state = initial_state(algo, x0)
         self.hp = dataclasses.replace(hp, eta=hp.eta / len(coders))
-        self.cursors = [ScheduleCursor(s) for s in schedules]
+        self.cursor = _cursor(schedules)
+        self.cursors = (self.cursor,)
         self.coders = coders
-        self._groups, self._slots = _rate_groups(coders)
+        self._groups = _rate_groups(coders)
         # rows in channel order, when one decode does not return them all
         self._stack = (np.empty((len(coders), self.x.shape[0]))
                        if len(self._groups) > 1 else None)
@@ -446,20 +454,17 @@ class _ServerBase:
             ch.send_frame(frame)
 
     def collect(self, channels):
-        for ch, cursor, (g, j) in zip(channels, self.cursors, self._slots):
-            g.rs[j] = cursor.step()
-            g.items[j] = ch.recv_payload_bits()
+        r = self.cursor.step()  # a float, or the (K, 1) column of K ranges
+        wires = [ch.recv_payload_bits() for ch in channels]
         q = self._stack
-        for g in self._groups:
-            if q is None:  # one coder decodes every channel, in order
-                q = g.coder.decode(g.rs, g.items)
-            else:
-                q[g.members] = g.coder.decode(g.rs, g.items)
+        if q is None:  # one coder decodes every channel, in order
+            q = self.coders[0].decode(r, wires)
+        else:
+            for coder, rows in self._groups:
+                q[rows] = coder.decode(r[rows], [wires[k] for k in rows])
         direction = q
         if q.ndim == 2:  # q_0 + q_1 + ..., left to right
-            direction = q[0]
-            for row in q[1:]:
-                direction = direction + row
+            direction = np.add.accumulate(q, axis=0)[-1]
         self.state = step(self.algo, self.state, direction, self.hp)
         self.t += 1
 

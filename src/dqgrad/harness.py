@@ -13,7 +13,6 @@ transient constant, and the tail half suppresses it.
 """
 
 import contextlib
-import functools
 import math
 import os
 import warnings
@@ -33,6 +32,7 @@ from .hyperparams import optimal_hyperparams, sigma_agd, sigma_gd, sigma_hb
 from .problems import (
     LeastSquares,
     MultiWorkerProblem,
+    _blas_threads,
     make_gaussian_ls,
     make_interpolation_problem,
 )
@@ -46,12 +46,6 @@ DIVERGENCE_SCALE = 1e9
 # from this n up, the BLAS thread count changes the bits of the instance
 # constants and of the gradients (measured with numpy's bundled OpenBLAS)
 BLAS_THREAD_BITS_N = 384
-# (get, set) thread-count symbols of numpy's bundled OpenBLAS builds
-_BLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
 
 
 class InsufficientDataError(Exception):
@@ -349,26 +343,6 @@ _CONVERSE_FAMILY = {"gd": "gd", "dq-gd": "gd", "nq-gd": "gd",
 _SIGMA_OF = {"gd": sigma_gd, "dq-gd": sigma_gd, "nq-gd": sigma_gd,
              "agd": sigma_agd, "dq-agd": sigma_agd,
              "hb": sigma_hb, "dq-hb": sigma_hb}
-
-
-@functools.cache
-def _blas_threads():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, as ctypes
-    functions, or None when no such library or symbol is found; looked up
-    once per process."""
-    import ctypes
-    import glob
-
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-        lib = ctypes.CDLL(path)
-        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                set_.restype, set_.argtypes = None, [ctypes.c_int]
-                return get, set_
-    return None
 
 
 def _pin_blas_thread():

@@ -19,17 +19,16 @@ and MSB first.
 
 Rows. quantize, reconstruct, encode_payload and decode_payload also take a
 (G, n) stack of rows of one rate, with one range per row as a (G, 1)
-column: that is how naive quantization's K workers encode (with indices,
-quantize without the reconstruction they have no use for) and how the
-server decodes every channel of one rate in one call. Each element goes
-through exactly the arithmetic of the flat form at its row's range (the
-column broadcasts the IEEE operation the scalar does), so row g of a stack
-is bit for bit the flat result of row g alone; a float range serves every
-row. The flat forms are the case without the row axis. A one-row group
-(every DQ channel, and a one-worker naive run) is coded by
-engines.BitCoder in one pass of its own, through the same private pieces
-these functions use: the cell map (_cells), the cell centers (_centers)
-and the bit layout (_pack, _unpack). There is one copy of each.
+column. Each element goes through exactly the arithmetic of the flat form
+at its row's range (the column broadcasts the IEEE operation the scalar
+does), so row g of a stack is bit for bit the flat result of row g alone;
+a float range serves every row. The flat forms are the case without the
+row axis. The engines code through engines.BitCoder, which takes one row
+at a float range or a stack at a column in one pass of its own, through
+the same private pieces these functions use: the cell map (_cells), the
+cell centers (_centers) and the bit layout (_pack, _unpack). There is one
+copy of each; the public functions remain the reference the coder is
+tested against and the route it falls back to.
 
 Hot path: at n = 16 a numpy call costs more than its arithmetic, so the
 pieces work in place, bit-equal to the plain forms: in-place floor and clip
@@ -37,15 +36,19 @@ equal np.clip(np.floor((u + r) / w), 0, 2**R - 1) on non-NaN u >= -r, and
 -r + y equals y + (-r). The bit layout packs uint8 bits, which packbits
 takes several times faster than int64: up to R = 8 it looks each index up
 in a table of every index's bits, above that it shifts them out of int64.
-Those tables, shifts and weights are built once per rate and are read-only
-(_layout). The one-row coder keeps its cells in float64, exact for
+Unpacking contracts the bits with the rate's weights in one 2-D dot of
+(rows * n, R) bits, several times faster than a dot over (G, n, R).
+Those tables, shifts and weights are built once per rate and are
+read-only (_layout). The coder keeps its cells in float64, exact for
 R <= FLOAT_RATE = 53, so the bits and the centers come from the same
-numbers as int64 indices would give. Its domain check (|u| <= r, or
-finiteness when saturating) and the clip at 2**R - 1 already hold every
-index in [0, 2**R - 1], so it packs without encode_payload's range check
-(int64 idx >> R is 0 iff 0 <= idx < 2**R), which public callers still get.
-Rate 0, rates above 53, a cell width that is 0 or not finite, and a row
-that fails the domain check go through quantize instead, with its errors.
+numbers as int64 indices would give, and it contracts with float weights.
+Its domain check (|u| <= r for every element, or finiteness when
+saturating) and the clip at 2**R - 1 already hold every index in
+[0, 2**R - 1], so it packs without encode_payload's range check (int64
+idx >> R is 0 iff 0 <= idx < 2**R), which public callers still get. Rate
+0, rates above 53, a cell width that is 0 or not finite, rows that fail
+the domain check and saturating stacks go through quantize instead, with
+its errors.
 """
 
 import collections
@@ -268,8 +271,11 @@ def _cells(u, r, width, nlev, clamp):
     nlev, so a caller that casts to int64 must clip again.
     """
     if clamp:
-        u = np.minimum(np.maximum(u, -r), nlev * width)
-    cells = u + r
+        cells = np.maximum(u, -r)
+        np.minimum(cells, nlev * width, out=cells)
+        cells += r
+    else:
+        cells = u + r
     cells /= width
     np.floor(cells, out=cells)
     # u >= -r, so u + r >= 0 and only the top needs the clip
@@ -306,20 +312,30 @@ def _pack(cells, R):
     return np.packbits(bits.reshape(G, n * R), axis=1)
 
 
-def _unpack(data, n, R):
-    """The bits of packed rows, uint8: (n, R) of one row's (nbytes,) data,
-    (G, n, R) of a stack's (G, nbytes)."""
-    if data.ndim == 1:
-        return np.unpackbits(data, count=n * R).reshape(n, R)
-    bits = np.unpackbits(data, axis=1, count=n * R)
-    return bits.reshape(len(data), n, R)
+def _unpack(data, n, R, weights):
+    """The cell numbers of packed rows, their bits contracted with the
+    rate's int64 or float64 weights: (n,) of one row's (nbytes,) data,
+    (G, n) of a stack's (G, nbytes)."""
+    if data.ndim == 1:  # unpackbits is faster without an axis
+        return np.dot(np.unpackbits(data, count=n * R).reshape(n, R), weights)
+    # several times faster as one (G*n, R) dot than as a (G, n, R) one
+    G = len(data)
+    bits = np.unpackbits(data, axis=1, count=n * R).reshape(G * n, R)
+    return np.dot(bits, weights).reshape(G, n)
 
 
-def _wire(buf, nbytes):
-    """One payload's bytes as uint8, once their count is checked."""
-    if len(buf) != nbytes:
-        raise EncodingError(f"expected {nbytes} bytes, got {len(buf)}")
-    return np.frombuffer(buf, dtype=np.uint8)
+def _wires(bufs, shape):
+    """The joined bytes of payloads as uint8 of shape (nbytes,) for one and
+    (G, nbytes) for G, once the count of payloads and of each one's bytes
+    is checked."""
+    nbytes = shape[-1]
+    for buf in bufs:
+        if len(buf) != nbytes:
+            raise EncodingError(f"expected {nbytes} bytes, got {len(buf)}")
+    count = shape[0] if len(shape) == 2 else 1
+    if len(bufs) != count:
+        raise EncodingError(f"expected {count} payloads, got {len(bufs)}")
+    return np.ndarray(shape, np.uint8, b"".join(bufs))
 
 
 def encode_payload(indices, R):
@@ -357,14 +373,10 @@ def decode_payload(buf, nbits, n, R):
         raise EncodingError(f"expected {n * R} bits, got {nbits}")
     nbytes = (nbits + 7) // 8
     if isinstance(buf, list):
-        for row in buf:
-            if len(row) != nbytes:
-                raise EncodingError(f"expected {nbytes} bytes, got {len(row)}")
-        G = len(buf)
-        data = np.frombuffer(b"".join(buf), dtype=np.uint8).reshape(G, nbytes)
+        data = _wires(buf, (len(buf), nbytes))
     else:
-        data = _wire(buf, nbytes)
-    return _unpack(data, n, R) @ _layout(R).weights
+        data = _wires([buf], (nbytes,))
+    return _unpack(data, n, R, _layout(R).weights)
 
 
 @dataclass(frozen=True)

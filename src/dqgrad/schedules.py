@@ -17,19 +17,32 @@ The heavy-ball leading term uses max(t,1)**alpha so the t = 0 range is
 nonzero for alpha > 0; alpha itself is the existential constant from the
 joint-spectral-radius bound and is exposed as a parameter (0 reproduces
 the experimental setting, which loses the containment guarantee).
+
+Rows. The K naive workers share sigma_nq and D, so their K recursions
+are one (naive_rows): L becomes the (K, 1) column of the L_k, and one
+cursor step gives the column of every worker's range, each element
+(sigma**t * L_k) * D, the IEEE operations of its own scalar recursion, so
+bit for bit its range; sigma**t stays one scalar. Every other
+schedule, and a single naive worker, steps a float.
 """
 
+import dataclasses
 import functools
 import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 SCHEMES = ("dq-gd", "dq-agd", "dq-hb", "nq-gd")
 
 
 @dataclass(frozen=True)
 class RangeSchedule:
-    """Constants defining one range recursion; evaluation is stateless."""
+    """Constants defining one range recursion; evaluation is stateless.
+
+    L is a float, or for the naive rows of naive_rows a (K, 1) column.
+    """
 
     scheme: str
     L: float
@@ -86,7 +99,7 @@ class RangeSchedule:
         the subnormals (or grown to inf); the naive ranges have no feedback
         and never settle.
         """
-        if t < 2 or r_prev != r_prev2 or self.scheme == "nq-gd":
+        if self.scheme == "nq-gd" or t < 2 or r_prev != r_prev2:
             return False
         if self.scheme == "dq-gd":
             c = self.eps * r_prev
@@ -119,8 +132,25 @@ class ScheduleCursor:
 
     def settled(self):
         """True once every later step() returns the last range again."""
-        return self._r1 == self._r2 and self.schedule.settled(
-            self.t, self._r1, self._r2)
+        # the naive rows of one cursor step as a column, and never settle
+        return (self.schedule.scheme != "nq-gd" and self._r1 == self._r2
+                and self.schedule.settled(self.t, self._r1, self._r2))
+
+
+def naive_rows(schedules):
+    """The K naive schedules as one, whose L is the read-only (K, 1) column
+    of their L_k: its next(t) is the column of their ranges, each
+    (sigma**t * L_k) * D as in its own schedule, bit for bit. They must
+    share sigma and D; R and rho, which the naive recursion never reads,
+    are the first schedule's."""
+    first = schedules[0]
+    for s in schedules:
+        if s.scheme != "nq-gd" or (s.sigma, s.D) != (first.sigma, first.D):
+            raise ValueError("rows of one cursor must be naive schedules "
+                             "with one sigma and one D")
+    column = np.array([[s.L] for s in schedules], dtype=np.float64)
+    column.flags.writeable = False
+    return dataclasses.replace(first, L=column)
 
 
 def waterfill(L_list, R_total, tol=1e-12, max_iter=200):

@@ -675,6 +675,34 @@ def test_server_row_sum_is_the_left_to_right_sum(rates, seed):
     assert server.x.tobytes() == (x0 - (0.7 / K) * direction).tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 1024])
+def test_accumulate_sums_rows_left_to_right(n):
+    # the server's one-call row sum: the last row of np.add.accumulate over
+    # the rows is q0 + q1 + ... in channel order, for every row count;
+    # np.add.reduce sums some of these in another order
+    gen = make_rng(n)
+    hp = HyperParams(eta=0.5, gamma=0.0, sigma=0.0)
+    reduce_differs = False
+    for G in range(1, 65):
+        q = gen.standard_normal((G, n)) * 10.0 ** gen.integers(-8, 9, size=(G, 1))
+        total = q[0]
+        for row in q[1:]:
+            total = total + row
+        assert np.add.accumulate(q, axis=0)[-1].tobytes() == total.tobytes()
+        reduce_differs |= np.add.reduce(q, axis=0).tobytes() != total.tobytes()
+        # and the server steps on that sum, one channel per row
+        coder = ExactCoder()
+        server = _ServerBase("gd", np.zeros(n), hp, [constant_range(1.0)] * G,
+                             [coder] * G)
+        channels = [LoopbackChannel() for _ in range(G)]
+        for ch, row in zip(channels, q):
+            ch.send_payload(row)
+        server.collect(channels)
+        assert server.x.tobytes() == (np.zeros(n) - (0.5 / G) * total).tobytes()
+    if n == 1:
+        assert reduce_differs
+
+
 def _flat_worker_round(problem, rates, channels, t):
     """The payload bits each naive worker would send on its own."""
     n = problem.x0.shape[0]
@@ -744,6 +772,27 @@ def test_naive_rows_raise_the_first_norm_escape_in_channel_order():
     assert (exc.value.t, exc.value.u_norm, exc.value.r) == (4, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_naive_rows_raise_the_escaping_rows_own_error(k):
+    # one cursor steps every row's range as a column, and the first row
+    # that leaves its range raises with its own t, ||u|| and r, once the
+    # rows before it have passed; a later escape does not matter
+    ranges = [1.0, 2.0, 0.5, 4.0]
+    us = [[0.0, r / 2.0, 0.0] for r in ranges]
+    us[k] = [0.0, 3.0 * ranges[k], 0.0]
+    us[-1] = [np.nan] * 3 if k < 3 else us[-1]
+    worker = NQGDWorkers(lambda X: np.array(us), [constant_range(r) for r in ranges],
+                         _shared_coders(3, (2, 3, 2, 3)))
+    channels = [Channel(3, R) for R in (2, 3, 2, 3)]
+    for t, ch in zip((4, 5, 6, 7), channels):
+        ch.send_iterate(t, np.zeros(3))
+    with pytest.raises(ScheduleViolationError) as exc:
+        worker.round(channels)
+    assert (exc.value.t, exc.value.u_norm, exc.value.r) == (
+        4 + k, 3.0 * ranges[k], ranges[k])
+    assert type(exc.value.u_norm) is float and type(exc.value.r) is float
+
+
 def test_naive_rows_check_every_frame_before_containment():
     # row 0 leaves its range and channel 2 holds a mis-sized frame: the
     # stacked read checks every frame first, so the round raises
@@ -755,12 +804,18 @@ def test_naive_rows_check_every_frame_before_containment():
     assert not any(ch._down for ch in channels)
 
 
+ONE_PASS = ("_cells", "_pack", "_unpack", "_centers")
+PUBLIC_ROUTE = ("indices", "quantize", "encode_payload", "decode_payload",
+                "reconstruct", "from_indices")
+
+
 def test_naive_rows_code_each_rate_once_per_round(monkeypatch):
-    # K = 8 workers at one rate: one index pass, encode and decode per
-    # round, and one reconstruct, on the server; naive workers keep no error
+    # K = 8 workers at one rate, then at two (interleaved channels): each
+    # rate's rows take one pass per round, the cell map and the bit packing
+    # on the workers, the unpacking and the cell centers on the server, and
+    # neither end takes the public route; naive workers keep no error
     # memory, so they never reconstruct
-    calls = dict.fromkeys(["indices", "encode_payload", "decode_payload",
-                           "reconstruct"], 0)
+    calls = dict.fromkeys(ONE_PASS + PUBLIC_ROUTE, 0)
 
     def counted(owner, name):
         fn = getattr(owner, name)
@@ -771,13 +826,19 @@ def test_naive_rows_code_each_rate_once_per_round(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(quantizer.ScaledQuantizer, "indices")
-    for name in ("encode_payload", "decode_payload", "reconstruct"):
+    for name in ("indices", "quantize"):
+        counted(quantizer.ScaledQuantizer, name)
+    counted(quantizer.Payload, "from_indices")
+    for name in ONE_PASS + ("encode_payload", "decode_payload", "reconstruct"):
         counted(quantizer, name)
-    prob = make_interpolation_problem(8, 16, 32, [2.0] * 8, 23)
-    rates = waterfill_bits(prob.L_list, 40)
-    assert rates == [5] * 8
-    rec, _ = run_nq(prob, rates, t_max=50)
-    T = rec.terminal_T
-    assert calls == {"indices": T, "encode_payload": T, "decode_payload": T,
-                     "reconstruct": T}
+    for L_list, sum_rate, rates in [([2.0] * 8, 40, [5] * 8),
+                                    ([4.0, 1.0] * 4, 48, [7, 5] * 4)]:
+        calls.update(dict.fromkeys(calls, 0))
+        prob = make_interpolation_problem(8, 16, 32, [2.0] * 8, 23,
+                                          L_list=L_list)
+        assert waterfill_bits(prob.L_list, sum_rate) == rates
+        rec, _ = run_nq(prob, rates, t_max=50)
+        per_round = rec.terminal_T * len(set(rates))
+        assert rec.terminal_T > 1
+        assert calls == {**dict.fromkeys(ONE_PASS, per_round),
+                         **dict.fromkeys(PUBLIC_ROUTE, 0)}

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import threading
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dqgrad import problems
 from dqgrad.harness import run_nq
 from dqgrad.hyperparams import optimal_hyperparams
 from dqgrad.problems import (
@@ -192,10 +194,31 @@ def test_local_objectives_without_a_stack_run_as_with_it():
             == np.asarray(rowwise.distances).tobytes())
 
 
-# --- objective(): SVD and solve on two threads -------------------------------
+# --- objective(): SVD and solve, overlapped on one BLAS thread ---------------
 
 ASH331_STAND_IN = os.path.join(os.path.dirname(__file__), "data",
                                "ash331_synthetic.mtx")
+
+
+def _blas_counts():
+    """Each BLAS thread count to run at, as a context manager: 1 and 2 when
+    the count can be set (objective() overlaps only at 1), else the
+    current one."""
+    calls = problems._blas_threads()
+
+    @contextlib.contextmanager
+    def at(threads):
+        get, set_ = calls
+        old = get()
+        set_(threads)
+        try:
+            yield
+        finally:
+            set_(old)
+
+    if calls is None:
+        return [contextlib.nullcontext()]
+    return [at(1), at(2)]
 
 
 def _sequential(ls, x0):
@@ -222,15 +245,35 @@ def _gaussian(m, n, seed):
 ], ids=["32x16", "ash331-stand-in", "600x300"])
 def test_objective_matches_sequential_calls_bitwise(build):
     ls, x0 = build()
-    before = threading.active_count()
-    obj = ls.objective(x0)
-    assert threading.active_count() == before
-    L, mu, x_star, D = _sequential(ls, x0)
-    assert np.float64(obj.L).tobytes() == np.float64(L).tobytes()
-    assert np.float64(obj.mu).tobytes() == np.float64(mu).tobytes()
-    assert obj.x_star.tobytes() == x_star.tobytes()
-    assert np.float64(obj.D).tobytes() == np.float64(D).tobytes()
-    assert obj.x0.tobytes() == x0.tobytes()
+    for blas in _blas_counts():
+        with blas:
+            before = threading.active_count()
+            obj = ls.objective(x0)
+            assert threading.active_count() == before
+            L, mu, x_star, D = _sequential(ls, x0)
+        assert np.float64(obj.L).tobytes() == np.float64(L).tobytes()
+        assert np.float64(obj.mu).tobytes() == np.float64(mu).tobytes()
+        assert obj.x_star.tobytes() == x_star.tobytes()
+        assert np.float64(obj.D).tobytes() == np.float64(D).tobytes()
+        assert obj.x0.tobytes() == x0.tobytes()
+
+
+def test_objective_overlaps_only_on_one_blas_thread(monkeypatch):
+    if problems._blas_threads() is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be set here")
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(problems._blas_thread_count())
+            super().start()
+
+    monkeypatch.setattr(problems.threading, "Thread", Counted)
+    ls, x0 = _gaussian(32, 16, 3)
+    for blas in _blas_counts():
+        with blas:
+            ls.objective(x0)
+    assert started == [1]
 
 
 def _raised(call):
@@ -244,9 +287,11 @@ def test_objective_on_nan_matrix_raises_what_the_svd_raises_first():
     x0 = np.zeros(3)
     want = _raised(lambda: _sequential(ls, x0))
     assert want == _raised(ls.spectrum_bounds)  # the sequential order fails here
-    before = threading.active_count()
-    assert _raised(lambda: ls.objective(x0)) == want
-    assert threading.active_count() == before
+    for blas in _blas_counts():
+        with blas:
+            before = threading.active_count()
+            assert _raised(lambda: ls.objective(x0)) == want
+            assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("failing", ["spectrum_bounds", "solve"])
@@ -259,10 +304,12 @@ def test_objective_reraises_the_one_failing_call(monkeypatch, failing):
 
     ls, x0 = _gaussian(32, 16, 5)
     monkeypatch.setattr(LeastSquares, failing, boom)
-    before = threading.active_count()
-    with pytest.raises(Boom, match=failing):
-        ls.objective(x0)
-    assert threading.active_count() == before
+    for blas in _blas_counts():
+        with blas:
+            before = threading.active_count()
+            with pytest.raises(Boom, match=failing):
+                ls.objective(x0)
+            assert threading.active_count() == before
 
 
 # --- MatrixMarket ----------------------------------------------------------

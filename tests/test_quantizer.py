@@ -406,7 +406,7 @@ def test_worker_and_server_reconstruct_alike_when_the_width_underflows():
     coder = BitCoder(spec, saturate=True)
     payload, recon = coder.encode(r, np.zeros(4))
     assert recon.tobytes() == np.full(4, -r).tobytes()
-    assert coder.decode([r], [payload.bits]).tobytes() == recon.tobytes()
+    assert coder.decode(r, [payload.bits]).tobytes() == recon.tobytes()
 
 
 # --- the one-row coder against the reference chain -----------------------
@@ -424,7 +424,13 @@ def row_cases(draw):
     r = draw(RANGES)
     saturate = draw(st.booleans())
     seed = draw(st.integers(0, 2**32 - 1))
-    gen = make_rng(seed)
+    return QuantizerSpec(n, R), r, saturate, _row(make_rng(seed), n, R, r,
+                                                  saturate), seed
+
+
+def _row(gen, n, R, r, saturate):
+    """A row in [-r, r]^n with some cube faces and cell-edge ties and, when
+    saturating, far values."""
     u = r * (2.0 * gen.random(n) - 1.0)
     width = 2.0 * r / (1 << R)
     ties = np.clip([-r, r, 0.0, -0.0, -r + width, r - width,
@@ -434,7 +440,7 @@ def row_cases(draw):
                  -1.7e308]
     k = int(gen.integers(0, n + 1))
     u[gen.integers(0, n, size=k)] = gen.choice(ties, size=k)
-    return QuantizerSpec(n, R), r, saturate, u, seed
+    return u
 
 
 @settings(max_examples=300, deadline=None)
@@ -448,14 +454,14 @@ def test_one_row_coder_equals_the_reference_chain(case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow, no divide by zero
         payload, recon = coder.encode(r, u)
-        rows = coder.encode_rows([r], [u])
+        rows = coder.encode_rows(r, u)
     assert (payload.bits, payload.nbits) == (ref_bits, nbits)
     assert recon.tobytes() == ref_recon.tobytes()
     assert rows == [payload]
     # any wire bytes, padding bits included, decode as the chain decodes them
     for bits in (ref_bits, make_rng(seed).bytes(len(ref_bits))):
         ref = reconstruct(spec, r, decode_payload(bits, nbits, spec.n, spec.R))
-        assert coder.decode([r], [bits]).tobytes() == ref.tobytes()
+        assert coder.decode(r, [bits]).tobytes() == ref.tobytes()
 
 
 def _fields(error):
@@ -484,7 +490,7 @@ def test_one_row_coder_raises_what_the_reference_chain_raises(
         coder.encode(r, u)
     assert _fields(exc.value) == _fields(ref.value)
     with pytest.raises(RangeViolationError) as exc:
-        coder.encode_rows([r], [u])
+        coder.encode_rows(r, u)
     assert _fields(exc.value) == _fields(ref.value)
 
     buf, nbits = encode_payload(np.zeros(n, dtype=np.int64), R)
@@ -492,7 +498,88 @@ def test_one_row_coder_raises_what_the_reference_chain_raises(
     with pytest.raises(EncodingError) as ref:
         decode_payload(bytes(wrong), nbits, n, R)
     with pytest.raises(EncodingError) as exc:
-        coder.decode([r], [bytes(wrong)])
+        coder.decode(r, [bytes(wrong)])
+    assert str(exc.value) == str(ref.value)
+
+
+# --- G rows of one rate in one pass, against the reference chain ------------
+
+
+@st.composite
+def stack_cases(draw):
+    """(spec, column, saturate, U, seed): G rows, each at its own range, as
+    row_cases draws one."""
+    G = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 300))
+    R = draw(st.integers(0, MAX_RATE))
+    ranges = draw(st.lists(RANGES, min_size=G, max_size=G))
+    saturate = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    gen = make_rng(seed)
+    U = np.array([_row(gen, n, R, r, saturate) for r in ranges])
+    return QuantizerSpec(n, R), np.array(ranges)[:, None], saturate, U, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack_cases())
+def test_stacked_coder_equals_the_reference_chain(case):
+    # scaled(column).indices -> encode_payload, and decode_payload ->
+    # reconstruct, on a (G, n) stack at a (G, 1) column of ranges
+    spec, column, saturate, U, seed = case
+    idx = spec.scaled(column, saturate).indices(U)
+    ref_bufs, nbits = encode_payload(idx, spec.R)
+    coder = BitCoder(spec, saturate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow, no divide by zero
+        payloads = coder.encode_rows(column, U)
+    assert [(p.bits, p.nbits) for p in payloads] == [(b, nbits) for b in ref_bufs]
+    # any wire bytes, padding bits included, decode as the chain decodes them
+    gen = make_rng(seed)
+    for wires in (ref_bufs, [gen.bytes(len(b)) for b in ref_bufs]):
+        ref = reconstruct(spec, column,
+                          decode_payload(wires, nbits, spec.n, spec.R))
+        got = coder.decode(column, wires)
+        assert got.shape == ref.shape == U.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(G=st.integers(1, 12), n=st.integers(1, 300), R=st.integers(0, MAX_RATE),
+       saturate=st.booleans(), data=st.data())
+def test_stacked_coder_raises_what_the_reference_chain_raises(
+        G, n, R, saturate, data):
+    spec = QuantizerSpec(n, R)
+    coder = BitCoder(spec, saturate)
+    column = np.array(data.draw(st.lists(RANGES, min_size=G, max_size=G)))[:, None]
+    gen = make_rng(data.draw(st.integers(0, 2**32 - 1)))
+    U = column * (2.0 * gen.random((G, n)) - 1.0)
+    for pos in sorted(data.draw(st.sets(st.integers(0, G * n - 1), min_size=1,
+                                        max_size=4))):
+        g, i = divmod(pos, n)
+        r = column[g, 0]
+        bad = [np.nan, np.inf, -np.inf]
+        if not saturate:  # just off each face of the cube, and far off it
+            bad += [np.nextafter(r, np.inf), -np.nextafter(r, np.inf),
+                    2.0 * r + 1.0, -1e300]
+            if column.max() > r:  # inside another row's cube, not this one's
+                bad += [column.max(), -column.max()]
+        U[g, i] = data.draw(st.sampled_from(bad))
+    with pytest.raises(RangeViolationError) as ref:
+        spec.scaled(column, saturate).indices(U)
+    with pytest.raises(RangeViolationError) as exc:
+        coder.encode_rows(column, U)
+    assert _fields(exc.value) == _fields(ref.value)
+    assert exc.value.row is not None
+
+    bufs, nbits = encode_payload(np.zeros((G, n), dtype=np.int64), R)
+    at = data.draw(st.integers(0, G - 1))
+    wrong = data.draw(st.integers(0, len(bufs[0]) + 2).filter(
+        lambda b: b != len(bufs[0])))
+    bufs[at] = bytes(wrong)
+    with pytest.raises(EncodingError) as ref:
+        decode_payload(bufs, nbits, n, R)
+    with pytest.raises(EncodingError) as exc:
+        coder.decode(column, bufs)
     assert str(exc.value) == str(ref.value)
 
 
@@ -511,8 +598,8 @@ def test_one_row_coder_skips_the_general_route(monkeypatch, saturate):
     if saturate:
         u[3] = 1e300  # clamped on the same pass
     payload, _ = coder.encode(1.0, u)
-    assert coder.encode_rows([1.0], [u]) == [payload]
-    coder.decode([1.0], [payload.bits])
+    assert coder.encode_rows(1.0, u) == [payload]
+    coder.decode(1.0, [payload.bits])
 
 
 def test_rate_constants_are_shared_read_only_and_small():

@@ -11,6 +11,7 @@ from dqgrad.schedules import (
     SCHEMES,
     RangeSchedule,
     ScheduleCursor,
+    naive_rows,
     waterfill,
     waterfill_bits,
 )
@@ -232,3 +233,38 @@ def test_settled_needs_a_fixed_point(scheme):
     halves = RangeSchedule(scheme=scheme, L=1.0, D=1.0, sigma=0.5, rho=2.0, R=1)
     assert [halves.settled(t, 1.0, 1.0) for t in (5, 60, 1100)] == [
         False, scheme != "nq-gd", False]
+
+
+# ---------------------------------------------------------------------------
+# the K naive rows of one cursor
+
+
+# sigma**t: normal throughout, through the subnormals to 0 (0.9 near t = 7000,
+# 0.5 near t = 1074), 0 from t = 1 on, and 1
+@pytest.mark.parametrize("sigma", [0.999, 0.9, 0.5, 0.0, 1.0])
+def test_one_cursor_of_naive_rows_steps_as_its_rows_bitwise(sigma):
+    Ls = [1.0, 0.25, 7.3, 1e-300, 3e300, 5e-324, 0.0, 1.0 / 3.0]
+    D = 1.7
+    rows = [RangeSchedule("nq-gd", L=L, D=D, sigma=sigma, rho=4.0, R=R)
+            for L, R in zip(Ls, range(1, 9))]
+    stacked, flat = ScheduleCursor(naive_rows(rows)), [ScheduleCursor(s) for s in rows]
+    seen_subnormal = False
+    for t in range(10_001):
+        column = stacked.step()
+        assert column.shape == (len(rows), 1)
+        ref = np.array([[c.step()] for c in flat])
+        assert column.tobytes() == ref.tobytes(), t
+        seen_subnormal |= 0.0 < sigma**t < sys.float_info.min
+        assert not stacked.settled()
+    assert stacked.t == 10_001
+    assert seen_subnormal == (sigma in (0.9, 0.5))
+    assert not stacked.schedule.L.flags.writeable
+
+
+def test_naive_rows_need_one_sigma_and_one_D():
+    a = RangeSchedule("nq-gd", L=1.0, D=2.0, sigma=0.5)
+    for other in (dict(sigma=0.6), dict(D=3.0), dict(scheme="dq-gd")):
+        b = RangeSchedule(**{"scheme": "nq-gd", "L": 2.0, "D": 2.0,
+                             "sigma": 0.5, **other})
+        with pytest.raises(ValueError, match="one sigma and one D"):
+            naive_rows([a, b])

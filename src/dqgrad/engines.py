@@ -15,11 +15,11 @@ rows are summed in channel order, q_0 + q_1 + ..., into the direction: the
 last row of one np.add.accumulate over them (np.add.reduce sums in another
 order for some row counts). Every server takes this one path: a DQ engine
 has one channel, so it is row 0 and its direction is q_0 itself. BitCoder
-codes any number of rows of one rate in one pass: the quantizer's cell
-map, bit layout and cell centers on float cells, bit-equal to its public
-forms, without their repeated checks. One row at a float range keeps the
-flat shapes, so K = 1 pays nothing for the stack. Naive quantization's K
-workers are rows of one worker side too (NQGDWorkers). The server packs
+codes any number of rows of one rate in one pass, through the quantizer's
+one checked step to float cells, then its bit layout and cell centers,
+bit-equal to its public forms at every rate. One row at a float range
+keeps the flat shapes, so K = 1 pays nothing for the stack. Naive
+quantization's K workers are rows of one worker side too (NQGDWorkers). The server packs
 one downlink frame per broadcast and queues it on every channel; each
 channel checks the length of its frame, and the worker side reads the K
 frames as one (K, n) stack of iterates. One stacked oracle
@@ -155,67 +155,27 @@ class BitCoder:
 
     One pass codes any number of rows of one rate: one row u (n,) at a
     float range r, or a (G, n) stack at a (G, 1) column of ranges, one per
-    row. Every shape takes the same cell step: the domain check
-    (|u| <= r, or finiteness when saturating), the quantizer's cell map on
-    float cells, the payload bits packed from those cells in one buffer and
-    split into one payload per row, and (encode, one row) the
-    reconstruction from the same cells, bit-equal to reconstruct on their
-    int64 indices. The domain check and the map's clip hold every index in
-    [0, 2**R - 1], so the bits are packed without encode_payload's range
-    check. The float cells are exact only for 1 <= R <= 53, and need
-    positive finite cell widths; any other rate or width, any row that
-    fails the check, and a saturating stack (no engine makes one) take
-    ScaledQuantizer's own route, then encode_payload, with their errors (a
-    stack's names its first failing row) and their answer for a width that
-    underflows to 0. Decoding checks
-    each payload's length, unpacks the joined bytes once and contracts the
-    bits with float weights straight to float cells; rate 0 and R > 53
-    decode through decode_payload and reconstruct.
+    row. Every rate, range and shape takes the quantizer's one checked
+    step to float cells (quantizer._checked_cells, as
+    ScaledQuantizer.indices does), with its errors. The payload bits of all
+    rows are packed from those cells in one buffer and split into one
+    payload per row, and (encode, one row) the reconstruction comes from
+    the same cells, bit-equal to reconstruct on their int64 indices.
+    Decoding checks the ranges as the step does and each payload's length,
+    unpacks the joined bytes once and contracts the bits with float
+    weights straight to float cells.
     """
 
     def __init__(self, spec, saturate=False):
         self.spec = spec
         self.saturate = saturate
-        self._float = 0 < spec.R <= quantizer.FLOAT_RATE
         self._layout = quantizer._layout(spec.R)
         self._nbits = spec.n * spec.R
         self._nbytes = (self._nbits + 7) // 8
 
-    def _cells(self, r, u):
-        """(float cells, cell widths) of the rows u at their ranges r; None
-        when the quantizer's own route must answer."""
-        if not self._float:
-            return None
-        u = np.asarray(u, dtype=np.float64)
-        nlev = self.spec.levels
-        width = 2.0 * r / nlev
-        if u.shape != getattr(r, "shape", ())[:1] + (self.spec.n,):
-            return None
-        # every width > 0 and finite, so no negative or NaN range either
-        if isinstance(width, float):
-            if not 0.0 < width < math.inf:
-                return None
-        elif np.count_nonzero((0.0 < width) & (width < math.inf)) < len(width):
-            return None
-        mag = np.abs(u)
-        if not self.saturate:
-            if np.count_nonzero(mag <= r) < u.size:  # NaN fails
-                return None
-            clamp = False
-        else:  # one row: its clamp runs only if some |u| > r
-            top = mag.max()  # NaN if any coordinate is, and then fails
-            if u.ndim > 1 or not top < math.inf:
-                return None
-            clamp = not top <= r
-        return quantizer._cells(u, r, width, nlev, clamp), width
-
     def encode(self, r, u):
         """(payload, reconstruction) of one row u at range r."""
-        found = self._cells(r, u)
-        if found is None:
-            idx, recon = self.spec.scaled(r, self.saturate).quantize(u)
-            return Payload.from_indices(idx, self.spec.R), recon
-        cells, width = found
+        cells, width = quantizer._checked_cells(self.spec, r, u, self.saturate)
         payload = Payload(quantizer._pack(cells, self.spec.R).tobytes(),
                           self._nbits)  # before the centers overwrite cells
         return payload, quantizer._centers(cells, r, width, out=cells)
@@ -223,29 +183,22 @@ class BitCoder:
     def encode_rows(self, r, u):
         """One payload per row of u, split from one buffer; nothing is
         reconstructed."""
-        found = self._cells(r, u)
-        if found is None:
-            idx = self.spec.scaled(r, self.saturate).indices(u)
-            bufs, nbits = quantizer.encode_payload(
-                idx.reshape(-1, self.spec.n), self.spec.R)
-            return [Payload(buf, nbits) for buf in bufs]
-        buf = quantizer._pack(found[0], self.spec.R).tobytes()
+        cells, _ = quantizer._checked_cells(self.spec, r, u, self.saturate)
+        buf = quantizer._pack(cells, self.spec.R).tobytes()
         size, nbits = self._nbytes, self._nbits
-        return [Payload(buf[i:i + size], nbits)
-                for i in range(0, len(buf), size)]
+        return [Payload(buf[i * size:(i + 1) * size], nbits)
+                for i in range(cells.size // self.spec.n)]
 
     def decode(self, r, wires):
         """Reconstructions from the payload bits in wires: (n,) of one at a
         float range r, (G, n) of G at a (G, 1) column."""
         spec = self.spec
-        n, R = spec.n, spec.R
+        width = quantizer._cell_widths(spec, r, len(wires))
         rows = getattr(r, "shape", ())[:1]  # () for a float r, (G,) for a column
-        if not self._float:
-            indices = quantizer.decode_payload(list(wires), n * R, n, R)
-            return quantizer.reconstruct(spec, r, indices.reshape(rows + (n,)))
         data = quantizer._wires(wires, rows + (self._nbytes,))
-        cells = quantizer._unpack(data, n, R, self._layout.float_weights)
-        return quantizer._centers(cells, r, 2.0 * r / spec.levels, out=cells)
+        cells = quantizer._unpack(data, spec.n, spec.R,
+                                  self._layout.float_weights)
+        return quantizer._centers(cells, r, width, out=cells)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .problems import (
     make_gaussian_ls,
     make_interpolation_problem,
 )
+from .quantizer import MAX_RATE
 from .schedules import SCHEMES, waterfill_bits
 
 UNQUANTIZED = ("gd", "agd", "hb")
@@ -236,11 +237,16 @@ class ExperimentConfig:
                                      f"interpolation runs nq-gd only")
         elif self.workers != 1:
             raise ValueError(f"{self.workers} workers need problem = interpolation")
-        if self.allocation == "uniform":
-            for R in self.rates:
-                if R % self.workers:
-                    raise ValueError(f"uniform allocation needs workers | R: "
-                                     f"{self.workers} workers cannot split R = {R}")
+        for R in self.rates:
+            if self.allocation == "uniform" and R % self.workers:
+                raise ValueError(f"uniform allocation needs workers | R: "
+                                 f"{self.workers} workers cannot split R = {R}")
+            # the largest share of R, as uniform allocation and waterfilling
+            # at the unit reference constants of _nq_bound split it
+            share = -(-R // self.workers)
+            if share > MAX_RATE:
+                whose = "" if self.workers == 1 else f"'s share {share}"
+                raise ValueError(f"rate {R}{whose} exceeds {MAX_RATE}")
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ lattice shape at a different resolution. Boundary ties round toward +inf
 for deterministic reproducibility. Input that is not finite never passes
 the domain check, in either the strict or the saturating mode.
 
-Cell indices travel as int64, which is exact for R <= MAX_RATE = 62; the
-uplink payload carries only the packed bits, n*R of them, coordinate-major
-and MSB first.
+Cell indices travel as int64 and are computed as float64 cell numbers,
+which are exact for R <= MAX_RATE = 53; the uplink payload carries only the
+packed bits, n*R of them, coordinate-major and MSB first.
 
 Rows. quantize, reconstruct, encode_payload and decode_payload also take a
 (G, n) stack of rows of one rate, with one range per row as a (G, 1)
@@ -23,47 +23,46 @@ column. Each element goes through exactly the arithmetic of the flat form
 at its row's range (the column broadcasts the IEEE operation the scalar
 does), so row g of a stack is bit for bit the flat result of row g alone;
 a float range serves every row. The flat forms are the case without the
-row axis. The engines code through engines.BitCoder, which takes one row
-at a float range or a stack at a column in one pass of its own, through
-the same private pieces these functions use: the cell map (_cells), the
-cell centers (_centers) and the bit layout (_pack, _unpack). There is one
-copy of each; the public functions remain the reference the coder is
-tested against and the route it falls back to.
+row axis.
+
+One codec path. ScaledQuantizer.indices and the engines' BitCoder take one
+checked step (_checked_cells): the shapes, then the range (nonnegative,
+with a finite cell width 2r/2**R), then the domain, then the cell map
+(_cells), to float cells that indices casts to int64 and the coder packs
+and centers. There is one copy of each check and piece: the cell map, the
+cell centers (_centers) and the bit layout (_pack, _unpack). The public
+functions are the reference the coder is tested against.
 
 Hot path: at n = 16 a numpy call costs more than its arithmetic, so the
 pieces work in place, bit-equal to the plain forms: in-place floor and clip
 equal np.clip(np.floor((u + r) / w), 0, 2**R - 1) on non-NaN u >= -r, and
--r + y equals y + (-r). The bit layout packs uint8 bits, which packbits
-takes several times faster than int64: up to R = 8 it looks each index up
-in a table of every index's bits, above that it shifts them out of int64.
-Unpacking contracts the bits with the rate's weights in one 2-D dot of
-(rows * n, R) bits, several times faster than a dot over (G, n, R).
-Those tables, shifts and weights are built once per rate and are
-read-only (_layout). The coder keeps its cells in float64, exact for
-R <= FLOAT_RATE = 53, so the bits and the centers come from the same
-numbers as int64 indices would give, and it contracts with float weights.
-Its domain check (|u| <= r for every element, or finiteness when
-saturating) and the clip at 2**R - 1 already hold every index in
-[0, 2**R - 1], so it packs without encode_payload's range check (int64
-idx >> R is 0 iff 0 <= idx < 2**R), which public callers still get. Rate
-0, rates above 53, a cell width that is 0 or not finite, rows that fail
-the domain check and saturating stacks go through quantize instead, with
-its errors.
+-r + y equals y + (-r). A saturating row is clamped only when some |u|
+exceeds r, since the clamp leaves [-r, r] as it is. The bit layout packs
+uint8 bits, which packbits takes several times faster than int64: up to
+R = 8 it looks each index up in a table of every index's bits, above that
+it shifts them out of int64. Unpacking contracts the bits with the rate's
+weights in one 2-D dot of (rows * n, R) bits, several times faster than a
+dot over (G, n, R). Those tables, shifts and weights are built once per
+rate and are read-only (_layout). The domain check and the clip hold every
+cell in [0, 2**R - 1], so the coder packs without encode_payload's range
+check (int64 idx >> R is 0 iff 0 <= idx < 2**R), which public callers
+still get, and decodes with float weights straight to float cells.
 """
 
 import collections
 import functools
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# largest rate whose cell indices stay exact: quantize clips in float64, and
-# at R = 63 the bound 2**63 - 1 rounds to 2**63, which int64 cannot hold
-MAX_RATE = 62
-
 # largest rate whose cell numbers stay exact in float64: every index below
-# 2**53 and every sum of its bit weights is a float64 integer
-FLOAT_RATE = 53
+# 2**53, the clip bound 2**53 - 1 and every sum of its bit weights is a
+# float64 integer
+MAX_RATE = 53
+# largest range whose 2r, and so whose cell width, is finite
+_LARGEST_RANGE = sys.float_info.max / 2
 # largest rate whose bits come from a table of every index, (2**R, R) uint8:
 # 2 KB at R = 8; above it the bits are shifted out of int64 and cast to uint8
 _TABLE_RATE = 8
@@ -138,8 +137,8 @@ class QuantizerSpec:
             raise ValueError("rate must be a nonnegative integer")
         if self.R > MAX_RATE:
             raise ValueError(
-                f"rate {self.R} exceeds {MAX_RATE}: cell indices would no "
-                "longer be exact as int64 and float64"
+                f"rate {self.R} exceeds {MAX_RATE}: cell numbers would no "
+                "longer be exact as float64"
             )
 
     @functools.cached_property  # read on every quantize and reconstruct
@@ -187,7 +186,8 @@ class ScaledQuantizer:
         Cell i on an axis spans [-r + i*w, -r + (i+1)*w), w = 2r/2**R, with
         reconstruction at the center; boundary values belong to the upper
         cell (round half toward +inf). NaN and +-inf coordinates raise
-        RangeViolationError in both modes.
+        RangeViolationError in both modes; a range whose cell width is not
+        finite raises ValueError.
 
         u is one row of shape (n,) at the float range r, or a (G, n) stack
         at a float r or a (G, 1) column of ranges, one per row; a stack's
@@ -202,54 +202,14 @@ class ScaledQuantizer:
 
     def indices(self, u):
         """The cell indices of quantize(u), without the reconstruction."""
-        u = np.asarray(u, dtype=np.float64)
-        n, r = self.base.n, self.r
-        column = False
-        if u.ndim == 1:
-            if u.shape != (n,):
-                raise ValueError(f"expected shape ({n},), got {u.shape}")
-        elif u.ndim != 2 or u.shape[1] != n:
-            raise ValueError(f"expected shape (G, {n}), got {u.shape}")
-        elif isinstance(r, np.ndarray):
-            if r.shape != (u.shape[0], 1):
-                raise ValueError(f"expected a ({u.shape[0]}, 1) column of "
-                                 f"ranges, got shape {r.shape}")
-            column = True
-        negative = np.count_nonzero(r < 0) if column else r < 0
-        if negative:
-            raise ValueError("scale must be nonnegative")
-        # written so that NaN fails the test
-        inside = np.isfinite(u) if self.saturate else np.abs(u) <= r
-        if np.count_nonzero(inside) < u.size:
-            row, coord = divmod(int(np.argmin(inside)), n)
-            if u.ndim == 1:
-                raise RangeViolationError(coord, float(u[coord]), float(r))
-            raise RangeViolationError(coord, float(u[row, coord]),
-                                      float(r[row, 0] if column else r), row)
-        nlev = self.base.levels
-        if nlev == 1:
-            return np.zeros(u.shape, dtype=np.int64)
-        width = 2.0 * r / nlev
-        dead = None
-        if not column:
-            if width == 0.0:  # r = 0, or below the resolvable cell
-                return np.zeros(u.shape, dtype=np.int64)
-        elif np.count_nonzero(width == 0.0):
-            # such rows divide by 1 instead of 0 and are zeroed below
-            dead = (width == 0.0)[:, 0]
-            width = np.where(width == 0.0, 1.0, width)
-        idx = _cells(u, r, width, nlev, self.saturate).astype(np.int64)
-        if self.base.R > FLOAT_RATE:  # the float clip bound rounded up
-            np.minimum(idx, nlev - 1, out=idx)
-        if dead is not None:
-            idx[dead] = 0
-        return idx
+        cells, _ = _checked_cells(self.base, self.r, u, self.saturate)
+        return cells.astype(np.int64)
 
 
 def reconstruct(spec, r, indices):
     """Cell centers for integer indices, through _centers: the one map from
     cell numbers to values, on both channel ends (the worker's quantize
-    reconstructs through it, and the one-row coder applies it to its cells).
+    reconstructs through it, and the coder applies it to its cells).
 
     Flat indices take a float r; a (G, n) stack takes a float or a (G, 1)
     column of ranges.
@@ -260,6 +220,77 @@ def reconstruct(spec, r, indices):
     return _centers(indices, r, 2.0 * r / nlev)
 
 
+def _cell_widths(spec, r, rows):
+    """The cell width 2r/2**R of a float range, or the widths of a
+    (rows, 1) column of ranges: the one range check of both channel ends.
+    ValueError for a column of another shape, a negative range, or one
+    whose width is not finite (inf, NaN, or 2r past the largest float64);
+    a column's error names its first such row."""
+    if getattr(r, "ndim", 0) == 0:
+        if 0.0 <= r <= _LARGEST_RANGE:  # NaN fails
+            return 2.0 * r / spec.levels
+        where, bad = "", r
+    else:
+        if r.shape != (rows, 1):
+            raise ValueError(f"expected a ({rows}, 1) column of ranges, got "
+                             f"shape {r.shape}")
+        fine = (0.0 <= r) & (r <= _LARGEST_RANGE)
+        if np.count_nonzero(fine) == r.size:
+            return 2.0 * r / spec.levels
+        row = int(np.argmin(fine))
+        where, bad = f"row {row}: ", float(r[row, 0])
+    if bad < 0:
+        raise ValueError(f"{where}scale must be nonnegative")
+    raise ValueError(f"{where}range {bad!r} has no finite cell width at "
+                     f"rate {spec.R}")
+
+
+def _checked_cells(spec, r, u, saturate):
+    """(float cells, cell widths) of one row u (n,) or a (G, n) stack at a
+    float range r, or of a stack at a (G, 1) column of ranges: the one
+    checked step of every quantization.
+
+    It checks the shapes, then the range (_cell_widths), then the domain
+    (|u| <= r, or finiteness when saturating; NaN fails both), whose first
+    failing element in row order raises RangeViolationError. Rows of cell
+    width 0 (r = 0, or 2r/2**R below the smallest float) go to cell 0.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    n = spec.n
+    column = getattr(r, "ndim", 0) > 0
+    stack = u.ndim == 2 and u.shape[1] == n
+    if not stack and (column or u.shape != (n,)):
+        raise ValueError(f"expected shape (G, {n}), or ({n},) at a float "
+                         f"range, got {u.shape}")
+    width = _cell_widths(spec, r, len(u))
+    mag = np.abs(u)
+    if saturate:
+        top = mag.max(initial=0.0)  # NaN if any element is
+        failed = not top < math.inf
+        # the clamp leaves every element of [-r, r] as it is
+        clamp = column or not top <= r
+    else:
+        inside = mag <= r  # NaN fails
+        failed = np.count_nonzero(inside) < u.size
+        clamp = False
+    if failed:
+        if saturate:
+            inside = np.isfinite(u)
+        row, coord = divmod(int(np.argmin(inside)), n)
+        raise RangeViolationError(coord, float(u.reshape(-1, n)[row, coord]),
+                                  float(r[row, 0] if column else r),
+                                  row if u.ndim == 2 else None)
+    nlev = spec.levels
+    if column and not width.all():  # rows of width 0 divide by 1, go to cell 0
+        dead = width == 0.0
+        cells = _cells(u, r, np.where(dead, 1.0, width), nlev, clamp)
+        cells[dead[:, 0]] = 0.0
+        return cells, width
+    if not column and width == 0.0:
+        return np.zeros(u.shape), width
+    return _cells(u, r, width, nlev, clamp), width
+
+
 def _cells(u, r, width, nlev, clamp):
     """The cell map: floor((u + r) / width) clipped to nlev - 1, in float64,
     for u >= -r; u is a row at a float r and width, or a stack at floats or
@@ -267,8 +298,7 @@ def _cells(u, r, width, nlev, clamp):
 
     clamp first limits u to [-r, nlev*width] (2r unless width is subnormal),
     so that |u| >> r cannot overflow the divide and input past either end
-    keeps its boundary cell. Above R = 53 the bound nlev - 1 rounds up to
-    nlev, so a caller that casts to int64 must clip again.
+    keeps its boundary cell.
     """
     if clamp:
         cells = np.maximum(u, -r)

@@ -79,6 +79,7 @@ GOOD = "algos = gd, dq-gd\nm = 32\nn = 16\nkappa = 5\n"
 
 @pytest.mark.parametrize("body,detail", [
     (GOOD + "rates = 0-2\n", ""),
+    (GOOD + "rates = 53-54\n", "rate 54 exceeds 53"),
     (GOOD + "rates = 3-1\n", ""),
     ("algos = gd, dq-gd\nn = 16\nkappa = 5\nrates = 2-3\n", ""),
     ("algos = gd, dq-gd\nm = 32\nkappa = 5\nrates = 2-3\n", ""),
@@ -100,11 +101,11 @@ GOOD = "algos = gd, dq-gd\nm = 32\nn = 16\nkappa = 5\n"
      "condition number must be >= 1, got 0.5"),
     ("problem = interpolation\nn = 8\nm = 4\nkappas = 2\nalgos = nq-gd\n"
      "rates = 2\n", "need m >= n >= 1, got 4 x 8"),
-], ids=["rate-zero", "empty-range", "no-m", "no-n", "no-kappa", "unknown-algo",
-        "duplicate-key", "no-section-header", "typo-rate", "typo-trial",
-        "jobs-key", "floor-scale-key", "typo-in-default", "other-kind-key",
-        "gaussian-wide", "gaussian-n-zero", "gaussian-kappa-below-1",
-        "interpolation-wide"])
+], ids=["rate-zero", "rate-above-cap", "empty-range", "no-m", "no-n",
+        "no-kappa", "unknown-algo", "duplicate-key", "no-section-header",
+        "typo-rate", "typo-trial", "jobs-key", "floor-scale-key",
+        "typo-in-default", "other-kind-key", "gaussian-wide",
+        "gaussian-n-zero", "gaussian-kappa-below-1", "interpolation-wide"])
 def test_sweep_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, body,
                                                       detail):
     # every case fails while loading, before a trial builds an instance
@@ -136,12 +137,14 @@ INTERP = "problem = interpolation\nn = 4\nm = 8\nalgos = nq-gd\n"
      "kappas lists 3 condition numbers for 2 workers"),
     (INTERP + "kappas = 2, 3\nworkers = 2\nrates = 2-3\n",
      "uniform allocation needs workers | R: 2 workers cannot split R = 3"),
+    (INTERP + "kappas = 2, 3\nworkers = 2\nallocation = waterfilling\n"
+     "rates = 106-107\n", "rate 107's share 54 exceeds 53"),
     (INTERP.replace("nq-gd", "gd, nq-gd") + "kappas = 2, 3\nworkers = 2\n"
      "rates = 2\n", "gd needs a single-worker problem"),
     (INTERP.replace("nq-gd", "dq-gd") + "kappas = 2\nrates = 2\n",
      "dq-gd needs a single-worker problem"),
 ], ids=["zero-workers", "workers-on-gaussian", "kappas-count", "uneven-split",
-        "gd-on-interpolation", "dq-on-interpolation"])
+        "share-above-cap", "gd-on-interpolation", "dq-on-interpolation"])
 def test_sweep_worker_problem_mismatch_fails_before_any_trial(
         tmp_path, capsys, monkeypatch, body, detail):
     from dqgrad import harness

@@ -165,18 +165,46 @@ def test_invalid_specs_rejected():
         QuantizerSpec(4, -1)
     with pytest.raises(ValueError):
         QuantizerSpec(4, 1, kind="lattice-e8")
-    for R in (63, 64):  # past int64-exact cell indices
-        with pytest.raises(ValueError, match="exceeds 62"):
+    for R in (54, 64):  # past float64-exact cell numbers
+        with pytest.raises(ValueError, match="exceeds 53"):
             QuantizerSpec(4, R)
 
 
-@pytest.mark.parametrize("R", [53, 54, 62])
+@pytest.mark.parametrize("R", [53])
 def test_top_cell_index_exact_at_high_rate(R):
-    # the float clip bound 2**R - 1 rounds up to 2**R above R = 53
+    # the float clip bound 2**R - 1 is still exact at the largest rate
     coder = BitCoder(QuantizerSpec(3, R))
     payload, _ = coder.encode(1.0, np.array([1.0, -1.0, 0.0]))
     idx = decode_payload(payload.bits, payload.nbits, 3, R)
     assert idx.tolist() == [(1 << R) - 1, 0, 1 << (R - 1)]
+
+
+@pytest.mark.parametrize("saturate", [False, True])
+@pytest.mark.parametrize("R", [0, 3, 53])
+def test_range_without_a_finite_cell_width_rejected(R, saturate):
+    # r = inf and NaN, and r = 1e308, where 2r overflows: both channel ends
+    # refuse the range, at a float range and for one row of a column
+    spec = QuantizerSpec(3, R)
+    coder = BitCoder(spec, saturate)
+    u = np.array([0.0, 1.0, -1.0])
+    wire = encode_payload(np.zeros(3, dtype=np.int64), R)[0]
+    for bad in (np.inf, np.nan, 1e308):
+        with pytest.raises(ValueError, match="no finite cell width"):
+            spec.scaled(bad, saturate).quantize(u)
+        with pytest.raises(ValueError, match="no finite cell width"):
+            coder.encode(bad, u)
+        with pytest.raises(ValueError, match="no finite cell width"):
+            coder.encode_rows(bad, u)
+        with pytest.raises(ValueError, match="no finite cell width"):
+            coder.decode(bad, [wire])
+        column = np.array([[1.0], [bad], [2.0]])
+        U = np.stack([u, u, u])
+        with pytest.raises(ValueError, match="row 1: .*no finite cell width"):
+            spec.scaled(column, saturate).quantize(U)
+        with pytest.raises(ValueError, match="row 1: .*no finite cell width"):
+            coder.encode_rows(column, U)
+        with pytest.raises(ValueError, match="row 1: .*no finite cell width"):
+            coder.decode(column, [wire] * 3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -351,7 +379,7 @@ def test_quantizer_matches_seed_expressions(case):
 def test_reconstruct_matches_seed_expression(n, R, r, seed):
     spec = QuantizerSpec(n, R)
     idx = make_rng(seed).integers(0, 1 << R, size=n)
-    idx[: n // 4] = (1 << R) - 1  # the top index, 2**62 - 1 at R = 62
+    idx[: n // 4] = (1 << R) - 1  # the top index, 2**53 - 1 at R = 53
     for indices in (idx, idx.tolist()):
         assert (reconstruct(spec, r, indices).tobytes()
                 == seed_reconstruct(spec, r, indices).tobytes())
@@ -602,6 +630,36 @@ def test_one_row_coder_skips_the_general_route(monkeypatch, saturate):
     coder.decode(1.0, [payload.bits])
 
 
+@pytest.mark.parametrize("R", [0, 1, 53])
+def test_coder_never_takes_the_public_route(monkeypatch, R):
+    # rate 0, the largest rate, a zero cell width and a saturating stack
+    # take the coder's one checked step, as every other case does
+    def general(*args, **kwargs):
+        raise AssertionError("the coder took the public route")
+
+    for owner, name in ((QuantizerSpec, "scaled"),
+                        (quantizer.ScaledQuantizer, "indices"),
+                        (quantizer.ScaledQuantizer, "quantize"),
+                        (quantizer.Payload, "from_indices"),
+                        (quantizer, "encode_payload"),
+                        (quantizer, "decode_payload"),
+                        (quantizer, "reconstruct")):
+        monkeypatch.setattr(owner, name, general)
+    u = np.linspace(-1.0, 1.0, 5)
+    for saturate in (False, True):
+        coder = BitCoder(QuantizerSpec(5, R), saturate)
+        for r in (1.0, 0.0, 1e-322):
+            payload, _ = coder.encode(r, u * r)
+            coder.decode(r, [payload.bits])
+        column = np.array([[1.0], [0.0], [2.0]])
+        U = column * u
+        if saturate:
+            U[0, 0] = 1e300
+        wires = [p.bits for p in coder.encode_rows(column, U)]
+        assert len(wires) == 3 and all(len(w) == (5 * R + 7) // 8 for w in wires)
+        coder.decode(column, wires)
+
+
 def test_rate_constants_are_shared_read_only_and_small():
     a = BitCoder(QuantizerSpec(4, 5))
     b = BitCoder(QuantizerSpec(300, 5), saturate=True)
@@ -627,7 +685,7 @@ def test_rate_constants_are_shared_read_only_and_small():
 
 
 @st.composite
-def stack_cases(draw):
+def row_stack_cases(draw):
     """(spec, ranges, saturate, u): G rows of one rate, one range each, with
     cube faces, cell-boundary ties and, when saturating, far values."""
     G = draw(st.integers(2, 6))
@@ -650,7 +708,7 @@ def stack_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(stack_cases())
+@given(row_stack_cases())
 def test_row_quantize_equals_the_flat_quantize_of_each_row(case):
     spec, ranges, saturate, u = case
     column = np.array(ranges)[:, None]
@@ -726,3 +784,7 @@ def test_row_quantize_rejects_a_range_column_of_the_wrong_shape():
         spec.scaled(np.ones(2), False).quantize(np.zeros((2, 4)))
     with pytest.raises(ValueError, match="nonnegative"):
         spec.scaled(np.array([[1.0], [-1.0]]), False).quantize(np.zeros((2, 4)))
+    # the server checks its ranges too: four flat ranges for four rows of
+    # four coordinates would broadcast along the coordinates instead
+    with pytest.raises(ValueError, match=r"\(4, 1\) column"):
+        BitCoder(spec).decode(np.ones(4), [bytes(2)] * 4)

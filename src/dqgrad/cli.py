@@ -9,6 +9,7 @@ Subcommands:
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from . import bounds as bmod
@@ -52,8 +53,17 @@ def _cmd_sweep(args):
 def _cmd_bounds(args):
     from .hyperparams import gamma_agd, gamma_hb, sigma_agd, sigma_gd, sigma_hb
 
-    rho = args.rho if args.rho is not None else bmod.default_rho(args.n)
     algos = args.algos.split(",") if args.algos else list(SCHEMES)
+    bad = [f"{name} must be {rule}" for name, ok, rule in (
+        ("kappa", 1.0 <= args.kappa < math.inf, "finite and at least 1"),
+        ("n", args.n >= 1, "at least 1"),
+        ("rho", args.rho is None or 0.0 < args.rho < math.inf, "finite and positive"),
+        ("every algo", set(algos) <= set(SCHEMES), f"one of {', '.join(SCHEMES)}"),
+    ) if not ok]
+    if bad:
+        print(f"error: {bad[0]}", file=sys.stderr)
+        return 1
+    rho = args.rho if args.rho is not None else bmod.default_rho(args.n)
     header = "R " + " ".join(f"{a:>10s}" for a in algos) + f" {'conv-gd':>10s} {'conv-gm':>10s}"
     print(f"kappa={args.kappa} n={args.n} rho={rho:g}")
     print(header)

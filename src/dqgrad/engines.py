@@ -58,7 +58,7 @@ point in floating point, and a stalled run often cycles exactly through
 its iterates and errors. run_protocol, the one loop that sees both
 parties, proves such a cycle and fills the rest of the run from it:
 
-  1. Settled range. Once every server cursor is settled
+  1. Settled range. Once the server's cursor is settled
      (RangeSchedule.settled: r_{t-1} == r_{t-2} is a fixed point of the
      recursion, and its leading term is absorbed with a margin and can
      only shrink), every later round runs at that same r.
@@ -70,16 +70,18 @@ parties, proves such a cycle and fills the rest of the run from it:
      round t equal those at round s < t, then rounds t, t+1, ... repeat
      rounds s, s+1, ... with period p = t - s, to the last round.
 
-While the ranges are settled, each round is keyed in a table of at most
-_CYCLE_SLOTS rounds, emptied when full, next to the state and observables
-it left behind. The key is the bytes of x, and the rest of the state is
-compared only when an earlier round started from the same x; a round that
-shares x but not the rest is keyed by the bytes of its whole state. On a
-hit, every later round is restored from the period: the server's state,
+Once the ranges are settled, Brent's cycle detector (R. P. Brent, BIT 20,
+1980) compares each round's starting state with one saved round's, the
+bytes of x first and the rest only when x matches; when window rounds pass
+with no match it saves the current round and doubles window, up to
+_CYCLE_SLOTS, the longest period it finds. The rounds since the save are
+held with the state and observables each left behind, so at a hit they are
+one period, and every later round is restored from it: the server's state,
 the worker's memory, ||u|| and r, the channel trace entries and the
-escapes, relabelled with their round. Every
-round still reaches on_iteration and stop, and each party ends where a
-computed run ends, bit for bit. server.cycle is then (s, p).
+escapes, relabelled with their round. Every round still reaches
+on_iteration and stop, and each party ends where a computed run ends, bit
+for bit. server.cycle is then (s, p), s the saved round: on the cycle, but
+not always its first round.
 """
 
 import dataclasses
@@ -99,8 +101,8 @@ from .transport import Channel, pack_iterate, unpack_iterates
 CONTAINMENT_RTOL = 1e-9
 # strict raises on an escape; saturate counts it and clamps the quantizer
 CONTAINMENT = ("strict", "saturate")
-# rounds run_protocol remembers while the ranges stand still; stalled runs
-# cycle with short periods, and a full table is emptied; 0 computes every round
+# the longest period run_protocol finds once the ranges stand still, and the
+# most rounds it holds; stalled runs cycle with short periods; 0 finds none
 _CYCLE_SLOTS = 64
 
 
@@ -221,10 +223,6 @@ class _WorkerBase:
         self.violations = []
 
     @property
-    def cursors(self):
-        return (self.cursor,)
-
-    @property
     def memory(self):
         """The error memory a round reads, (e1, e2)."""
         return self.e1, self.e2
@@ -317,7 +315,6 @@ class NQGDWorkers:
     def __init__(self, grad, schedules, coders):
         self.grad = grad
         self.cursor = _cursor(schedules)
-        self.cursors = (self.cursor,)
         self.coders = coders
         self._groups = _rate_groups(coders)
         self.last_u_norm = None  # largest ||u_k|| and r_k of the last round
@@ -387,7 +384,6 @@ class _ServerBase:
         self.state = initial_state(algo, x0)
         self.hp = dataclasses.replace(hp, eta=hp.eta / len(coders))
         self.cursor = _cursor(schedules)
-        self.cursors = (self.cursor,)
         self.coders = coders
         self._groups = _rate_groups(coders)
         # rows in channel order, when one decode does not return them all
@@ -446,52 +442,43 @@ def run_protocol(server, worker, channels, steps, on_iteration=None, stop=None):
 
 
 class _Cycles:
-    """run_protocol's memory of the rounds run at settled ranges."""
+    """run_protocol's memory of the rounds run at settled ranges: Brent's
+    cycle detector, one saved round and the outcomes of the rounds since."""
 
     def __init__(self, server, worker, channels):
         self.server = server
         self.worker = worker
         self.channels = channels
-        # the bytes of x, or of a round's whole state when an earlier round
-        # started from the same x -> (round, server state, worker memory)
-        self.starts = {}
-        # (server state, worker memory, ||u||, r) of each keyed round since
-        # the table was emptied, the last one excepted
+        # (round, bytes of x, rest of the server state + worker memory)
+        self.saved = None
+        self.window = 1  # rounds compared with the saved one before a new save
+        # (server state, worker memory, ||u||, r) of each round since the save
         self.outcomes = []
 
     def enter(self, t):
-        """Before round t: the earlier round that started from the same
-        state, or None; keys round t while the ranges are settled.
+        """Before round t: the saved round if round t starts from the same
+        state, else None; saves a round once the ranges are settled.
 
-        A settled run that drifts never repeats its iterate, so a round is
-        keyed by the bytes of x alone, and the rest of the state is compared
-        only when x matches."""
+        A settled run that drifts never repeats its iterate, so the bytes of
+        x are compared first, and the rest of the state only when x matches.
+        """
         state, worker = self.server.state, self.worker
-        if self.starts:  # settled once, settled for good
-            memory = worker.memory
+        if self.saved is None and not self.server.cursor.settled():
+            return None  # once settled, the ranges stay settled
+        memory = worker.memory
+        x = state[0].tobytes()
+        if self.saved is not None:
             self.outcomes.append((state, memory, worker.last_u_norm,
                                   worker.last_r))
-        else:
-            for cursor in self.server.cursors:
-                if not cursor.settled():
-                    return None
-            memory = worker.memory
-        key = x = state[0].tobytes()
-        seen = self.starts.get(x)
-        if seen is not None:
-            start, old_state, old_memory = seen
-            if all(a.tobytes() == b.tobytes() for a, b in
-                   zip(state[1:] + memory, old_state[1:] + old_memory)):
+            start, saved_x, rest = self.saved
+            if x == saved_x and all(a.tobytes() == b.tobytes() for a, b in
+                                    zip(state[1:] + memory, rest)):
                 return start
-            key = b"".join([a.tobytes() for a in state + memory])
-            seen = self.starts.get(key)
-            if seen is not None:
-                return seen[0]
-        if len(self.starts) >= _CYCLE_SLOTS:
-            self.starts.clear()
-            self.outcomes.clear()
-            key = x
-        self.starts[key] = (t, state, memory)
+            if t - start < self.window:
+                return None
+            self.window = min(2 * self.window, _CYCLE_SLOTS)
+        self.saved = (t, x, state[1:] + memory)
+        self.outcomes = []
         return None
 
     def fill(self, start, t, steps, on_iteration, stop):
@@ -507,14 +494,14 @@ class _Cycles:
         traces = [ch.trace for ch in self.channels]
         p = t - start
         server.cycle = (start, p)
-        for state, memory, _, _ in self.outcomes[-p:]:
+        for state, memory, _, _ in self.outcomes:
             for a in state + memory:
                 a.flags.writeable = False
         escaped = [False] * p
         for label in worker.violations[-p:]:
             if label >= server.t - p:
                 escaped[label - server.t + p] = True
-        period = list(zip(self.outcomes[-p:], escaped,
+        period = list(zip(self.outcomes, escaped,
                           zip(*[tr.downlink_bytes[-p:] for tr in traces]),
                           zip(*[tr.uplink_bits[-p:] for tr in traces])))
         end = steps
@@ -534,7 +521,7 @@ class _Cycles:
             if stop is not None and stop(j, server):
                 end = j + 1
                 break
-        for cursor in (*server.cursors, *worker.cursors):
+        for cursor in (server.cursor, worker.cursor):
             cursor.t += end - t
         return end
 

@@ -80,7 +80,9 @@ class RunRecord:
     ranges: list = field(default_factory=list)
     bits_per_iteration: list = field(default_factory=list)
     violations: int = 0
-    cycle: tuple | None = None  # (start, period) of a run served from a cycle
+    # (start, period) of a run served from a cycle; start, the round the
+    # detector saved, is on the cycle but not always its first round
+    cycle: tuple | None = None
 
     @property
     def terminal_T(self):
@@ -88,7 +90,7 @@ class RunRecord:
 
     @property
     def replayed(self):
-        """Rounds served from the cycle: every round after its first period."""
+        """Rounds served from the cycle: every round after start + period."""
         return 0 if self.cycle is None else self.terminal_T - sum(self.cycle)
 
     @property

@@ -132,9 +132,9 @@ class ScheduleCursor:
 
     def settled(self):
         """True once every later step() returns the last range again."""
-        # the naive rows of one cursor step as a column, and never settle
-        return (self.schedule.scheme != "nq-gd" and self._r1 == self._r2
-                and self.schedule.settled(self.t, self._r1, self._r2))
+        # the naive rows of one cursor step as a column, and settled() tests
+        # for the naive scheme before it compares any ranges
+        return self.schedule.settled(self.t, self._r1, self._r2)
 
 
 def naive_rows(schedules):
@@ -161,10 +161,10 @@ def waterfill(L_list, R_total, tol=1e-12, max_iter=200):
     wherever positive, so the solution is unique. Returns (nu, rates).
     """
     L = [float(v) for v in L_list]
-    if any(v <= 0 for v in L):
-        raise ValueError("smoothness constants must be positive")
-    if R_total < 0:
-        raise ValueError("sum rate must be nonnegative")
+    if not all(0 < v < math.inf for v in L):
+        raise ValueError("smoothness constants must be finite and positive")
+    if not 0 <= R_total < math.inf:
+        raise ValueError("sum rate must be finite and nonnegative")
     if R_total == 0:
         return max(L), [0.0] * len(L)
 

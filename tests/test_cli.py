@@ -18,6 +18,21 @@ def test_bounds_subcommand(capsys):
     assert "R2=0.737" in out
 
 
+@pytest.mark.parametrize("args", [
+    ["--kappa", "0", "--n", "4"], ["--kappa", "0.5", "--n", "4"],
+    ["--kappa", "nan", "--n", "4"], ["--kappa", "inf", "--n", "4"],
+    ["--kappa", "4", "--n", "0"], ["--kappa", "4", "--n", "-1"],
+    ["--kappa", "4", "--n", "4", "--rho", "0"],
+    ["--kappa", "4", "--n", "4", "--rho", "nan"],
+    ["--kappa", "4", "--n", "4", "--algos", "dq-gd,dq-foo"],
+], ids=["kappa-0", "kappa-below-1", "kappa-nan", "kappa-inf", "n-0", "n-negative",
+        "rho-0", "rho-nan", "algo-unknown"])
+def test_bounds_bad_input(capsys, args):
+    assert main(["bounds", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 def test_waterfill_subcommand(capsys):
     assert main(["waterfill", "--L", "4,1", "--R", "2"]) == 0
     out = capsys.readouterr().out
@@ -26,8 +41,13 @@ def test_waterfill_subcommand(capsys):
     assert "worker 1: L=1 R=0" in out
 
 
-def test_waterfill_bad_input(capsys):
-    assert main(["waterfill", "--L", "4,oops", "--R", "2"]) == 1
+@pytest.mark.parametrize("L,R", [
+    ("4,oops", "2"), ("1,nan", "4"), ("1,inf", "4"), ("1,2", "nan"),
+    ("1,2", "inf"),
+], ids=["L-unparsable", "L-nan", "L-inf", "R-nan", "R-inf"])
+def test_waterfill_bad_input(capsys, L, R):
+    assert main(["waterfill", "--L", L, "--R", R]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_sweep_missing_config(capsys):

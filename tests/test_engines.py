@@ -372,7 +372,8 @@ def test_sqrt_of_self_dot_is_the_vector_norm(v):
 
 def _stalled_gaussian_k5():
     # trial 0 of the stock gaussian-k5 sweep: dq-gd at R = 2 stalls at the
-    # fixed point of its range and cycles with period 6 from round 96
+    # fixed point of its range and cycles with period 6 from round 96; the
+    # detector saves round 98 on the cycle
     ss = np.random.SeedSequence(7, spawn_key=(0,))
     return make_gaussian_ls(32, 16, 5.0, ss)[1]
 
@@ -413,18 +414,19 @@ def _zero_gradient_engine(schedule):
     return worker, server, [Channel(n, R)]
 
 
-def _table_sizes(monkeypatch):
-    """The cycle table's size after run_protocol keys (or skips) each round."""
-    sizes = []
+def _detector_log(monkeypatch):
+    """(saved round or None, outcomes held) after run_protocol enters each
+    round."""
+    log = []
 
     class Logged(engines._Cycles):
         def enter(self, t):
             start = super().enter(t)
-            sizes.append(len(self.starts))
+            log.append((self.saved and self.saved[0], len(self.outcomes)))
             return start
 
     monkeypatch.setattr(engines, "_Cycles", Logged)
-    return sizes
+    return log
 
 
 def _same_bits(a, b):
@@ -446,8 +448,8 @@ def test_replay_sends_the_bits_a_computed_round_would(monkeypatch, seed, kappa):
     assert rec.bits_per_iteration == ref.bits_per_iteration
     assert rec.violations == ref.violations
     assert trace == ref_trace
-    # only the rounds up to the end of the first period are computed, and
-    # the computed run's payloads repeat with that period from its start
+    # only the rounds before start + period are computed, and the computed
+    # run's payloads repeat with that period from the saved round on
     start, period = rec.cycle
     assert sent == ref_sent[:start + period] and len(ref_sent) == 2000
     assert ref_sent[start + period:] == ref_sent[start:2000 - period]
@@ -465,18 +467,18 @@ def test_a_stalled_run_computes_few_gradients():
     worker.grad = grad
     rec = _drive("dq-gd", 2, obj, server, worker, [channel], 10_000)
     assert rec.terminal_T == 10_000
-    assert rec.cycle == (96, 6) == server.cycle
+    assert rec.cycle == (98, 6) == server.cycle
     assert len(calls) == sum(rec.cycle)
     assert rec.replayed == 10_000 - len(calls)
 
 
 @pytest.mark.parametrize("slots", [4, engines._CYCLE_SLOTS])
-def test_replay_table_is_bounded_and_emptied_when_the_range_moves(monkeypatch,
+def test_cycle_detector_is_bounded_and_idle_while_the_range_moves(monkeypatch,
                                                                    slots):
-    # the table keys no round while the range still moves, holds at most
-    # `slots` rounds, and empties when full
+    # the detector saves no round while the range still moves, holds at
+    # most `slots` outcomes, and finds no period longer than that
     monkeypatch.setattr(engines, "_CYCLE_SLOTS", slots)
-    sizes = _table_sizes(monkeypatch)
+    log = _detector_log(monkeypatch)
     worker, server, channel = build_dq_engine("dq-gd", _stalled_gaussian_k5(), 2)
     ranges = []
 
@@ -485,14 +487,17 @@ def test_replay_table_is_bounded_and_emptied_when_the_range_moves(monkeypatch,
 
     assert run_protocol(server, worker, [channel], 600,
                         on_iteration=observe) == 600
-    moved = [t for t in range(1, len(sizes)) if ranges[t] != ranges[t - 1]]
-    assert len(moved) > 50 and not any(sizes[t] for t in moved)
-    assert max(sizes) <= slots
-    if slots < 6:  # shorter than the period: the table fills, empties, never hits
-        assert server.cycle is None and len(sizes) == 600
-        assert max(sizes) == slots and sizes.count(1) > 100
-    else:
-        assert server.cycle == (96, 6) and len(sizes) == 96 + 6 + 1
+    moved = [t for t in range(1, len(log)) if ranges[t] != ranges[t - 1]]
+    assert len(moved) > 50 and all(log[t][0] is None for t in moved)
+    held = [n for _, n in log]
+    assert max(held) <= slots
+    if slots < 6:  # shorter than the period: saves every `slots` rounds, never hits
+        assert server.cycle is None and len(log) == 600
+        # a full window is dropped as the next round is saved
+        assert max(held) == slots - 1 and len({s for s, _ in log}) > 100
+    else:  # at the hit the outcomes are exactly one period
+        assert server.cycle == (98, 6) and len(log) == 98 + 6 + 1
+        assert log[-1] == (98, 6)
 
 
 def test_replayed_error_memory_is_read_only():
@@ -517,9 +522,10 @@ def test_replayed_rounds_still_check_containment(monkeypatch):
         return _drive("dq-gd", 1, target, server, worker, channels, 40), worker
 
     rec, worker = run()
-    # rounds 2 and 4 start from the same state: rounds 0-3 are computed
-    # and 4-39 are served from the period
-    assert rec.cycle == (2, 2) and rec.replayed == 36
+    # the range is settled from round 2, which is saved; round 3 is saved
+    # when round 2 does not come back within one round, and round 5 starts
+    # from its state: rounds 0-4 are computed and 5-39 served from the period
+    assert rec.cycle == (3, 2) and rec.replayed == 35
     assert worker.violations == list(range(1, 40, 2))
     assert rec.violations == 20
     monkeypatch.setattr(engines, "_CYCLE_SLOTS", 0)
@@ -539,7 +545,7 @@ def test_cycle_table_waits_for_the_peak_of_a_stalled_range(monkeypatch):
     L = 1.0 / (math.e**alpha * math.sqrt(2.0))  # r_0 = 1 exactly
     schedule = RangeSchedule("dq-hb", L=L, D=1.0, sigma=sigma, rho=2.0, R=1,
                              alpha=alpha)
-    sizes = _table_sizes(monkeypatch)
+    log = _detector_log(monkeypatch)
     worker, server, channels = _zero_gradient_engine(schedule)
     ranges = []
 
@@ -548,8 +554,10 @@ def test_cycle_table_waits_for_the_peak_of_a_stalled_range(monkeypatch):
 
     assert run_protocol(server, worker, channels, 10, on_iteration=observe) == 10
     assert set(ranges) == {1.0}
-    assert sizes[:4] == [0, 0, 0, 1]
-    assert server.cycle == (3, 2)
+    # round 3 is saved, then round 4 with a window of two, and round 6
+    # starts from the state of round 4
+    assert [s for s, _ in log[:5]] == [None, None, None, 3, 4]
+    assert server.cycle == (4, 2)
     monkeypatch.setattr(engines, "_CYCLE_SLOTS", 0)
     ref_worker, ref_server, ref_channels = _zero_gradient_engine(schedule)
     run_protocol(ref_server, ref_worker, ref_channels, 10)
@@ -558,21 +566,63 @@ def test_cycle_table_waits_for_the_peak_of_a_stalled_range(monkeypatch):
 
 
 def test_cycle_table_compares_the_whole_state_of_rounds_that_share_x():
-    # rounds are keyed by x; a round that shares x with an earlier one but
-    # not its error memory is keyed by its whole state, and both are found
+    # x is compared first; a round that shares x with the saved one but not
+    # its error memory is no hit, nor is one that shares only the memory
     a, b = np.zeros(2), np.ones(2)
-    m = [(np.full(2, v), np.full(2, -v)) for v in (1.0, 2.0, 3.0)]
+    m = [(np.full(2, v), np.full(2, -v)) for v in (1.0, 2.0)]
     server = SimpleNamespace(state=None,
-                             cursors=[SimpleNamespace(settled=lambda: True)])
+                             cursor=SimpleNamespace(settled=lambda: True))
     worker = SimpleNamespace(memory=None, last_u_norm=0.0, last_r=1.0)
     cycles = engines._Cycles(server, worker, [])
-    found = []
-    for t, (x, memory) in enumerate([(a, m[0]), (a, m[1]), (b, m[2]),
-                                     (a, m[1]), (a, m[0]), (b, m[0])]):
+    found, saved = [], []
+    for t, (x, memory) in enumerate([(a, m[0]), (a, m[1]), (b, m[1]),
+                                     (a, m[1])]):
         server.state, worker.memory = (x,), memory
         found.append(cycles.enter(t))
-    assert found == [None, None, None, 1, 0, None]
-    assert len(cycles.starts) == 4
+        saved.append(cycles.saved[0])
+    assert found == [None, None, None, 1] and saved == [0, 1, 1, 1]
+    assert len(cycles.outcomes) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(lead=st.integers(0, 40), period=st.integers(1, 80),
+       settle=st.integers(0, 50), slots=st.sampled_from([1, 4, 64]))
+def test_cycle_detector_finds_exactly_the_periods_it_can_hold(lead, period,
+                                                              settle, slots):
+    # round t starts from state i(t) = t during the lead-in and then repeats
+    # states lead, ..., lead + period - 1; x takes three values, so the error
+    # memory tells most rounds that share x apart
+    def state(t):
+        return t if t < lead else lead + (t - lead) % period
+
+    cursor = SimpleNamespace(settled=lambda: False)
+    server = SimpleNamespace(state=None, cursor=cursor)
+    worker = SimpleNamespace(memory=None, last_u_norm=None, last_r=1.0)
+    start = None
+    with mock.patch.object(engines, "_CYCLE_SLOTS", slots):
+        cycles = engines._Cycles(server, worker, [])
+        # long enough to save a round on the cycle at a window >= period
+        for t in range(settle + lead + 2 * slots + 4 * period + 4):
+            if t == settle:
+                cursor.settled = lambda: True
+            i = state(t)
+            server.state = (np.array([float(i % 3)]), np.zeros(1))
+            worker.memory = (np.array([float(i)]),)
+            worker.last_u_norm = float(i)
+            start = cycles.enter(t)
+            assert len(cycles.outcomes) <= slots
+            if t < settle:
+                assert cycles.saved is None
+            if start is not None:
+                break
+    if period > slots:
+        assert start is None
+        return
+    assert start is not None and t - start == period
+    assert start >= max(lead, settle)
+    # the outcomes are the one period of rounds start, ..., t - 1
+    assert [o[2] for o in cycles.outcomes] == [
+        float(state(j)) for j in range(start + 1, t + 1)]
 
 
 def _end_state(server, worker, channels):
@@ -582,7 +632,7 @@ def _end_state(server, worker, channels):
 
     return (
         [np.asarray(a).tobytes() for a in (*server.state, *worker.memory)],
-        server.t, [cursor(c) for c in (*server.cursors, *worker.cursors)],
+        server.t, [cursor(c) for c in (server.cursor, worker.cursor)],
         worker.last_u_norm, worker.last_r, list(worker.violations),
         [(ch.trace.downlink_bytes, ch.trace.uplink_bits) for ch in channels],
         [(len(ch._down), len(ch._up)) for ch in channels],

@@ -83,7 +83,7 @@ def test_runs_report_headroom_and_replayed_rounds():
     rec, _ = run_nq(prob, [3, 2], t_max=300)
     assert rec.cycle is None and rec.replayed == 0 and rec.min_headroom > 0
     # a stalled dq-gd run at eps = sqrt(16) * 2**-2 = 1 cycles; every round
-    # after its first period is served from it
+    # after the period that follows the saved round is served from it
     stalled = run_dq("dq-gd", obj, 2, t_max=3000)
     start, period = stalled.cycle
     assert stalled.terminal_T == 3000

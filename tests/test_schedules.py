@@ -255,7 +255,8 @@ def test_one_cursor_of_naive_rows_steps_as_its_rows_bitwise(sigma):
         ref = np.array([[c.step()] for c in flat])
         assert column.tobytes() == ref.tobytes(), t
         seen_subnormal |= 0.0 < sigma**t < sys.float_info.min
-        assert not stacked.settled()
+        # a column never reaches a comparison of ranges
+        assert stacked.settled() is False
     assert stacked.t == 10_001
     assert seen_subnormal == (sigma in (0.9, 0.5))
     assert not stacked.schedule.L.flags.writeable

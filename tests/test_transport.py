@@ -98,7 +98,7 @@ def test_schedule_synchrony():
     # both ends regenerate identical ranges from public constants alone
     _, obj = make_gaussian_ls(24, 8, 10, 2)
     worker, server, _ = build_dq_engine("dq-agd", obj, 4)
-    a, b = worker.cursor, server.cursors[0]
+    a, b = worker.cursor, server.cursor
     assert a is not b
     for _ in range(100):
         assert a.step() == b.step()

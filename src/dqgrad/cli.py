@@ -15,6 +15,7 @@ import sys
 from . import bounds as bmod
 from .configfile import ConfigError, load_experiments
 from .harness import TrialError, emit_csv, emit_svg, run_sweep
+from .quantizer import MAX_RATE
 from .schedules import SCHEMES, waterfill
 
 
@@ -58,6 +59,9 @@ def _cmd_bounds(args):
         ("kappa", 1.0 <= args.kappa < math.inf, "finite and at least 1"),
         ("n", args.n >= 1, "at least 1"),
         ("rho", args.rho is None or 0.0 < args.rho < math.inf, "finite and positive"),
+        ("rmin", args.rmin >= 1, "at least 1"),
+        ("rmax", args.rmax <= MAX_RATE, f"at most {MAX_RATE}, the largest rate"),
+        ("rmin", args.rmin <= args.rmax, "at most rmax"),
         ("every algo", set(algos) <= set(SCHEMES), f"one of {', '.join(SCHEMES)}"),
     ) if not ok]
     if bad:

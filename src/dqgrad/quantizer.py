@@ -53,7 +53,7 @@ import collections
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -409,17 +409,32 @@ def decode_payload(buf, nbits, n, R):
     return _unpack(data, n, R, _layout(R).weights)
 
 
-@dataclass(frozen=True)
 class Payload:
     """One uplink message: n cell indices packed into exactly n*R bits.
 
     A payload is what travels and nothing more: its bits and their count.
     The receiver recovers the indices with decode_payload from the public
-    (n, R).
+    (n, R). Every DQ round builds one, so it is a plain slotted class,
+    cheap to build; it compares and hashes by value, and its repr leaves
+    the bits out.
     """
 
-    bits: bytes = field(repr=False)
-    nbits: int
+    __slots__ = ("bits", "nbits")
+
+    def __init__(self, bits, nbits):
+        self.bits = bits
+        self.nbits = nbits
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bits == other.bits and self.nbits == other.nbits
+
+    def __hash__(self):
+        return hash((self.bits, self.nbits))
+
+    def __repr__(self):
+        return f"Payload(nbits={self.nbits!r})"
 
     @classmethod
     def from_indices(cls, indices, R):

@@ -156,9 +156,11 @@ def naive_rows(schedules):
 def waterfill(L_list, R_total, tol=1e-12, max_iter=200):
     """Sum-rate allocation R_k = max(0, log2(L_k / nu)).
 
-    Bisects on the water level nu until the allocated rates sum to
-    R_total; the map nu -> sum is continuous and strictly decreasing
-    wherever positive, so the solution is unique. Returns (nu, rates).
+    Bisects on the water level's exponent e = log2(nu) until the allocated
+    rates sum to R_total; the map e -> sum is continuous and strictly
+    decreasing wherever positive, so the solution is unique. The exponent
+    stays finite at any finite R_total, where nu itself may underflow to
+    0. Returns (nu, rates).
     """
     L = [float(v) for v in L_list]
     if not all(0 < v < math.inf for v in L):
@@ -167,23 +169,23 @@ def waterfill(L_list, R_total, tol=1e-12, max_iter=200):
         raise ValueError("sum rate must be finite and nonnegative")
     if R_total == 0:
         return max(L), [0.0] * len(L)
+    logs = [math.log2(v) for v in L]
 
-    def allocated(nu):
-        return sum(max(0.0, math.log2(v / nu)) for v in L)
+    def allocated(e):
+        return sum(max(0.0, v - e) for v in logs)
 
-    hi = max(L)
-    lo = hi * 2.0 ** (-R_total)  # single-worker budget lower-bounds nu
+    hi = max(logs)
+    lo = hi - R_total  # single-worker budget lower-bounds e
     for _ in range(max_iter):
-        mid = math.sqrt(lo * hi)  # geometric: the constraint is log-linear
+        mid = 0.5 * (lo + hi)
         if allocated(mid) > R_total:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * hi:
+        if hi - lo <= tol:
             break
-    nu = math.sqrt(lo * hi)
-    rates = [max(0.0, math.log2(v / nu)) for v in L]
-    return nu, rates
+    e = 0.5 * (lo + hi)
+    return 2.0 ** e, [max(0.0, v - e) for v in logs]
 
 
 def waterfill_bits(L_list, R_total_bits):

@@ -25,12 +25,26 @@ def test_bounds_subcommand(capsys):
     ["--kappa", "4", "--n", "4", "--rho", "0"],
     ["--kappa", "4", "--n", "4", "--rho", "nan"],
     ["--kappa", "4", "--n", "4", "--algos", "dq-gd,dq-foo"],
+    ["--kappa", "4", "--n", "4", "--rmin", "0"],
+    ["--kappa", "4", "--n", "4", "--rmin", "-3", "--rmax", "2"],
+    ["--kappa", "4", "--n", "4", "--rmax", "54"],
+    ["--kappa", "4", "--n", "4", "--rmin", "1080", "--rmax", "1080"],
+    ["--kappa", "4", "--n", "4", "--rmin", "6", "--rmax", "5"],
 ], ids=["kappa-0", "kappa-below-1", "kappa-nan", "kappa-inf", "n-0", "n-negative",
-        "rho-0", "rho-nan", "algo-unknown"])
+        "rho-0", "rho-nan", "algo-unknown", "rmin-0", "rmin-negative",
+        "rmax-above-cap", "rates-above-cap", "rmin-above-rmax"])
 def test_bounds_bad_input(capsys, args):
     assert main(["bounds", *args]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_bounds_runs_up_to_the_largest_rate(capsys):
+    assert main(["bounds", "--kappa", "4", "--n", "4", "--rmin", "53",
+                 "--rmax", "53"]) == 0
+    rows = [ln for ln in capsys.readouterr().out.splitlines()
+            if ln[:1].isdigit()]
+    assert [row.split()[0] for row in rows] == ["53"]
 
 
 def test_waterfill_subcommand(capsys):
@@ -39,6 +53,16 @@ def test_waterfill_subcommand(capsys):
     assert "nu = 1" in out
     assert "worker 0: L=4 R=2" in out
     assert "worker 1: L=1 R=0" in out
+
+
+def test_waterfill_a_large_budget(capsys):
+    # the water level's exponent is bisected, so nu = 2**-449.5 is no
+    # underflowing product of the bracket's ends
+    assert main(["waterfill", "--L", "1,2", "--R", "900"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rates = [float(ln.split("R=")[1].split()[0]) for ln in lines[1:]]
+    assert len(rates) == 2 and sum(rates) == pytest.approx(900, abs=1e-9)
+    assert rates[1] - rates[0] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("L,R", [

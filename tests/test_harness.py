@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from dqgrad import harness
+from dqgrad import harness, problems
 from dqgrad.configfile import ConfigError, load_experiments, parse_rates
 from dqgrad.harness import (
     CSV_HEADER,
@@ -387,3 +387,42 @@ def test_a_sweep_warns_at_large_n_when_blas_cannot_be_pinned(monkeypatch):
         run_sweep(small)  # n = 16: nothing to warn about
     with pytest.warns(RuntimeWarning, match="n = 384"):
         run_sweep(BLAS_SECTION)
+
+
+# --- split gradients in serial sweeps and pool workers ------------------------
+
+SPLIT_SECTION = ExperimentConfig(
+    name="split", algos=("gd", "dq-gd", "dq-hb"),
+    problem={"kind": "gaussian", "m": 512, "n": 256, "kappa": 100.0},
+    rates=(8,), trials=2, seed=4, t_max=40)
+
+
+def test_a_split_section_gives_the_same_bytes_with_and_without_jobs(
+        tmp_path, monkeypatch):
+    # the section sits above a lowered threshold, so the serial sweep and
+    # the pool workers split their gradients, and the pool forks its workers
+    # from a process whose helper thread has run
+    if harness._blas_threads() is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be set here")
+    split = problems._split_grad
+    ran = []
+
+    def counted(A, y, x):
+        ran.append(A.shape)
+        return split(A, y, x)
+
+    monkeypatch.setattr(problems, "GRAD_SPLIT_MIN", 512 * 256)
+    monkeypatch.setattr(problems, "GRAD_SPLIT_MIN_COLS", 256)
+    monkeypatch.setattr(problems, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(problems, "_split_grad", counted)
+    out = []
+    for jobs in (1, 2):
+        rows = run_sweep(ExperimentConfig(**{**SPLIT_SECTION.__dict__,
+                                             "jobs": jobs}))
+        path = tmp_path / f"jobs{jobs}.csv"
+        emit_csv(rows, path)
+        out.append(path.read_bytes())
+        if jobs == 1:
+            assert ran and set(ran) == {(512, 256)}
+    assert out[0] == out[1]
+

@@ -1,13 +1,18 @@
 import contextlib
 import os
+import signal
+import subprocess
+import sys
 import threading
+import time
+import traceback
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqgrad import problems
-from dqgrad.harness import run_nq
+from dqgrad.harness import run_dq, run_nq
 from dqgrad.hyperparams import optimal_hyperparams
 from dqgrad.problems import (
     DegenerateInstanceError,
@@ -221,6 +226,14 @@ def _blas_counts():
     return [at(1), at(2)]
 
 
+def _threads_after_the_helper():
+    """The thread count once the process's helper runs: building objectives
+    and splitting gradients must start no thread beyond it."""
+    with problems._held_helper() as helper:
+        helper.submit(int).result()
+    return threading.active_count()
+
+
 def _sequential(ls, x0):
     L, mu = ls.spectrum_bounds()
     x_star = ls.solve()
@@ -247,7 +260,7 @@ def test_objective_matches_sequential_calls_bitwise(build):
     ls, x0 = build()
     for blas in _blas_counts():
         with blas:
-            before = threading.active_count()
+            before = _threads_after_the_helper()
             obj = ls.objective(x0)
             assert threading.active_count() == before
             L, mu, x_star, D = _sequential(ls, x0)
@@ -261,19 +274,29 @@ def test_objective_matches_sequential_calls_bitwise(build):
 def test_objective_overlaps_only_on_one_blas_thread(monkeypatch):
     if problems._blas_threads() is None:
         pytest.skip("numpy's OpenBLAS thread count cannot be set here")
-    started = []
+    handed = []
+    submit = problems._submit
 
-    class Counted(threading.Thread):
-        def start(self):
-            started.append(problems._blas_thread_count())
-            super().start()
+    def counted(helper, fn, *args):
+        handed.append(problems._blas_thread_count())
+        return submit(helper, fn, *args)
 
-    monkeypatch.setattr(problems.threading, "Thread", Counted)
+    monkeypatch.setattr(problems, "_submit", counted)
     ls, x0 = _gaussian(32, 16, 3)
     for blas in _blas_counts():
         with blas:
             ls.objective(x0)
-    assert started == [1]
+    assert handed == [1]
+
+
+def test_objective_runs_in_sequence_while_the_helper_is_held():
+    ls, x0 = _gaussian(32, 16, 3)
+    want = _sequential(ls, x0)
+    with problems._held_helper() as helper:
+        assert helper is not None
+        obj = ls.objective(x0)
+    assert (obj.L, obj.mu, obj.x_star.tobytes(), obj.D) == (
+        want[0], want[1], want[2].tobytes(), want[3])
 
 
 def _raised(call):
@@ -289,7 +312,7 @@ def test_objective_on_nan_matrix_raises_what_the_svd_raises_first():
     assert want == _raised(ls.spectrum_bounds)  # the sequential order fails here
     for blas in _blas_counts():
         with blas:
-            before = threading.active_count()
+            before = _threads_after_the_helper()
             assert _raised(lambda: ls.objective(x0)) == want
             assert threading.active_count() == before
 
@@ -306,10 +329,296 @@ def test_objective_reraises_the_one_failing_call(monkeypatch, failing):
     monkeypatch.setattr(LeastSquares, failing, boom)
     for blas in _blas_counts():
         with blas:
-            before = threading.active_count()
+            before = _threads_after_the_helper()
             with pytest.raises(Boom, match=failing):
                 ls.objective(x0)
             assert threading.active_count() == before
+
+
+# --- grad(): two halves per product on large instances -------------------------
+
+
+@pytest.fixture
+def split_on(split_gate):
+    """Every gradient of at least 128 rows may split, on one BLAS thread and
+    whatever the CPU count; yields the list of split calls."""
+    split_gate.setattr(problems, "GRAD_SPLIT_MIN", 0)
+    split_gate.setattr(problems, "GRAD_SPLIT_MIN_COLS", 0)
+    yield split_gate.ran
+
+
+@pytest.fixture
+def split_gate(monkeypatch):
+    """The shape gate as it stands, on one BLAS thread and whatever the CPU
+    count; monkeypatch with the list of split calls as `ran`."""
+    calls = problems._blas_threads()
+    if calls is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be set here")
+    split = problems._split_grad
+    ran = []
+
+    def counted(A, y, x):
+        ran.append(A.shape)
+        return split(A, y, x)
+
+    monkeypatch.setattr(problems, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(problems, "_split_grad", counted)
+    monkeypatch.ran = ran
+    get, set_ = calls
+    old = get()
+    set_(1)
+    try:
+        yield monkeypatch
+    finally:
+        set_(old)
+
+
+def _flat(A, y, x):
+    return A.T @ (A @ x - y)
+
+
+@pytest.mark.parametrize("shape", [(1031, 65), (1500, 777), (4096, 256)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+def test_split_gradient_is_the_flat_product_bitwise(split_on, shape, scale):
+    gen = make_rng(sum(shape))
+    A = gen.standard_normal(shape) * scale
+    y = gen.standard_normal(shape[0])
+    ls = LeastSquares(A, y)
+    for x in (gen.standard_normal(shape[1]) / scale, np.zeros(shape[1])):
+        assert ls.grad(x).tobytes() == _flat(A, y, x).tobytes()
+    assert split_on == [shape, shape]
+
+
+def test_split_gradient_keeps_the_bits_of_nan_and_inf(split_on):
+    gen = make_rng(4)
+    A = gen.standard_normal((700, 300))
+    y = gen.standard_normal(700)
+    A[3, 5] = np.nan
+    A[650, 10] = np.inf
+    A[9, 290] = -np.inf
+    ls = LeastSquares(A, y)
+    points = (gen.standard_normal(300), np.full(300, np.inf),
+              np.where(np.arange(300) % 7 == 0, np.nan, 1.0))
+    with np.errstate(invalid="ignore"):
+        for x in points:
+            assert ls.grad(x).tobytes() == _flat(A, y, x).tobytes()
+    assert len(split_on) == 3
+    # the caller's error state holds in both halves: inf - inf is reported
+    # as the flat call reports it, as a warning (an error under pytest) or
+    # as FloatingPointError
+    for state in ("warn", "raise"):
+        with np.errstate(invalid=state):
+            assert _raised(lambda: ls.grad(points[1])) == _raised(
+                lambda: _flat(A, y, points[1]))
+    assert len(split_on) == 5
+
+
+@pytest.mark.parametrize("x", [np.ones(301), np.ones((300, 1)), [1.0] * 300],
+                         ids=["long", "column", "list"])
+def test_a_point_the_split_cannot_take_gets_the_flat_call_here(split_on, x):
+    gen = make_rng(5)
+    A, y = gen.standard_normal((700, 300)), gen.standard_normal(700)
+    ls = LeastSquares(A, y)
+    try:
+        want = _flat(A, y, x)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            ls.grad(x)
+        assert str(info.value) == str(exc)
+        assert "_under_errstate" not in {f.name for f in traceback.extract_tb(
+            info.value.__traceback__)}
+    else:
+        assert ls.grad(x).tobytes() == want.tobytes()
+    assert split_on == []
+
+
+def test_small_or_unaligned_instances_stay_flat(split_on, monkeypatch):
+    gen = make_rng(6)
+    for A in (gen.standard_normal((127, 100)),  # a row half under 64
+              np.asfortranarray(gen.standard_normal((300, 200)))):
+        y, x = gen.standard_normal(A.shape[0]), gen.standard_normal(A.shape[1])
+        assert LeastSquares(A, y).grad(x).tobytes() == _flat(A, y, x).tobytes()
+    assert split_on == []
+    monkeypatch.setattr(problems, "GRAD_SPLIT_MIN", 300 * 200 + 1)
+    A = gen.standard_normal((300, 200))
+    LeastSquares(A, np.zeros(300)).grad(np.zeros(200))
+    assert split_on == []
+
+
+@pytest.mark.parametrize("shape, splits", [
+    ((4096, 512), False), ((2048, 768), False), ((1024, 1024), False),
+    ((2048, 1024), True), ((1536, 1536), True)],
+    ids=lambda v: f"{v[0]}x{v[1]}" if isinstance(v, tuple) else str(v))
+def test_only_shapes_measured_to_gain_split(split_gate, shape, splits):
+    # below 1024 columns a split gradient was slower than the flat one,
+    # whatever m * n (4096 x 512: +15%)
+    A = np.zeros(shape)
+    LeastSquares(A, np.ones(shape[0])).grad(np.ones(shape[1]))
+    assert split_gate.ran == ([shape] if splits else [])
+
+
+def test_the_gradient_stays_flat_while_the_helper_is_held(split_on):
+    gen = make_rng(7)
+    A, y, x = (gen.standard_normal((600, 300)), gen.standard_normal(600),
+               gen.standard_normal(300))
+    with problems._held_helper() as helper:
+        assert helper is not None
+        with problems._held_helper() as other:
+            assert other is None
+        g = LeastSquares(A, y).grad(x)
+    assert g.tobytes() == _flat(A, y, x).tobytes()
+
+
+@pytest.mark.parametrize("algo", ["dq-gd", "dq-agd", "dq-hb"])
+def test_a_run_is_the_same_with_the_split_on_and_off(split_on, monkeypatch, algo):
+    _, obj = make_gaussian_ls(512, 256, 100.0, 9)
+    monkeypatch.setattr(problems, "GRAD_SPLIT_MIN", 512 * 256 + 1)
+    flat = run_dq(algo, obj, 8, t_max=30)
+    assert split_on == []
+    monkeypatch.setattr(problems, "GRAD_SPLIT_MIN", 512 * 256)
+    split = run_dq(algo, obj, 8, t_max=30)
+    assert len(split_on) >= 30
+    assert split.terminal_T == flat.terminal_T == 30
+    assert (np.asarray(split.distances).tobytes()
+            == np.asarray(flat.distances).tobytes())
+
+
+def test_threads_sharing_the_helper_get_their_own_gradients(split_on):
+    # one helper for the process: a thread that finds it held runs flat,
+    # and no thread gets another's half
+    gen = make_rng(8)
+    problems_ = [LeastSquares(gen.standard_normal((256, 128)),
+                              gen.standard_normal(256)) for _ in range(6)]
+    points = [gen.standard_normal(128) for _ in problems_]
+    want = [_flat(ls.A, ls.y, x).tobytes() for ls, x in zip(problems_, points)]
+    wrong, finished = [], []
+
+    def hammer(i):
+        try:
+            for _ in range(150):
+                if problems_[i].grad(points[i]).tobytes() != want[i]:
+                    wrong.append(i)
+        except Exception as exc:  # reported by the assertion below
+            wrong.append(exc)
+        finished.append(i)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(i,), daemon=True)
+                   for i in range(len(problems_))]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 60
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == [] and sorted(finished) == list(range(len(problems_)))
+    assert split_on  # some calls did split
+
+
+def test_the_helper_is_one_thread_that_builds_and_splits():
+    _threads_after_the_helper()
+    helpers = [t for t in threading.enumerate()
+               if t.name.startswith("dqgrad-helper")]
+    assert len(helpers) == 1
+    before = threading.active_count()
+    ls, x0 = _gaussian(300, 150, 2)
+    ls.objective(x0)
+    problems._split_grad(ls.A, ls.y, x0)
+    assert threading.active_count() == before
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_child_forked_while_the_helper_idles_starts_its_own():
+    ls, x0 = _gaussian(300, 150, 2)
+    want = problems._split_grad(ls.A, ls.y, x0).tobytes()
+    pid = os.fork()
+    if pid == 0:  # the child: any failure, a hang included, shows as a code
+        code = 1
+        try:
+            ls.objective(x0)
+            same = problems._split_grad(ls.A, ls.y, x0).tobytes() == want
+            code = 0 if same else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            assert os.waitstatus_to_exitcode(status) == 0
+            return
+        time.sleep(0.02)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    pytest.fail("the forked child hung on the helper")
+
+
+_CORETYPE_CHECK = """
+import numpy as np
+from dqgrad import problems
+gen = np.random.default_rng(3)
+for m, n in ((1031, 65), (1500, 777), (4096, 256)):
+    A, y, x = (gen.standard_normal((m, n)), gen.standard_normal(m),
+               gen.standard_normal(n))
+    split = problems._split_grad(A, y, x)
+    assert split.tobytes() == (A.T @ (A @ x - y)).tobytes(), (m, n)
+print("same")
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_split_equals_flat_under_another_kernel_family(coretype):
+    # the byte contract is pinned only under the SkylakeX kernels; the
+    # split must hold under the families other hosts get
+    src = os.path.dirname(os.path.dirname(os.path.abspath(problems.__file__)))
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+           "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _CORETYPE_CHECK], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["same"]
+
+
+_LATE_THREAD = """
+import threading
+import numpy as np
+from dqgrad import problems
+problems.GRAD_SPLIT_MIN = problems.GRAD_SPLIT_MIN_COLS = 0
+problems._cpu_count = lambda: 2
+gen = np.random.default_rng(3)
+A, y = gen.standard_normal((700, 300)), gen.standard_normal(700)
+x = gen.standard_normal(300)
+ls = problems.LeastSquares(A, y)
+split = problems._split_grad
+ran = []
+problems._split_grad = lambda *args: ran.append(1) or split(*args)
+ls.grad(x)  # the helper's thread runs
+
+
+def late():
+    threading.main_thread().join()  # returns once the helper is shut down
+    same = ls.grad(x).tobytes() == (A.T @ (A @ x - y)).tobytes()
+    obj = ls.objective(np.zeros(300))
+    print("same" if same and len(ran) == 2 and obj.L > 0 else "differs")
+
+
+threading.Thread(target=late).start()
+"""
+
+
+def test_a_thread_outliving_the_main_thread_still_gets_gradients():
+    # the helper's executor shuts down when the main thread ends; a thread
+    # still running then gets the flat products
+    src = os.path.dirname(os.path.dirname(os.path.abspath(problems.__file__)))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _LATE_THREAD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr, done.stdout.split()) == (
+        0, "", ["same"])
 
 
 # --- MatrixMarket ----------------------------------------------------------

@@ -149,6 +149,15 @@ def test_payload_carries_exact_bit_count():
     assert decode_payload(p.bits, p.nbits, 3, 4).tolist() == [1, 2, 3]
 
 
+def test_payload_is_a_value_with_a_short_repr():
+    p = Payload.from_indices([1, 2, 3], 4)
+    same, other = Payload(bytes(p.bits), 12), Payload(p.bits, 13)
+    assert p == same and hash(p) == hash(same)
+    assert p != other and p != (p.bits, p.nbits)
+    assert repr(p) == "Payload(nbits=12)"
+    assert not hasattr(p, "__dict__")
+
+
 def test_image_cardinality():
     spec = QuantizerSpec(3, 2)
     assert spec.image_size == 2 ** (3 * 2)

@@ -20,13 +20,16 @@ from .schedules import SCHEMES, waterfill
 
 
 def _cmd_sweep(args):
+    if args.jobs is not None and args.jobs < 1:
+        print("error: --jobs must be at least 1", file=sys.stderr)
+        return 1
     try:
         configs = load_experiments(args.config, args.section)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for config in configs:
-        if args.jobs:
+        if args.jobs is not None:
             config = dataclasses.replace(config, jobs=args.jobs)
         print(f"[{config.name}] {len(config.algos)} algos x "
               f"{len(config.rates)} rates x {config.trials} trials")
@@ -124,7 +127,7 @@ def build_parser():
     p = sub.add_parser("sweep", help="run experiments from a config file")
     p.add_argument("config", help="INI config; one section per experiment")
     p.add_argument("--section", help="run only this section")
-    p.add_argument("--jobs", type=int, default=0, help="parallel trial workers")
+    p.add_argument("--jobs", type=int, help="parallel trial workers")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("bounds", help="print theory curves")

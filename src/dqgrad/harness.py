@@ -387,12 +387,14 @@ def run_sweep(config):
     The trials run on one BLAS thread, in every pool worker too."""
     n = (config.problem.get("n")
          or np.asarray(config.problem["matrix"]).shape[1])
+    # a pool starts all its workers at once, so it gets no more than trials
+    workers = min(config.jobs, config.trials)
     with _one_blas_thread(n):
-        if config.jobs > 1:
+        if workers > 1:
             # imported here: it costs a serial `import dqgrad` about 20 ms
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=config.jobs,
+            with ProcessPoolExecutor(max_workers=workers,
                                      initializer=_pin_blas_thread) as pool:
                 trial_results = list(
                     pool.map(_run_trial, [config] * config.trials,

@@ -7,14 +7,16 @@ affinely onto [1/sqrt(kappa), 1] so the condition number is exact and
 L = 1; the worst-case instance aligns the start-to-optimizer direction
 with the singular vector that GD contracts most slowly.
 
-On large instances (m*n >= GRAD_SPLIT_MIN and n >= GRAD_SPLIT_MIN_COLS)
-the gradient uses two cores when numpy's BLAS runs one thread and the
-process may use two CPUs: each of its two matrix-vector products is cut in
-two at a multiple of 64 rows, and one persistent helper thread per process
-(a one-thread executor) computes one half while the calling thread
-computes the other, under the caller's numpy error state. Every element comes from the same BLAS
-kernel path as in the flat A.T @ (A @ x - y), so the bits are the same.
-The same helper runs an instance's SVD while the calling thread solves.
+On large instances (m*n >= GRAD_SPLIT_MIN and n >= GRAD_SPLIT_MIN_COLS,
+float64 in C order) an instance shares a second core when numpy's BLAS
+runs one thread and the process may use two CPUs. One persistent helper
+thread per process (a one-thread executor) runs one call while the calling
+thread runs another, under the caller's numpy error state. The gradient
+cuts each of its two matrix-vector products in two at a multiple of 64
+rows and computes one half on the helper; every element comes from the
+same BLAS kernel path as in the flat A.T @ (A @ x - y), so the bits are
+the same. Building the instance runs its SVD on the helper while the
+calling thread solves. Smaller instances never start the helper.
 """
 
 import contextlib
@@ -45,9 +47,9 @@ _BLAS_THREAD_SYMBOLS = (
 # ran at about half the speed of the caller's.
 GRAD_SPLIT_MIN = 2048 * 1024
 GRAD_SPLIT_MIN_COLS = 1024
-# split points are multiples of this many rows; with each half at least
-# this long, every element of a half comes from the same kernel path as
-# in the flat product (a one-row half would be computed as a dot product)
+# split points are multiples of this many rows; with each half empty or at
+# least this long, every element of a half comes from the same kernel path
+# as in the flat product (a one-row half would be computed as a dot product)
 SPLIT_ALIGN = 64
 
 
@@ -97,8 +99,9 @@ class LeastSquares:
 
     def grad(self, x):
         A, y = self.A, self.y
-        if (A.shape[1] >= GRAD_SPLIT_MIN_COLS and A.size >= GRAD_SPLIT_MIN
-                and _may_split(A, x)):
+        if (_on_two_cores(A) and type(x) is np.ndarray
+                and x.dtype == np.float64 and x.shape == A.shape[1:]
+                and x.flags.c_contiguous):
             return _split_grad(A, y, x)
         return A.T @ (A @ x - y)
 
@@ -115,14 +118,13 @@ class LeastSquares:
 
     def objective(self, x0):
         # The SVD and the solve are independent LAPACK calls that release
-        # the GIL. When numpy's BLAS runs one thread, the SVD runs on the
-        # helper thread while this one solves; with more, the two calls
-        # would contend for the cores (at 2048 x 1024 on two threads 1.52 s
-        # against 0.95 s in sequence), so they run in sequence. Each is
-        # one call on the same arrays either way, so every bit is as in
-        # sequence; if both fail, the SVD's error wins, as it would first.
-        if _blas_thread_count() == 1:
-            L, mu, x_star = self._overlapped()
+        # the GIL, so where the gradient splits the SVD runs on the helper
+        # while this thread solves. Elsewhere they run in sequence (at
+        # 32 x 16 the overlap took 0.39 ms against 0.16 ms; at 2048 x 1024
+        # on two BLAS threads, 1.52 s against 0.95 s). The bits are those
+        # of the calls in sequence; if both fail, the SVD's error wins.
+        if _on_two_cores(self.A):
+            (L, mu), x_star = _concurrently(self.spectrum_bounds, self.solve)
         else:
             L, mu = self.spectrum_bounds()
             x_star = self.solve()
@@ -136,79 +138,58 @@ class LeastSquares:
             D=float(np.linalg.norm(x_star - x0)),
         )
 
-    def _overlapped(self):
-        """(L, mu, x_star), the SVD on the helper thread and the solve here;
-        in sequence while another call holds the helper."""
-        with _held_helper() as helper:
-            if helper is None:
-                return (*self.spectrum_bounds(), self.solve())
-            try:
-                svd = _submit(helper, self.spectrum_bounds)
-            except RuntimeError:  # the interpreter is exiting
-                return (*self.spectrum_bounds(), self.solve())
-            try:
-                x_star = self.solve()
-            finally:
-                bounds = svd.result()
-        return (*bounds, x_star)
 
-
-def _split_at(size):
-    """Where a product of `size` output rows is cut: the largest multiple of
-    SPLIT_ALIGN up to half, or None when a half would be shorter than it."""
-    at = size // 2 // SPLIT_ALIGN * SPLIT_ALIGN
-    return at or None
-
-
-def _may_split(A, x):
-    """True when grad may run in halves: A and x are the float64 arrays
-    whose flat product the halves reproduce, numpy's BLAS runs one thread
-    and the process may use two CPUs. Anything else (a wrong-shaped x
-    included) takes the flat call, errors and all."""
-    return (A.dtype == np.float64 and A.flags.c_contiguous
-            and _split_at(A.shape[0]) is not None
-            and type(x) is np.ndarray and x.dtype == np.float64
-            and x.shape == A.shape[1:] and x.flags.c_contiguous
+def _on_two_cores(A):
+    """True when work on A shares the second core: A is a float64 C-order
+    matrix of at least GRAD_SPLIT_MIN entries and GRAD_SPLIT_MIN_COLS
+    columns, the process may use two CPUs and numpy's BLAS runs one
+    thread. The one gate of the split gradient and the overlapped build."""
+    return (A.shape[1] >= GRAD_SPLIT_MIN_COLS and A.size >= GRAD_SPLIT_MIN
+            and A.dtype == np.float64 and A.flags.c_contiguous
             and _cpu_count() >= 2 and _blas_thread_count() == 1)
 
 
 def _split_grad(A, y, x):
-    """A.T @ (A @ x - y), each product in two halves, one of them on the
-    helper thread; flat while another call holds the helper."""
-    with _held_helper() as helper:
-        if helper is None:
-            return A.T @ (A @ x - y)
-        r = _in_halves(helper, A, x, np.empty(A.shape[0]))
-        np.subtract(r, y, out=r)
-        return _in_halves(helper, A.T, r, np.empty(A.shape[1]))
+    """A.T @ (A @ x - y), each product in two halves, one on the helper."""
+    r = _in_halves(A, x, np.empty(A.shape[0]))
+    np.subtract(r, y, out=r)
+    return _in_halves(A.T, r, np.empty(A.shape[1]))
 
 
-def _in_halves(helper, M, v, out):
-    """out = M @ v: the rows from the split point on, on the helper."""
-    at = _split_at(M.shape[0])
-    if at is None:
-        return np.matmul(M, v, out=out)
-    try:
-        half = _submit(helper, np.matmul, M[at:], v, out[at:])
-    except RuntimeError:  # the interpreter is exiting: no new helper calls
-        return np.matmul(M, v, out=out)
-    try:
-        np.matmul(M[:at], v, out=out[:at])
-    finally:
-        half.result()
+def _in_halves(M, v, out):
+    """out = M @ v: the rows from the split point on, on the helper. The
+    split point is the largest multiple of SPLIT_ALIGN up to half the rows;
+    when that is 0, the helper's half is the whole product."""
+    at = M.shape[0] // 2 // SPLIT_ALIGN * SPLIT_ALIGN
+    _concurrently(functools.partial(np.matmul, M[at:], v, out[at:]),
+                  functools.partial(np.matmul, M[:at], v, out[:at]))
     return out
 
 
-def _submit(helper, fn, *args):
-    """helper.submit(fn, *args), the call made under the caller's numpy
-    error state (np.errstate), as if the caller had made it."""
-    return helper.submit(_under_errstate, np.geterr(), np.geterrcall(), fn,
-                         *args)
+def _concurrently(first, second):
+    """(first(), second()): first on the helper thread, under the caller's
+    np.errstate, while this thread runs second; both here in sequence while
+    another call holds the helper or once the interpreter is exiting. If
+    both fail, first's error wins."""
+    with _held_helper() as helper:
+        if helper is not None:
+            try:
+                done = helper.submit(_under_errstate, np.geterr(),
+                                     np.geterrcall(), first)
+            except RuntimeError:  # the interpreter is exiting
+                pass
+            else:
+                try:
+                    second_result = second()
+                finally:
+                    first_result = done.result()
+                return first_result, second_result
+    return first(), second()
 
 
-def _under_errstate(err, call, fn, *args):
+def _under_errstate(err, call, fn):
     with np.errstate(call=call, **err):
-        return fn(*args)
+        return fn()
 
 
 # (executor, lock held by the call using it): one helper thread per process

@@ -10,11 +10,12 @@ which sees a prefix of the draws, passes whenever the full run does.
 
 import numpy as np
 
-from .engines import build_dq_engine, initial_state, run_protocol, step
+from .engines import BitCoder, build_dq_engine, initial_state, run_protocol, step
 from .harness import run_dq, run_nq
 from .hyperparams import optimal_hyperparams
 from .problems import make_gaussian_ls, make_interpolation_problem, make_worst_case_gd
-from .quantizer import decode_payload, encode_payload
+from .quantizer import (QuantizerSpec, decode_payload, encode_payload,
+                        reconstruct)
 from .rng import make_rng
 from .schedules import waterfill
 
@@ -154,16 +155,22 @@ def check_waterfilling(size):
 
 
 def check_bit_exactness(size):
-    """Payloads round-trip, and every uplink message carries n*R_k bits."""
+    """Payloads round-trip, the coder every run uses codes as the reference
+    functions do, and every uplink message carries n*R_k bits."""
     gen = make_rng(10)
-    ok_roundtrip = True
+    ok_codec = True
     for _ in range(size):
-        n = int(gen.integers(1, 48))
-        R = int(gen.integers(1, 13))
-        idx = gen.integers(0, 1 << R, size=n)
+        n, R = int(gen.integers(1, 48)), int(gen.integers(1, 13))
+        r = float(10.0 ** gen.uniform(-3, 3))
+        spec, u = QuantizerSpec(n, R), gen.uniform(-r, r, size=n)
+        idx = spec.scaled(r).indices(u)
         buf, nbits = encode_payload(idx, R)
-        ok_roundtrip &= nbits == n * R and np.array_equal(
-            decode_payload(buf, nbits, n, R), idx)
+        coder = BitCoder(spec)
+        (payload,) = coder.encode_rows(r, u)
+        ok_codec &= (nbits == payload.nbits == n * R and payload.bits == buf
+                     and np.array_equal(decode_payload(buf, nbits, n, R), idx)
+                     and coder.decode(r, [payload.bits]).tobytes()
+                     == reconstruct(spec, r, idx).tobytes())
 
     _, obj = make_gaussian_ls(24, 8, 6.0, 55)
     rec = run_dq("dq-gd", obj, 5, t_max=400)
@@ -173,9 +180,10 @@ def check_bit_exactness(size):
     _, channels = run_nq(prob, [2, 0], t_max=100)
     ok_multi = (all(b == 8 * 2 for b in channels[0].trace.uplink_bits)
                 and all(b == 0 for b in channels[1].trace.uplink_bits))
-    return ok_roundtrip and ok_single and ok_multi, (
-        f"{size} payload round trips lossless; every uplink message "
-        f"carries exactly n*R_k bits (single and 2-worker runs)")
+    return ok_codec and ok_single and ok_multi, (
+        f"{size} draws: payloads round-trip, BitCoder's payloads and "
+        f"reconstructions are the reference's bit for bit; every uplink "
+        f"message carries exactly n*R_k bits (single and 2-worker runs)")
 
 
 # c1 and c9 take milliseconds, so the quick run already covers all their draws

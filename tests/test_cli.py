@@ -101,6 +101,16 @@ def test_sweep_end_to_end(tmp_path, capsys):
     assert "wrote" in out
 
 
+@pytest.mark.parametrize("jobs", ["-1", "0"])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[tiny]\nproblem = gaussian\nm = 12\nn = 6\nkappa = 3\n"
+                   "algos = gd\nrates = 2\ntrials = 2\ncsv = tiny.csv\n")
+    assert main(["sweep", str(cfg), "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == "error: --jobs must be at least 1\n"
+    assert not (tmp_path / "tiny.csv").exists()
+
+
 def test_verify_subcommand(capsys):
     assert main(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()

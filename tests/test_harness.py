@@ -134,6 +134,37 @@ def test_sweep_parallel_jobs_match_serial():
     assert rows1 == rows2
 
 
+@pytest.mark.parametrize("jobs, trials, want", [
+    (8, 1, []), (8, 3, [3]), (2, 3, [2])])
+def test_a_pool_starts_no_more_workers_than_trials(monkeypatch, jobs, trials,
+                                                    want):
+    # a process pool forks all its workers up front; this stand-in records
+    # how many and runs the trials here
+    import concurrent.futures
+
+    started = []
+
+    class Recorder:
+        def __init__(self, max_workers, initializer=None):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    serial = ExperimentConfig(**{**SMALL.__dict__, "trials": trials,
+                                 "t_max": 300})
+    rows = run_sweep(ExperimentConfig(**{**serial.__dict__, "jobs": jobs}))
+    assert started == want
+    assert rows == run_sweep(serial)
+
+
 def test_csv_roundtrip_full_precision(tmp_path):
     rows = run_sweep(SMALL)
     path = tmp_path / "out.csv"

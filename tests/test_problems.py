@@ -199,7 +199,7 @@ def test_local_objectives_without_a_stack_run_as_with_it():
             == np.asarray(rowwise.distances).tobytes())
 
 
-# --- objective(): SVD and solve, overlapped on one BLAS thread ---------------
+# --- objective(): SVD and solve, overlapped where the gradient splits --------
 
 ASH331_STAND_IN = os.path.join(os.path.dirname(__file__), "data",
                                "ash331_synthetic.mtx")
@@ -207,8 +207,8 @@ ASH331_STAND_IN = os.path.join(os.path.dirname(__file__), "data",
 
 def _blas_counts():
     """Each BLAS thread count to run at, as a context manager: 1 and 2 when
-    the count can be set (objective() overlaps only at 1), else the
-    current one."""
+    the count can be set (the helper is used only at 1), else the current
+    one."""
     calls = problems._blas_threads()
 
     @contextlib.contextmanager
@@ -271,22 +271,49 @@ def test_objective_matches_sequential_calls_bitwise(build):
         assert obj.x0.tobytes() == x0.tobytes()
 
 
-def test_objective_overlaps_only_on_one_blas_thread(monkeypatch):
-    if problems._blas_threads() is None:
-        pytest.skip("numpy's OpenBLAS thread count cannot be set here")
+@pytest.fixture
+def low_gate(monkeypatch):
+    """Every float64 C-order matrix passes the gate's shape test, on two
+    CPUs; yields the list of calls handed to the helper."""
+    monkeypatch.setattr(problems, "GRAD_SPLIT_MIN", 0)
+    monkeypatch.setattr(problems, "GRAD_SPLIT_MIN_COLS", 0)
+    monkeypatch.setattr(problems, "_cpu_count", lambda: 2)
     handed = []
-    submit = problems._submit
+    concurrently = problems._concurrently
 
-    def counted(helper, fn, *args):
-        handed.append(problems._blas_thread_count())
-        return submit(helper, fn, *args)
+    def counted(first, second):
+        handed.append(first)
+        return concurrently(first, second)
 
-    monkeypatch.setattr(problems, "_submit", counted)
-    ls, x0 = _gaussian(32, 16, 3)
-    for blas in _blas_counts():
-        with blas:
-            ls.objective(x0)
-    assert handed == [1]
+    monkeypatch.setattr(problems, "_concurrently", counted)
+    yield handed
+
+
+def test_objective_overlaps_exactly_where_grad_splits(split_gate):
+    # the SVD and the solve are stubbed: only where each runs matters
+    where = []
+
+    def bounds(self):
+        where.append(threading.current_thread().name)
+        return 1.0, 0.5
+
+    split_gate.setattr(LeastSquares, "spectrum_bounds", bounds)
+    split_gate.setattr(LeastSquares, "solve",
+                       lambda self: np.zeros(self.A.shape[1]))
+    set_blas = problems._blas_threads()[1]
+    for shape, cpus, blas, shares in [
+            ((2048, 1024), 2, 1, True), ((32, 16), 2, 1, False),
+            ((1024, 1024), 2, 1, False), ((2048, 1024), 2, 2, False),
+            ((2048, 1024), 1, 1, False)]:
+        split_gate.setattr(problems, "_cpu_count", lambda: cpus)
+        set_blas(blas)
+        ls = LeastSquares(np.zeros(shape), np.ones(shape[0]))
+        split_gate.ran.clear()
+        ls.objective(np.zeros(shape[1]))
+        ls.grad(np.ones(shape[1]))
+        overlapped = where[-1].startswith("dqgrad-helper")
+        split = split_gate.ran == [shape]
+        assert overlapped == split == shares, (shape, cpus, blas)
 
 
 def test_objective_runs_in_sequence_while_the_helper_is_held():
@@ -305,7 +332,7 @@ def _raised(call):
     return type(info.value), str(info.value)
 
 
-def test_objective_on_nan_matrix_raises_what_the_svd_raises_first():
+def test_objective_on_nan_matrix_raises_what_the_svd_raises_first(low_gate):
     ls = LeastSquares(np.full((6, 3), np.nan), np.ones(6))
     x0 = np.zeros(3)
     want = _raised(lambda: _sequential(ls, x0))
@@ -315,10 +342,13 @@ def test_objective_on_nan_matrix_raises_what_the_svd_raises_first():
             before = _threads_after_the_helper()
             assert _raised(lambda: ls.objective(x0)) == want
             assert threading.active_count() == before
+    # one handoff, at one BLAS thread, where the count can be set
+    assert len(low_gate) == (problems._blas_threads() is not None)
 
 
 @pytest.mark.parametrize("failing", ["spectrum_bounds", "solve"])
-def test_objective_reraises_the_one_failing_call(monkeypatch, failing):
+def test_objective_reraises_the_one_failing_call(monkeypatch, low_gate,
+                                                 failing):
     class Boom(Exception):
         pass
 
@@ -333,6 +363,8 @@ def test_objective_reraises_the_one_failing_call(monkeypatch, failing):
             with pytest.raises(Boom, match=failing):
                 ls.objective(x0)
             assert threading.active_count() == before
+    # one handoff, at one BLAS thread, where the count can be set
+    assert len(low_gate) == (problems._blas_threads() is not None)
 
 
 # --- grad(): two halves per product on large instances -------------------------
@@ -377,7 +409,8 @@ def _flat(A, y, x):
     return A.T @ (A @ x - y)
 
 
-@pytest.mark.parametrize("shape", [(1031, 65), (1500, 777), (4096, 256)],
+@pytest.mark.parametrize("shape", [(1031, 65), (1500, 777), (4096, 256),
+                                   (127, 100)],
                          ids=lambda s: f"{s[0]}x{s[1]}")
 @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
 def test_split_gradient_is_the_flat_product_bitwise(split_on, shape, scale):
@@ -435,10 +468,9 @@ def test_a_point_the_split_cannot_take_gets_the_flat_call_here(split_on, x):
 
 def test_small_or_unaligned_instances_stay_flat(split_on, monkeypatch):
     gen = make_rng(6)
-    for A in (gen.standard_normal((127, 100)),  # a row half under 64
-              np.asfortranarray(gen.standard_normal((300, 200)))):
-        y, x = gen.standard_normal(A.shape[0]), gen.standard_normal(A.shape[1])
-        assert LeastSquares(A, y).grad(x).tobytes() == _flat(A, y, x).tobytes()
+    A = np.asfortranarray(gen.standard_normal((300, 200)))
+    y, x = gen.standard_normal(300), gen.standard_normal(200)
+    assert LeastSquares(A, y).grad(x).tobytes() == _flat(A, y, x).tobytes()
     assert split_on == []
     monkeypatch.setattr(problems, "GRAD_SPLIT_MIN", 300 * 200 + 1)
     A = gen.standard_normal((300, 200))
@@ -459,6 +491,7 @@ def test_only_shapes_measured_to_gain_split(split_gate, shape, splits):
 
 
 def test_the_gradient_stays_flat_while_the_helper_is_held(split_on):
+    # both halves of each product run on this thread, in sequence
     gen = make_rng(7)
     A, y, x = (gen.standard_normal((600, 300)), gen.standard_normal(600),
                gen.standard_normal(300))
@@ -520,7 +553,7 @@ def test_threads_sharing_the_helper_get_their_own_gradients(split_on):
     assert split_on  # some calls did split
 
 
-def test_the_helper_is_one_thread_that_builds_and_splits():
+def test_the_helper_is_one_thread_that_builds_and_splits(split_on):
     _threads_after_the_helper()
     helpers = [t for t in threading.enumerate()
                if t.name.startswith("dqgrad-helper")]
@@ -619,6 +652,30 @@ def test_a_thread_outliving_the_main_thread_still_gets_gradients():
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr, done.stdout.split()) == (
         0, "", ["same"])
+
+
+_SMALL_RUNS = """
+import sys
+import threading
+from dqgrad import problems
+from dqgrad.harness import run_dq
+problems._cpu_count = lambda: 2
+for m, n in ((32, 16), (331, 104)):
+    _, obj = problems.make_gaussian_ls(m, n, 25.0, 3)
+    run_dq("dq-gd", obj, 8, t_max=50)
+print(threading.active_count(), "concurrent.futures.thread" in sys.modules)
+"""
+
+
+def test_small_instances_start_no_thread():
+    # below the gate an instance builds and runs on the calling thread
+    # alone, on one BLAS thread and two CPUs too
+    src = os.path.dirname(os.path.dirname(os.path.abspath(problems.__file__)))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _SMALL_RUNS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr, done.stdout.split()) == (
+        0, "", ["1", "False"])
 
 
 # --- MatrixMarket ----------------------------------------------------------

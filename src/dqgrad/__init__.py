@@ -42,16 +42,7 @@ from .problems import (
     make_interpolation_problem,
     make_worst_case_gd,
 )
-from .quantizer import (
-    Payload,
-    QuantizerSpec,
-    RangeViolationError,
-    ScaledQuantizer,
-    covering_efficiency,
-    covering_radius,
-    decode_payload,
-    encode_payload,
-)
+from .quantizer import Payload, QuantizerSpec, RangeViolationError, covering_radius
 from .schedules import RangeSchedule, waterfill, waterfill_bits
 from .transport import Channel, ChannelTrace, FramingError
 

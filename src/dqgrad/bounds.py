@@ -6,7 +6,8 @@ at 1 (non-convergence on a plot) is applied only by the reporting layer.
 
 Notation: eps = rho_n * 2**-R is the covering radius of the deployed
 quantizer at unit range; sigma with no suffix is the unquantized method's
-worst-case contraction factor at the given condition number.
+worst-case contraction factor at the given condition number. A rho left
+as None is the deployed quantizer's own (QuantizerSpec.rho).
 """
 
 import math
@@ -20,15 +21,17 @@ from .hyperparams import (
     sigma_gd,
     sigma_hb,
 )
+from .quantizer import QuantizerSpec
 
 # floating-point equality is measure zero; treat the resonant branch of the
 # range recursion as taken inside this relative window
 EQUAL_BRANCH_RTOL = 1e-12
 
 
-def default_rho(n):
-    """Covering efficiency of the deployed scalar uniform quantizer."""
-    return math.sqrt(n)
+def _rho(n, rho):
+    """rho, or the deployed quantizer's at dimension n; it is the same at
+    every rate, so it is read at R = 0, a rate every worker can run."""
+    return QuantizerSpec(n, 0).rho if rho is None else rho
 
 
 def phi(n, R, gamma, rho=None):
@@ -37,8 +40,7 @@ def phi(n, R, gamma, rho=None):
     Equals 1 at gamma = 0, where the second-order range recursion
     degenerates to the first-order one.
     """
-    rho = default_rho(n) if rho is None else rho
-    eps = rho * 2.0 ** (-R)
+    eps = _rho(n, rho) * 2.0 ** (-R)
     return 0.5 * (1.0 + gamma) + 0.5 * math.sqrt((1.0 + gamma) ** 2 + 4.0 * gamma / eps)
 
 
@@ -63,7 +65,7 @@ def achievable_rate(algo, kappa, n, R, rho=None):
     The DQ family takes the max of the unquantized rate and the
     quantization-error rate; naive quantization pays additively.
     """
-    rho = default_rho(n) if rho is None else rho
+    rho = _rho(n, rho)
     eps = rho * 2.0 ** (-R)
     if algo == "dq-gd":
         return max(sigma_gd(kappa), eps)
@@ -83,7 +85,7 @@ def thresholds(n, sigma, gamma, rho=None):
     R2 is None when sigma = 0 (condition number 1, one-step convergence:
     any rate already matches the unquantized method).
     """
-    rho = default_rho(n) if rho is None else rho
+    rho = _rho(n, rho)
     r1 = math.log2(1.0 + 2.0 * gamma) + math.log2(rho)
     if sigma == 0.0:
         return r1, None
@@ -109,9 +111,8 @@ def b_coefficient(t, sigma, eps):
 
 def envelope_dq_gd(t, L, mu, D, n, R, rho=None):
     """max{sigma, eps}^t * (1 + eta*L*b_{t-1}) * D, b treated as 0 at t=0."""
-    rho = default_rho(n) if rho is None else rho
     hp = optimal_hyperparams(L, mu, "gd")
-    eps = rho * 2.0 ** (-R)
+    eps = _rho(n, rho) * 2.0 ** (-R)
     base = max(hp.sigma, eps) ** t
     if t == 0:
         return float(D)
@@ -143,13 +144,12 @@ def envelope_dq_agd(t, L, mu, D, n, R, rho=None):
     This is the y-iterate bound; at t = 0 the stored errors are zero and
     the envelope reduces to sqrt(kappa+1) * D.
     """
-    rho = default_rho(n) if rho is None else rho
     kappa = L / mu
     hp = optimal_hyperparams(L, mu, "agd")
     if t == 0:
         return math.sqrt(kappa + 1.0) * D
     c0, cp, cm, plus, minus = _second_order_constants(
-        hp.sigma, hp.gamma, L * D * agd_lambda(kappa), rho, R
+        hp.sigma, hp.gamma, L * D * agd_lambda(kappa), _rho(n, rho), R
     )
     c = math.sqrt(kappa + 1.0) * D + hp.eta * c0 / hp.sigma
     return hp.sigma**t * c + plus ** (t - 1) * cp * hp.eta + minus ** (t - 1) * cm * hp.eta
@@ -163,14 +163,13 @@ def envelope_dq_hb(t, L, mu, D, n, R, alpha, rho=None):
     instance family (alpha = 1 suffices on least squares), and t**alpha is
     evaluated as max(t,1)**alpha so t = 0 stays meaningful.
     """
-    rho = default_rho(n) if rho is None else rho
     kappa = L / mu
     hp = optimal_hyperparams(L, mu, "hb")
     boost = math.e**alpha
     if t == 0:
         return boost * math.sqrt(2.0) * D
     c0, cp, cm, plus, minus = _second_order_constants(
-        hp.sigma, hp.gamma, boost * math.sqrt(2.0) * L * D, rho, R
+        hp.sigma, hp.gamma, boost * math.sqrt(2.0) * L * D, _rho(n, rho), R
     )
     # the stepsize multiplies the whole stored-error bound; the heavy-ball
     # stepsize can exceed 1, so it cannot be dropped from these terms
@@ -186,11 +185,10 @@ def nq_sigma(L_list, mu_mean, rates, n, rho=None):
     sigma_gd + eta*rho/K * sum_k L_k 2**-R_k, where (L, mu) of the average
     objective are the means of the local constants.
     """
-    rho = default_rho(n) if rho is None else rho
     K = len(L_list)
     L_mean = sum(L_list) / K
     hp = optimal_hyperparams(L_mean, mu_mean, "gd")
-    return hp.sigma + hp.eta * rho / K * sum(
+    return hp.sigma + hp.eta * _rho(n, rho) / K * sum(
         Lk * 2.0 ** (-Rk) for Lk, Rk in zip(L_list, rates)
     )
 

@@ -15,7 +15,7 @@ import sys
 from . import bounds as bmod
 from .configfile import ConfigError, load_experiments
 from .harness import TrialError, emit_csv, emit_svg, run_sweep
-from .quantizer import MAX_RATE
+from .quantizer import MAX_RATE, QuantizerSpec
 from .schedules import SCHEMES, waterfill
 
 
@@ -70,7 +70,9 @@ def _cmd_bounds(args):
     if bad:
         print(f"error: {bad[0]}", file=sys.stderr)
         return 1
-    rho = args.rho if args.rho is not None else bmod.default_rho(args.n)
+    rho = args.rho
+    if rho is None:  # the deployed quantizer's, at the table's first rate
+        rho = QuantizerSpec(args.n, args.rmin).rho
     header = "R " + " ".join(f"{a:>10s}" for a in algos) + f" {'conv-gd':>10s} {'conv-gm':>10s}"
     print(f"kappa={args.kappa} n={args.n} rho={rho:g}")
     print(header)

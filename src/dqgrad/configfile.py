@@ -30,6 +30,7 @@ default, and a key the section does not read is an error.
 """
 
 import configparser
+import math
 import os
 
 from .harness import ExperimentConfig
@@ -95,6 +96,8 @@ def _problem_from_section(sec, base_dir):
         for kappa in kappas:
             if not kappa >= 1:  # NaN fails too
                 raise ValueError(f"condition number must be >= 1, got {kappa}")
+            if kappa == math.inf:
+                raise ValueError("condition number must be finite, got inf")
     return problem
 
 

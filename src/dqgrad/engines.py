@@ -14,13 +14,13 @@ Rows. The server holds one row per channel. Channels that share a coder
 rows are summed in channel order, q_0 + q_1 + ..., into the direction: the
 last row of one np.add.accumulate over them (np.add.reduce sums in another
 order for some row counts). Every server takes this one path: a DQ engine
-has one channel, so it is row 0 and its direction is q_0 itself. BitCoder
-codes any number of rows of one rate in one pass, through the quantizer's
-one checked step to float cells, then its bit layout and cell centers,
-bit-equal to its public forms at every rate. One row at a float range
-keeps the flat shapes, so K = 1 pays nothing for the stack. Naive
-quantization's K workers are rows of one worker side too (NQGDWorkers). The server packs
-one downlink frame per broadcast and queues it on every channel; each
+has one channel, so it is row 0 and its direction is q_0 itself. The
+quantizer module's BitCoder codes any number of rows of one rate in one
+pass, each row bit-equal to the quantizer's flat reference. One row at a
+float range keeps the flat shapes, so K = 1 pays nothing for the stack.
+Naive quantization's K workers are rows of one worker side too
+(NQGDWorkers). The server packs one downlink frame per broadcast and
+queues it on every channel; each
 channel checks the length of its frame, and the worker side reads the K
 frames as one (K, n) stack of iterates. One stacked oracle
 (problems.LeastSquaresStack) gives the K gradients and one matmul every
@@ -42,7 +42,7 @@ bookkeeping per algorithm:
   nq-gd   u = grad(x)                         (no compensation)
 
 e1, e2 are the last two quantization errors (zero-initialized). The
-worker reconstructs through the quantizer's one cell-center map, as the
+worker reconstructs through the coder's one cell-center map, as the
 server decodes, so e1 is exactly what the server applied minus u, in
 every round. The containment invariant ||u_t|| <= r_t is asserted each
 round with a small relative slack for float roundoff
@@ -90,9 +90,9 @@ import math
 
 import numpy as np
 
-from . import bounds, quantizer
+from . import bounds
 from .hyperparams import agd_lambda, optimal_hyperparams
-from .quantizer import Payload, QuantizerSpec, RangeViolationError
+from .quantizer import BitCoder, QuantizerSpec, RangeViolationError
 from .schedules import RangeSchedule, ScheduleCursor, naive_rows
 from .transport import Channel, pack_iterate, unpack_iterates
 
@@ -146,61 +146,6 @@ def step(algo, state, direction, hp):
         x, x_prev = state
         return (x - hp.eta * direction + hp.gamma * (x - x_prev), x)
     raise ValueError(f"unknown algorithm {algo!r}")
-
-
-# ---------------------------------------------------------------------------
-# codecs (worker-side encode, server-side decode)
-
-
-class BitCoder:
-    """Scalar-uniform quantization to/from exactly n*R payload bits.
-
-    One pass codes any number of rows of one rate: one row u (n,) at a
-    float range r, or a (G, n) stack at a (G, 1) column of ranges, one per
-    row. Every rate, range and shape takes the quantizer's one checked
-    step to float cells (quantizer._checked_cells, as
-    ScaledQuantizer.indices does), with its errors. The payload bits of all
-    rows are packed from those cells in one buffer and split into one
-    payload per row, and (encode, one row) the reconstruction comes from
-    the same cells, bit-equal to reconstruct on their int64 indices.
-    Decoding checks the ranges as the step does and each payload's length,
-    unpacks the joined bytes once and contracts the bits with float
-    weights straight to float cells.
-    """
-
-    def __init__(self, spec, saturate=False):
-        self.spec = spec
-        self.saturate = saturate
-        self._layout = quantizer._layout(spec.R)
-        self._nbits = spec.n * spec.R
-        self._nbytes = (self._nbits + 7) // 8
-
-    def encode(self, r, u):
-        """(payload, reconstruction) of one row u at range r."""
-        cells, width = quantizer._checked_cells(self.spec, r, u, self.saturate)
-        payload = Payload(quantizer._pack(cells, self.spec.R).tobytes(),
-                          self._nbits)  # before the centers overwrite cells
-        return payload, quantizer._centers(cells, r, width, out=cells)
-
-    def encode_rows(self, r, u):
-        """One payload per row of u, split from one buffer; nothing is
-        reconstructed."""
-        cells, _ = quantizer._checked_cells(self.spec, r, u, self.saturate)
-        buf = quantizer._pack(cells, self.spec.R).tobytes()
-        size, nbits = self._nbytes, self._nbits
-        return [Payload(buf[i * size:(i + 1) * size], nbits)
-                for i in range(cells.size // self.spec.n)]
-
-    def decode(self, r, wires):
-        """Reconstructions from the payload bits in wires: (n,) of one at a
-        float range r, (G, n) of G at a (G, 1) column."""
-        spec = self.spec
-        width = quantizer._cell_widths(spec, r, len(wires))
-        rows = getattr(r, "shape", ())[:1]  # () for a float r, (G,) for a column
-        data = quantizer._wires(wires, rows + (self._nbytes,))
-        cells = quantizer._unpack(data, spec.n, spec.R,
-                                  self._layout.float_weights)
-        return quantizer._centers(cells, r, width, out=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +484,8 @@ _DQ_PAIRS = {
 
 def dq_schedule(algo, objective, R, alpha=0.0):
     """Range schedule and optimal hyperparameters of one DQ method."""
-    base = dict(L=objective.L, D=objective.D, rho=bounds.default_rho(objective.n),
-                R=R)
+    base = dict(L=objective.L, D=objective.D,
+                rho=QuantizerSpec(objective.n, R).rho, R=R)
     if algo == "dq-gd":
         hp = optimal_hyperparams(objective.L, objective.mu, "gd")
         return RangeSchedule(scheme="dq-gd", sigma=hp.sigma, **base), hp
@@ -595,15 +540,15 @@ def build_nq_engine(problem, rates):
     Containment is provable for the naive schedule, so every worker is strict.
     """
     n = problem.x0.shape[0]
-    rho = bounds.default_rho(n)
-    sigma_nq = bounds.nq_sigma(problem.L_list, problem.mu, rates, n, rho)
+    specs = {R: QuantizerSpec(n, R) for R in rates}
+    sigma_nq = bounds.nq_sigma(problem.L_list, problem.mu, rates, n)
     hp = optimal_hyperparams(problem.L, problem.mu, "gd")
     schedules = [RangeSchedule(scheme="nq-gd", L=obj.L, D=problem.D,
-                               sigma=sigma_nq, rho=rho, R=R_k)
+                               sigma=sigma_nq, rho=specs[R_k].rho, R=R_k)
                  for obj, R_k in zip(problem.locals_, rates)]
 
     def coders():
-        by_rate = {R: BitCoder(QuantizerSpec(n, R)) for R in rates}
+        by_rate = {R: BitCoder(spec) for R, spec in specs.items()}
         return [by_rate[R] for R in rates]
 
     if problem.K == 1:

@@ -220,6 +220,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.t_max < 1:
+            raise ValueError("t_max must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not 0.0 <= self.hb_alpha < math.inf:  # NaN fails too
+            raise ValueError(f"hb_alpha must be finite and >= 0, got {self.hb_alpha}")
         if not self.rates or min(self.rates) < 1:
             raise ValueError("rates must be a nonempty list of integers >= 1")
         for algo in self.algos:
@@ -333,17 +339,17 @@ def _reference_kappa(config):
     return float(sum(ks) / len(ks))
 
 
-def _nq_bound(config, kappa, n, R, rho):
+def _nq_bound(config, kappa, n, R):
     """Allocation-aware contraction bound for naive quantization."""
     if config.workers == 1:
-        return bounds.achievable_rate("nq-gd", kappa, n, R, rho)
+        return bounds.achievable_rate("nq-gd", kappa, n, R)
     # interpolation problems are built with unit smoothness targets, so
     # the reference constants are L_k = 1, mu_k = 1/kappa_k
     ks = config.problem["kappas"]
     L_list = [1.0] * config.workers
     mu_mean = sum(1.0 / k for k in ks) / len(ks)
     rates = _rates_per_worker(config, R, L_list)
-    return bounds.nq_sigma(L_list, mu_mean, rates, n, rho)
+    return bounds.nq_sigma(L_list, mu_mean, rates, n)
 
 
 _CONVERSE_FAMILY = {"gd": "gd", "dq-gd": "gd", "nq-gd": "gd",
@@ -404,7 +410,6 @@ def run_sweep(config):
             trial_results = [_run_trial(config, t) for t in range(config.trials)]
         kappa = _reference_kappa(config)
 
-    rho = bounds.default_rho(n)
     rows = []
     for algo in config.algos:
         for R in config.rates:
@@ -414,9 +419,9 @@ def run_sweep(config):
             if algo in UNQUANTIZED:
                 bound = sigma_unq
             elif algo == "nq-gd":
-                bound = _nq_bound(config, kappa, n, R, rho)
+                bound = _nq_bound(config, kappa, n, R)
             else:
-                bound = bounds.achievable_rate(algo, kappa, n, R, rho)
+                bound = bounds.achievable_rate(algo, kappa, n, R)
             rows.append(
                 SweepRow(
                     algo=algo,

@@ -10,12 +10,11 @@ which sees a prefix of the draws, passes whenever the full run does.
 
 import numpy as np
 
-from .engines import BitCoder, build_dq_engine, initial_state, run_protocol, step
+from .engines import build_dq_engine, initial_state, run_protocol, step
 from .harness import run_dq, run_nq
 from .hyperparams import optimal_hyperparams
 from .problems import make_gaussian_ls, make_interpolation_problem, make_worst_case_gd
-from .quantizer import (QuantizerSpec, decode_payload, encode_payload,
-                        reconstruct)
+from .quantizer import BitCoder, QuantizerSpec, decode_payload, encode_payload
 from .rng import make_rng
 from .schedules import waterfill
 
@@ -155,22 +154,25 @@ def check_waterfilling(size):
 
 
 def check_bit_exactness(size):
-    """Payloads round-trip, the coder every run uses codes as the reference
-    functions do, and every uplink message carries n*R_k bits."""
+    """The coder every run uses codes as the quantizer's reference does,
+    the reference's payloads round-trip, and every uplink message carries
+    n*R_k bits."""
     gen = make_rng(10)
     ok_codec = True
     for _ in range(size):
         n, R = int(gen.integers(1, 48)), int(gen.integers(1, 13))
         r = float(10.0 ** gen.uniform(-3, 3))
         spec, u = QuantizerSpec(n, R), gen.uniform(-r, r, size=n)
-        idx = spec.scaled(r).indices(u)
+        idx, recon = spec.scaled(r).quantize(u)
         buf, nbits = encode_payload(idx, R)
         coder = BitCoder(spec)
-        (payload,) = coder.encode_rows(r, u)
+        payload, coded = coder.encode(r, u)
         ok_codec &= (nbits == payload.nbits == n * R and payload.bits == buf
+                     and coder.encode_rows(r, u) == [payload]
+                     and coded.tobytes() == recon.tobytes()
                      and np.array_equal(decode_payload(buf, nbits, n, R), idx)
                      and coder.decode(r, [payload.bits]).tobytes()
-                     == reconstruct(spec, r, idx).tobytes())
+                     == recon.tobytes())
 
     _, obj = make_gaussian_ls(24, 8, 6.0, 55)
     rec = run_dq("dq-gd", obj, 5, t_max=400)
@@ -181,9 +183,10 @@ def check_bit_exactness(size):
     ok_multi = (all(b == 8 * 2 for b in channels[0].trace.uplink_bits)
                 and all(b == 0 for b in channels[1].trace.uplink_bits))
     return ok_codec and ok_single and ok_multi, (
-        f"{size} draws: payloads round-trip, BitCoder's payloads and "
-        f"reconstructions are the reference's bit for bit; every uplink "
-        f"message carries exactly n*R_k bits (single and 2-worker runs)")
+        f"{size} draws: BitCoder's payloads and both ends' reconstructions "
+        f"are the reference's bit for bit, and the reference's payloads "
+        f"round-trip; every uplink message carries exactly n*R_k bits "
+        f"(single and 2-worker runs)")
 
 
 # c1 and c9 take milliseconds, so the quick run already covers all their draws

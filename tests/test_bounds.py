@@ -14,6 +14,7 @@ from dqgrad.hyperparams import (
     sigma_hb,
 )
 from dqgrad.problems import make_gaussian_ls
+from dqgrad.quantizer import QuantizerSpec
 from dqgrad.rng import make_rng
 
 
@@ -43,7 +44,7 @@ def test_achievable_examples():
 def test_agd_curve_with_zero_momentum_equals_gd_curve():
     for R in range(1, 10):
         for n in (1, 4, 16):
-            eps = bounds.default_rho(n) * 2.0 ** (-R)
+            eps = QuantizerSpec(n, R).rho * 2.0 ** (-R)
             agd = max(sigma_gd(3.0), eps * bounds.phi(n, R, 0.0))
             assert agd == pytest.approx(bounds.achievable_rate("dq-gd", 3.0, n, R))
     assert bounds.phi(4, 3, 0.0) == pytest.approx(1.0)
@@ -97,7 +98,7 @@ def test_r2_equivalence_with_char_poly_sign():
         R = int(gen.integers(1, 14))
         sigma, gamma = sigma_agd(kappa), gamma_agd(kappa)
         _, r2 = bounds.thresholds(n, sigma, gamma)
-        rho = bounds.default_rho(n)
+        rho = QuantizerSpec(n, R).rho
         eps = rho * 2.0 ** (-R)
         lhs = eps * bounds.phi(n, R, gamma) <= sigma
         assert lhs == (R >= r2)
@@ -238,3 +239,37 @@ def test_finite_t_dispatcher_matches_direct_calls():
     assert bounds.finite_t_envelope("dq-hb", 7, alpha=1.0, **args) == pytest.approx(
         bounds.envelope_dq_hb(7, alpha=1.0, **args)
     )
+
+
+def test_rho_has_one_owner(monkeypatch, capsys):
+    # the scalar kind's rho, patched to 2*sqrt(n), reaches the DQ and the
+    # naive schedules, the sweep's bound column and `dqgrad bounds`
+    from dqgrad.cli import main
+    from dqgrad.engines import build_dq_engine, build_nq_engine
+    from dqgrad.harness import ExperimentConfig, run_sweep
+    from dqgrad.problems import make_interpolation_problem
+
+    monkeypatch.setattr(QuantizerSpec, "rho",
+                        property(lambda spec: 2.0 * math.sqrt(spec.n)))
+    _, obj = make_gaussian_ls(32, 16, 5.0, 7)
+    for algo in ("dq-gd", "dq-agd", "dq-hb"):
+        worker, server, _ = build_dq_engine(algo, obj, 4)
+        assert worker.cursor.schedule.rho == server.cursor.schedule.rho == 8.0
+    for rates in ([4], [5, 3]):
+        problem = make_interpolation_problem(len(rates), 16, 32,
+                                             [4.0, 2.0][:len(rates)], 7)
+        worker, server, _ = build_nq_engine(problem, rates)
+        sigma = bounds.nq_sigma(problem.L_list, problem.mu, rates, 16, rho=8.0)
+        for cursor in (worker.cursor, server.cursor):
+            assert (cursor.schedule.rho, cursor.schedule.sigma) == (8.0, sigma)
+
+    config = ExperimentConfig(algos=("dq-gd", "nq-gd"), rates=(2, 3), trials=1,
+                              t_max=50)
+    rows = run_sweep(config)
+    assert [row.bound for row in rows] == [
+        bounds.achievable_rate(algo, 5.0, 16, R, rho=8.0)
+        for algo in ("dq-gd", "nq-gd") for R in (2, 3)]
+    assert rows[0].bound != bounds.achievable_rate("dq-gd", 5.0, 16, 2, rho=4.0)
+
+    assert main(["bounds", "--kappa", "4", "--n", "16"]) == 0
+    assert capsys.readouterr().out.startswith("kappa=4.0 n=16 rho=8\n")

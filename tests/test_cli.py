@@ -216,6 +216,33 @@ def test_sweep_worker_problem_mismatch_fails_before_any_trial(
     assert not (tmp_path / "bad.csv").exists()
 
 
+@pytest.mark.parametrize("body,detail", [
+    (GOOD.replace("kappa = 5", "kappa = inf"), "condition number must be finite"),
+    (GOOD + "hb_alpha = -1\n", "hb_alpha must be finite and >= 0, got -1.0"),
+    (GOOD + "hb_alpha = nan\n", "hb_alpha must be finite and >= 0, got nan"),
+    (GOOD + "hb_alpha = inf\n", "hb_alpha must be finite and >= 0, got inf"),
+    (GOOD + "t_max = -5\n", "t_max must be >= 1"),
+    (GOOD + "seed = -1\n", "seed must be >= 0"),
+], ids=["kappa-inf", "hb-alpha-negative", "hb-alpha-nan", "hb-alpha-inf",
+        "t-max-negative", "seed-negative"])
+def test_sweep_rejects_a_malformed_value_when_loading(tmp_path, capsys,
+                                                      monkeypatch, body, detail):
+    from dqgrad import harness
+
+    def no_trial(config, trial):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_run_trial", no_trial)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[bad]\nproblem = gaussian\ntrials = 1\nrates = 2\n" + body
+                   + "csv = bad.csv\n")
+    assert main(["sweep", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [bad] " + detail)
+    assert "Traceback" not in err
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_sweep_rejects_a_wide_matrix_when_loading(tmp_path, capsys):
     (tmp_path / "wide.mtx").write_text(
         "%%MatrixMarket matrix array real general\n2 3\n1\n2\n3\n4\n5\n6\n")

@@ -12,7 +12,6 @@ from dqgrad import engines, quantizer
 from dqgrad.bounds import agd_unquantized_envelopes
 from dqgrad.engines import (
     _DQ_PAIRS,
-    BitCoder,
     DQAGDWorker,
     DQGDWorker,
     DQHBWorker,
@@ -30,6 +29,7 @@ from dqgrad.harness import _drive, run_dq, run_nq
 from dqgrad.hyperparams import HyperParams, optimal_hyperparams
 from dqgrad.problems import make_gaussian_ls, make_interpolation_problem, make_worst_case_gd
 from dqgrad.quantizer import (
+    BitCoder,
     QuantizerSpec,
     RangeViolationError,
     decode_payload,
@@ -756,13 +756,12 @@ def test_accumulate_sums_rows_left_to_right(n):
 def _flat_worker_round(problem, rates, channels, t):
     """The payload bits each naive worker would send on its own."""
     n = problem.x0.shape[0]
-    sigma = bounds.nq_sigma(problem.L_list, problem.mu, rates, n,
-                            bounds.default_rho(n))
+    sigma = bounds.nq_sigma(problem.L_list, problem.mu, rates, n)
     out = []
     for obj, R, ch in zip(problem.locals_, rates, channels):
         _, x = ch.recv_iterate()
         r = RangeSchedule("nq-gd", L=obj.L, D=problem.D, sigma=sigma,
-                          rho=bounds.default_rho(n), R=R).next(t, 0.0, 0.0)
+                          rho=QuantizerSpec(n, R).rho, R=R).next(t, 0.0, 0.0)
         payload, _ = BitCoder(QuantizerSpec(n, R)).encode(r, obj.grad(x))
         out.append(payload.bits)
     return out
@@ -855,8 +854,8 @@ def test_naive_rows_check_every_frame_before_containment():
 
 
 ONE_PASS = ("_cells", "_pack", "_unpack", "_centers")
-PUBLIC_ROUTE = ("indices", "quantize", "encode_payload", "decode_payload",
-                "reconstruct", "from_indices")
+PUBLIC_ROUTE = ("quantize", "encode_payload", "decode_payload", "reconstruct",
+                "from_indices")
 
 
 def test_naive_rows_code_each_rate_once_per_round(monkeypatch):
@@ -876,8 +875,7 @@ def test_naive_rows_code_each_rate_once_per_round(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("indices", "quantize"):
-        counted(quantizer.ScaledQuantizer, name)
+    counted(quantizer.ScaledQuantizer, "quantize")
     counted(quantizer.Payload, "from_indices")
     for name in ONE_PASS + ("encode_payload", "decode_payload", "reconstruct"):
         counted(quantizer, name)

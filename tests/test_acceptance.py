@@ -34,6 +34,9 @@ from dqgrad.rng import make_rng
 from dqgrad.selfcheck import CHECKS
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+# the sweep fixtures run on up to two of the CPUs this process may use;
+# run_sweep gives the same rows at any jobs
+JOBS = min(2, len(os.sched_getaffinity(0)))
 
 
 def report(num, ok, detail):
@@ -60,6 +63,7 @@ FIG2 = ExperimentConfig(
     rates=tuple(range(3, 11)),
     trials=50,
     seed=7,
+    jobs=JOBS,
 )
 
 
@@ -117,6 +121,7 @@ FIG3 = ExperimentConfig(
     trials=50,
     seed=11,
     hb_alpha=0.0,
+    jobs=JOBS,
 )
 
 _R2_PLUS_1 = {
@@ -328,6 +333,7 @@ def ash_rows():
         trials=20,
         seed=13,
         t_max=4000,
+        jobs=JOBS,
     )
     return run_sweep(config), label
 

@@ -678,6 +678,191 @@ def test_small_instances_start_no_thread():
         0, "", ["1", "False"])
 
 
+# --- remap_spectrum: the SVD in place ------------------------------------------
+
+
+@pytest.fixture(params=["lapacke", "numpy"])
+def svd_path(request, monkeypatch):
+    """The in-place SVD through LAPACKE, and with the library loader patched
+    to find nothing, so that np.linalg.svd runs instead."""
+    if request.param == "lapacke":
+        if problems._lapacke_gesdd() is None:
+            pytest.skip("numpy's BLAS exports no LAPACKE_dgesdd_work")
+    else:
+        monkeypatch.setattr(problems, "_openblas", lambda: None)
+        assert problems._lapacke_gesdd() is None
+    return request.param
+
+
+def _numpy_svd_bytes(A):
+    return [f.tobytes() for f in np.linalg.svd(A, full_matrices=False)]
+
+
+@pytest.mark.parametrize("shape", [(2048, 1024), (331, 104), (128, 64),
+                                   (32, 16), (5, 5), (1, 1), (3, 5)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_in_place_svd_is_numpys_bitwise(svd_path, shape):
+    A = make_rng(sum(shape)).standard_normal(shape)
+    got = problems._svd_in_place(A.copy(order="F"))
+    assert [f.tobytes() for f in got] == _numpy_svd_bytes(A)
+    if svd_path == "lapacke":
+        assert got[0].flags.f_contiguous and got[2].flags.f_contiguous
+
+
+def test_in_place_svd_of_an_integer_matrix_is_numpys_bitwise(svd_path):
+    A = make_rng(8).integers(-9, 10, size=(9, 4))
+    got = problems._svd_in_place(np.array(A, dtype=np.float64, order="F"))
+    assert [f.tobytes() for f in got] == _numpy_svd_bytes(A)
+
+
+def _read_only(A):
+    A.flags.writeable = False
+    return A
+
+
+@pytest.mark.parametrize("A", [
+    np.ones((6, 3)), np.ones((6, 3), dtype=np.float32, order="F"),
+    _read_only(np.ones((6, 3), order="F")), np.ones((2, 3, 2), order="F"),
+], ids=["C-order", "float32", "read-only", "3-d"])
+def test_in_place_svd_takes_only_a_matrix_it_may_overwrite(A):
+    with pytest.raises(ValueError, match="writeable Fortran-order float64"):
+        problems._svd_in_place(A)
+
+
+def _instance_bytes():
+    ls, obj = make_gaussian_ls(2048, 1024, 100, 0)
+    prob = make_interpolation_problem(3, 16, 40, [4.0, 25.0, 2.0], 56,
+                                      L_list=[1.0, 2.0, 0.5])
+    return ([ls.A.tobytes(), ls.y.tobytes(), obj.L, obj.mu,
+             obj.x_star.tobytes(), obj.D, ls.A.flags.c_contiguous],
+            [prob.stack.A.tobytes(), prob.stack.y.tobytes(), prob.L_list,
+             prob.mu_list, prob.x_star.tobytes(), prob.D])
+
+
+def test_instances_are_the_same_through_lapacke_and_numpy(monkeypatch):
+    if problems._lapacke_gesdd() is None:
+        pytest.skip("numpy's BLAS exports no LAPACKE_dgesdd_work")
+    through_lapacke = _instance_bytes()
+    monkeypatch.setattr(problems, "_openblas", lambda: None)
+    assert _instance_bytes() == through_lapacke
+
+
+def _remap_of_numpys_factors(A, kappa):
+    """The remap as a product of np.linalg.svd's C-order factors."""
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    lo = 1.0 / np.sqrt(kappa)
+    s2 = lo + (s - s[-1]) * (1.0 - lo) / (s[0] - s[-1])
+    return U @ (s2[:, None] * Vt)
+
+
+@pytest.mark.parametrize("kind", ["C", "F", "int"])
+def test_remap_leaves_its_argument_and_keeps_the_bits(svd_path, kind):
+    A = make_rng(4).standard_normal((12, 5))
+    A = {"C": A, "F": np.asfortranarray(A),
+         "int": np.round(A * 10).astype(np.int64)}[kind]
+    kept = A.copy(order="K")
+    out = problems.remap_spectrum(A, 9.0)
+    assert A.tobytes(order="A") == kept.tobytes(order="A")
+    assert A.flags.f_contiguous == kept.flags.f_contiguous
+    assert out.tobytes() == _remap_of_numpys_factors(A, 9.0).tobytes()
+    assert out.flags.c_contiguous
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf])
+def test_a_matrix_the_svd_cannot_take_raises_what_numpy_raises(svd_path,
+                                                               fill):
+    A = np.full((8, 4), fill)
+    with pytest.raises(np.linalg.LinAlgError) as numpy_raised:
+        np.linalg.svd(A, full_matrices=False)
+    with pytest.raises(np.linalg.LinAlgError) as remap_raised:
+        problems.remap_spectrum(A, 4.0)
+    assert str(remap_raised.value) == str(numpy_raised.value) == (
+        "SVD did not converge")
+
+
+@pytest.mark.parametrize("index, value, message", [
+    (5, 1, r"argument 6 \(lda\) had an illegal value"),
+    (8, 1, r"argument 9 \(ldu\) had an illegal value"),
+    (12, 0, r"argument 13 \(lwork\) had an illegal value"),
+], ids=["lda", "ldu", "lwork"])
+def test_an_illegal_lapacke_argument_is_named(monkeypatch, index, value,
+                                              message):
+    gesdd = problems._lapacke_gesdd()
+    if gesdd is None:
+        pytest.skip("numpy's BLAS exports no LAPACKE_dgesdd_work")
+
+    def with_bad_argument(*args):
+        return gesdd(*args[:index], value, *args[index + 1:])
+
+    monkeypatch.setattr(problems, "_lapacke_gesdd", lambda: with_bad_argument)
+    with pytest.raises(ValueError, match=message):
+        problems.remap_spectrum(make_rng(6).standard_normal((8, 4)), 4.0)
+
+
+_SVD_CORETYPE_CHECK = """
+import numpy as np
+from dqgrad import problems
+gen = np.random.default_rng(5)
+for m, n in ((331, 104), (128, 64), (40, 40), (3, 5)):
+    A = gen.standard_normal((m, n))
+    want = np.linalg.svd(A, full_matrices=False)
+    got = problems._svd_in_place(np.asfortranarray(A))
+    assert [f.tobytes() for f in got] == [f.tobytes() for f in want], (m, n)
+    U, s, Vt = want
+    lo = 1.0 / np.sqrt(9.0)
+    s2 = lo + (s - s[-1]) * (1.0 - lo) / (s[0] - s[-1])
+    remapped = problems.remap_spectrum(A, 9.0)
+    assert remapped.tobytes() == (U @ (s2[:, None] * Vt)).tobytes(), (m, n)
+print("same")
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_in_place_svd_is_numpys_under_another_kernel_family(coretype):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(problems.__file__)))
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+           "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _SVD_CORETYPE_CHECK],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["same"]
+
+
+_BUILD_PEAK = """
+from dqgrad import problems
+
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status
+                    if line.startswith("VmHWM:"))
+
+
+problems.make_gaussian_ls(64, 32, 100, 0)
+before = peak_kib()
+problems.make_gaussian_ls(2048, 1024, 100, 0)
+print((peak_kib() - before) / 1024)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak from /proc/self/status")
+def test_a_large_build_stays_within_its_memory():
+    # The child's peak resident size grows by 115 MiB at 2048 x 1024 with
+    # the SVD in numpy's copies of the draw and factors, by 75 MiB in place
+    # and by 91 MiB in place with the C-order draw kept alive (2-core x86-64
+    # VM). It reads its own peak (VmHWM): ru_maxrss would start from this
+    # test process's size, which Linux carries across exec.
+    if problems._lapacke_gesdd() is None:
+        pytest.skip("numpy's BLAS exports no LAPACKE_dgesdd_work")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(problems.__file__)))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _BUILD_PEAK], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 85.0
+
+
 # --- MatrixMarket ----------------------------------------------------------
 
 

@@ -13,6 +13,7 @@ transient constant, and the tail half suppresses it.
 """
 
 import contextlib
+import functools
 import math
 import os
 import warnings
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bounds, rng as rngmod
+from . import bounds, problems, rng as rngmod
 from .engines import (
     build_dq_engine,
     build_nq_engine,
@@ -359,8 +360,13 @@ _SIGMA_OF = {"gd": sigma_gd, "dq-gd": sigma_gd, "nq-gd": sigma_gd,
              "hb": sigma_hb, "dq-hb": sigma_hb}
 
 
-def _pin_blas_thread():
-    """Set numpy's OpenBLAS to one thread; the old count, or None."""
+def _pin_blas_thread(workers=1):
+    """Set numpy's OpenBLAS to one thread; the old count, or None. As a pool
+    initializer, `workers` is the number of busy workers in the pool: a
+    large gradient raises the count to two only where each has two CPUs
+    (two workers on two CPUs that each took two threads ran a four-trial
+    n = 1024 sweep in 15-21 s, against 9-10 s on one thread each)."""
+    problems._pool_workers = workers
     calls = _blas_threads()
     if calls is None:
         return None
@@ -374,7 +380,9 @@ def _pin_blas_thread():
 def _one_blas_thread(n):
     """One BLAS thread inside, the old count after: from n = 384 up the
     thread count changes result bits, and a sweep's bytes must not depend
-    on it. Warns at such n when the count cannot be set."""
+    on it. Warns at such n when the count cannot be set. Inside, a large
+    aligned gradient still raises the count to two for its own call, with
+    the same bits (problems.LeastSquares.grad)."""
     old = _pin_blas_thread()
     if old is None and n >= BLAS_THREAD_BITS_N:
         warnings.warn(f"cannot pin numpy's BLAS to one thread; at n = {n} the "
@@ -400,8 +408,9 @@ def run_sweep(config):
             # imported here: it costs a serial `import dqgrad` about 20 ms
             from concurrent.futures import ProcessPoolExecutor
 
+            pin = functools.partial(_pin_blas_thread, workers)
             with ProcessPoolExecutor(max_workers=workers,
-                                     initializer=_pin_blas_thread) as pool:
+                                     initializer=pin) as pool:
                 trial_results = list(
                     pool.map(_run_trial, [config] * config.trials,
                              range(config.trials))

@@ -16,16 +16,12 @@ through np.linalg.svd, which holds the draw, its own copies of it and of
 the factors, and the workspace at once. Where numpy's BLAS does not export
 scipy_LAPACKE_dgesdd_work64_, np.linalg.svd runs instead.
 
-On large instances (m*n >= GRAD_SPLIT_MIN and n >= GRAD_SPLIT_MIN_COLS,
-float64 in C order) an instance shares a second core when numpy's BLAS
-runs one thread and the process may use two CPUs. One persistent helper
-thread per process (a one-thread executor) runs one call while the calling
-thread runs another, under the caller's numpy error state. The gradient
-cuts each of its two matrix-vector products in two at a multiple of 64
-rows and computes one half on the helper; every element comes from the
-same BLAS kernel path as in the flat A.T @ (A @ x - y), so the bits are
-the same. Building the instance runs its SVD on the helper while the
-calling thread solves. Smaller instances never start the helper.
+On large aligned instances (_on_two_cores) the gradient is the flat
+A.T @ (A @ x - y) with numpy's OpenBLAS raised to two threads for the
+call, with the one-thread bits, and the build runs its SVD on a helper
+thread kept off the caller's CPU while the calling thread solves. Smaller
+instances never touch the thread count and start no thread. The count is
+process-wide, so the raise and every LAPACK call here take one lock.
 """
 
 import contextlib
@@ -45,21 +41,25 @@ _BLAS_THREAD_SYMBOLS = (
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 
-# grad splits across two threads from this many matrix entries (m * n) and
-# columns (n) up. Measured with one BLAS thread on a 2-core VM (medians of
-# 200 alternating calls, split against flat wall time): 1024 x 512 +69%,
-# 1536 x 768 +32%, 1920 x 960 +9%, 2048 x 768 +21%, 4096 x 512 +15%,
-# 8192 x 256 +21%, 3072 x 768 -10%, 1024 x 1024 -5%; from n = 1024 and
-# m * n = 2048 * 1024 up, -22% to -39% (2048 x 1024, 2304 x 1152,
-# 1536 x 1536, 2560 x 1280, 3072 x 1024, 4096 x 1024, 2048 x 2048), for
-# 10-32% more CPU time. Below 1024 columns the helper's half of A.T @ r
-# ran at about half the speed of the caller's.
+# grad shares two cores from this many matrix entries (m * n) and columns
+# (n) up. Alone, two OpenBLAS threads gain below them too (2-core VM,
+# medians of 300 alternating calls: 1024 x 512 -40%, 1024 x 1024 -42%,
+# 2048 x 1024 -43%), but no run loop has been timed there.
 GRAD_SPLIT_MIN = 2048 * 1024
 GRAD_SPLIT_MIN_COLS = 1024
-# split points are multiples of this many rows; with each half empty or at
-# least this long, every element of a half comes from the same kernel path
-# as in the flat product (a one-row half would be computed as a dot product)
-SPLIT_ALIGN = 64
+# m and n must be multiples of this: OpenBLAS gives each of two threads
+# half of a product's output (m rows of A @ x, n of A.T @ r), and the bits
+# are the one-thread product's exactly when that cut falls on a multiple of
+# 4 (Prescott, Nehalem, Sandybridge, Haswell and SkylakeX kernels alike:
+# equal at 2048 x 1024, 2304 x 1152, 2176 x 1088, different at
+# 2052 x 1028, 2049 x 1025); 128 keeps a margin of 64
+GRAD_SPLIT_ALIGN = 128
+# busy processes that share this one's CPUs; a pool worker sets the size of
+# its pool, so that only a worker with two CPUs of its own takes two
+_pool_workers = 1
+# held while dqgrad raises numpy's BLAS thread count and by every LAPACK
+# call here, whose bits change at two threads
+_blas_lock = threading.Lock()
 
 
 class DegenerateInstanceError(ValueError):
@@ -111,7 +111,7 @@ class LeastSquares:
         if (_on_two_cores(A) and type(x) is np.ndarray
                 and x.dtype == np.float64 and x.shape == A.shape[1:]
                 and x.flags.c_contiguous):
-            return _split_grad(A, y, x)
+            return _two_thread_grad(A, y, x)
         return A.T @ (A @ x - y)
 
     def value(self, x):
@@ -127,16 +127,17 @@ class LeastSquares:
 
     def objective(self, x0):
         # The SVD and the solve are independent LAPACK calls that release
-        # the GIL, so where the gradient splits the SVD runs on the helper
-        # while this thread solves. Elsewhere they run in sequence (at
-        # 32 x 16 the overlap took 0.39 ms against 0.16 ms; at 2048 x 1024
-        # on two BLAS threads, 1.52 s against 0.95 s). The bits are those
-        # of the calls in sequence; if both fail, the SVD's error wins.
-        if _on_two_cores(self.A):
-            (L, mu), x_star = _concurrently(self.spectrum_bounds, self.solve)
-        else:
-            L, mu = self.spectrum_bounds()
-            x_star = self.solve()
+        # the GIL; they overlap only where the gradient takes two cores (at
+        # 32 x 16 the overlap took 0.39 ms against 0.16 ms in sequence; at
+        # 2048 x 1024 on two BLAS threads, 1.52 s against 0.95 s). The bits
+        # are those of the calls in sequence.
+        with _blas_lock:
+            if _on_two_cores(self.A):
+                (L, mu), x_star = _concurrently(self.spectrum_bounds,
+                                                self.solve)
+            else:
+                L, mu = self.spectrum_bounds()
+                x_star = self.solve()
         x0 = np.asarray(x0, dtype=np.float64)
         return Objective(
             grad=self.grad,
@@ -149,112 +150,74 @@ class LeastSquares:
 
 
 def _on_two_cores(A):
-    """True when work on A shares the second core: A is a float64 C-order
+    """True when work on A shares a second core: A is a float64 C-order
     matrix of at least GRAD_SPLIT_MIN entries and GRAD_SPLIT_MIN_COLS
-    columns, the process may use two CPUs and numpy's BLAS runs one
-    thread. The one gate of the split gradient and the overlapped build."""
-    return (A.shape[1] >= GRAD_SPLIT_MIN_COLS and A.size >= GRAD_SPLIT_MIN
+    columns, both sides multiples of GRAD_SPLIT_ALIGN, the process has two
+    CPUs to itself and numpy's BLAS runs one thread. The one gate of the
+    two-thread gradient and the overlapped build."""
+    m, n = A.shape
+    return (n >= GRAD_SPLIT_MIN_COLS and A.size >= GRAD_SPLIT_MIN
+            and m % GRAD_SPLIT_ALIGN == 0 and n % GRAD_SPLIT_ALIGN == 0
             and A.dtype == np.float64 and A.flags.c_contiguous
-            and _cpu_count() >= 2 and _blas_thread_count() == 1)
+            and _cpu_count() >= 2 * _pool_workers
+            and _blas_thread_count() == 1)
 
 
-def _split_grad(A, y, x):
-    """A.T @ (A @ x - y), each product in two halves, one on the helper."""
-    r = _in_halves(A, x, np.empty(A.shape[0]))
-    np.subtract(r, y, out=r)
-    return _in_halves(A.T, r, np.empty(A.shape[1]))
-
-
-def _in_halves(M, v, out):
-    """out = M @ v: the rows from the split point on, on the helper. The
-    split point is the largest multiple of SPLIT_ALIGN up to half the rows;
-    when that is 0, the helper's half is the whole product."""
-    at = M.shape[0] // 2 // SPLIT_ALIGN * SPLIT_ALIGN
-    _concurrently(functools.partial(np.matmul, M[at:], v, out[at:]),
-                  functools.partial(np.matmul, M[:at], v, out[:at]))
-    return out
+def _two_thread_grad(A, y, x):
+    """A.T @ (A @ x - y) with numpy's BLAS raised to two threads, the old
+    count back after. OpenBLAS's own thread sets no floating-point flag of
+    this one, so the raised call ignores them, and a result that is not
+    finite (as an overflow or invalid operation leaves it) is computed again
+    on one thread under the caller's np.errstate, which reports what the
+    flat call reports; so is every call of a caller who watches underflow."""
+    if np.geterr()["under"] == "ignore":
+        get, set_ = _blas_threads()
+        with _blas_lock, np.errstate(all="ignore"):
+            old = get()
+            set_(2)
+            try:
+                g = A.T @ (A @ x - y)
+            finally:
+                set_(old)
+        if np.isfinite(g).all():
+            return g
+    return A.T @ (A @ x - y)
 
 
 def _concurrently(first, second):
-    """(first(), second()): first on the helper thread, under the caller's
-    np.errstate, while this thread runs second; both here in sequence while
-    another call holds the helper or once the interpreter is exiting. If
-    both fail, first's error wins."""
-    with _held_helper() as helper:
-        if helper is not None:
-            try:
-                done = helper.submit(_under_errstate, np.geterr(),
-                                     np.geterrcall(), first)
-            except RuntimeError:  # the interpreter is exiting
-                pass
-            else:
-                try:
-                    second_result = second()
-                finally:
-                    first_result = done.result()
-                return first_result, second_result
-    return first(), second()
-
-
-def _under_errstate(err, call, fn):
-    with np.errstate(call=call, **err):
-        return fn()
-
-
-# (executor, lock held by the call using it): one helper thread per process
-_helper = None
-_helper_start = threading.Lock()
-
-
-@contextlib.contextmanager
-def _held_helper():
-    """The process's helper executor, held by the caller for the block, or
-    None while another call holds it. Started on first use, and again after
-    a fork."""
-    global _helper
-    if _helper is None:
-        with _helper_start:
-            if _helper is None:
-                _helper = (_new_helper(), threading.Lock())
-    helper, busy = _helper
-    if not busy.acquire(blocking=False):
-        yield None
-        return
-    try:
-        yield helper
-    finally:
-        busy.release()
-
-
-def _new_helper():
-    """A one-thread executor whose thread keeps off the CPU its creator runs
-    on now, if the process may use another: some hosts never move a thread
-    to an idle CPU (measured on a 2-core VM: with both threads left on one
-    CPU a split 2048 x 1024 gradient took 1.69 ms against 1.54 ms flat;
-    with the helper on the other CPU, 0.96 ms against 1.72 ms). One empty
-    round trip through it takes about 25 us."""
-    from concurrent.futures import ThreadPoolExecutor  # imports logging
-
+    """(first(), second()): first on a new thread kept off the CPU this one
+    runs on, under the caller's np.errstate, while this thread runs second;
+    both here in sequence where no thread can start. If both fail, first's
+    error wins. Some hosts never move a thread to an idle CPU: 2048 x 1024
+    builds overlapped in 0.50-0.61 s with the helper kept off, against
+    0.52-1.01 s left to the scheduler and 0.97-1.14 s in sequence."""
     here = _current_cpu()
     cpus = _allowed_cpus() - {here} if here is not None else set()
-    return ThreadPoolExecutor(1, "dqgrad-helper", initializer=_keep_to,
-                              initargs=(cpus,))
+    err, call = np.geterr(), np.geterrcall()
+    out = {}
 
+    def helper():
+        if cpus:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, cpus)  # this thread only, on Linux
+        try:
+            with np.errstate(call=call, **err):
+                out["result"] = first()
+        except BaseException as exc:  # raised again on the calling thread
+            out["error"] = exc
 
-def _keep_to(cpus):
-    if cpus:
-        with contextlib.suppress(OSError):
-            os.sched_setaffinity(0, cpus)  # this thread only, on Linux
-
-
-def _forget_helper():
-    """Drop the helper: after a fork its thread exists only in the parent."""
-    global _helper, _helper_start
-    _helper, _helper_start = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
+    thread = threading.Thread(target=helper, name="dqgrad-helper")
+    try:
+        thread.start()
+    except RuntimeError:  # the interpreter is exiting
+        return first(), second()
+    try:
+        second_result = second()
+    finally:
+        thread.join()
+        if "error" in out:
+            raise out["error"]
+    return out["result"], second_result
 
 
 def _allowed_cpus():
@@ -395,18 +358,19 @@ def _remap_owned(a, kappa):
     the bits of the same product of numpy's C-order factors."""
     if kappa < 1:
         raise ValueError("condition number must be >= 1")
-    U, s, Vt = _svd_in_place(a)
-    lo, hi = 1.0 / np.sqrt(kappa), 1.0
-    if s[0] == s[-1]:
-        if kappa != 1.0:
-            raise ValueError(
-                f"cannot realize condition number {kappa} on a matrix with a "
-                f"single distinct singular value"
-            )
-        s2 = np.full_like(s, hi)
-    else:
-        s2 = lo + (s - s[-1]) * (hi - lo) / (s[0] - s[-1])
-    return U @ (s2[:, None] * Vt)
+    with _blas_lock:
+        U, s, Vt = _svd_in_place(a)
+        lo, hi = 1.0 / np.sqrt(kappa), 1.0
+        if s[0] == s[-1]:
+            if kappa != 1.0:
+                raise ValueError(
+                    f"cannot realize condition number {kappa} on a matrix "
+                    f"with a single distinct singular value"
+                )
+            s2 = np.full_like(s, hi)
+        else:
+            s2 = lo + (s - s[-1]) * (hi - lo) / (s[0] - s[-1])
+        return U @ (s2[:, None] * Vt)
 
 
 def make_gaussian_ls(m, n, kappa, seed):
@@ -556,9 +520,10 @@ def make_interpolation_problem(K, n, m, kappa_list, seed, L_list=None):
         A = stack.A[k]
         A[...] = np.sqrt(Ls[k]) * _remap_owned(
             np.asfortranarray(rngmod.normal_matrix(gen, m, n)), kappa_list[k])
-        stack.y[k] = A @ x_star
-        ls = LeastSquares(A, stack.y[k])
-        L, mu = ls.spectrum_bounds()
+        with _blas_lock:
+            stack.y[k] = A @ x_star
+            ls = LeastSquares(A, stack.y[k])
+            L, mu = ls.spectrum_bounds()
         locals_.append(Objective(grad=ls.grad, L=L, mu=mu, x_star=x_star,
                                  x0=x0, D=D))
     return MultiWorkerProblem(tuple(locals_), x_star, x0, stack)

@@ -8,12 +8,15 @@ one. Every check reduces its draws by max or by count, so a quick run,
 which sees a prefix of the draws, passes whenever the full run does.
 """
 
+import functools
+
 import numpy as np
 
 from .engines import build_dq_engine, initial_state, run_protocol, step
-from .harness import run_dq, run_nq
+from .harness import _pin_blas_thread, run_dq, run_nq
 from .hyperparams import optimal_hyperparams
-from .problems import make_gaussian_ls, make_interpolation_problem, make_worst_case_gd
+from .problems import (_cpu_count, make_gaussian_ls, make_interpolation_problem,
+                       make_worst_case_gd)
 from .quantizer import BitCoder, QuantizerSpec, decode_payload, encode_payload
 from .rng import make_rng
 from .schedules import waterfill
@@ -117,20 +120,38 @@ def check_containment(size):
     # schedule needs its subexponential exponent positive (1 suffices on
     # least squares), since the experimental alpha = 0 loses the guarantee
     gen = make_rng(3)
-    violations = 0
     algos = (("dq-gd", 0.0), ("dq-agd", 0.0), ("dq-hb", 1.0))
+    draws = []
     for i in range(size):
         algo, alpha = algos[i % 3]
         kappa = float(gen.uniform(1.5, 50.0))
         n = int(gen.choice([4, 16, 64]))
         R = int(gen.integers(1, 13))
-        _, obj = make_gaussian_ls(2 * n, n, kappa, 30_000 + i)
-        rec = run_dq(algo, obj, R, t_max=250, alpha=alpha,
-                     containment="saturate")
-        violations += rec.violations
+        draws.append((algo, alpha, kappa, n, R, 30_000 + i))
+    # independent runs: on two CPUs, a two-worker pool, each worker on one
+    # BLAS thread (on two, c3 took twice as long as serially); started as
+    # run_sweep's pool is, since a spawned worker re-runs the caller's
+    # main script
+    workers = min(2, _cpu_count(), size)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pin = functools.partial(_pin_blas_thread, workers)
+        with ProcessPoolExecutor(max_workers=workers, initializer=pin) as pool:
+            violations = sum(pool.map(_violations, draws, chunksize=25))
+    else:
+        violations = sum(map(_violations, draws))
     return violations == 0, (
         f"{size} randomized runs (kappa in [1.5,50], R in [1,12], "
         f"n in {{4,16,64}}), {violations} violations of ||u_t|| <= r_t")
+
+
+def _violations(draw):
+    """Containment violations of one c3 run."""
+    algo, alpha, kappa, n, R, seed = draw
+    _, obj = make_gaussian_ls(2 * n, n, kappa, seed)
+    return run_dq(algo, obj, R, t_max=250, alpha=alpha,
+                  containment="saturate").violations
 
 
 def check_waterfilling(size):

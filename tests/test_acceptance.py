@@ -54,6 +54,27 @@ def test_shared_criterion(row):
     assert ok
 
 
+@pytest.mark.parametrize("cpus, pools", [(1, []), (2, [2]), (8, [2])])
+def test_c3_maps_its_draws_over_a_pool_only_with_cpus_to_spare(
+        monkeypatch, cpus, pools):
+    import concurrent.futures
+
+    from dqgrad import selfcheck
+
+    started, real = [], concurrent.futures.ProcessPoolExecutor
+
+    def recorded(max_workers, **kwargs):
+        started.append(max_workers)
+        return real(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
+    monkeypatch.setattr(selfcheck, "_cpu_count", lambda: cpus)
+    ok, detail = selfcheck.check_containment(30)
+    assert ok and detail.startswith("30 randomized runs")
+    assert "0 violations" in detail
+    assert started == pools
+
+
 # --- 4 + 5: phase transition at kappa = 5 ------------------------------------
 
 FIG2 = ExperimentConfig(

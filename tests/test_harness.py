@@ -420,7 +420,7 @@ def test_a_sweep_warns_at_large_n_when_blas_cannot_be_pinned(monkeypatch):
         run_sweep(BLAS_SECTION)
 
 
-# --- split gradients in serial sweeps and pool workers ------------------------
+# --- two-thread gradients in serial sweeps and pool workers -------------------
 
 SPLIT_SECTION = ExperimentConfig(
     name="split", algos=("gd", "dq-gd", "dq-hb"),
@@ -428,24 +428,32 @@ SPLIT_SECTION = ExperimentConfig(
     rates=(8,), trials=2, seed=4, t_max=40)
 
 
-def test_a_split_section_gives_the_same_bytes_with_and_without_jobs(
-        tmp_path, monkeypatch):
-    # the section sits above a lowered threshold, so the serial sweep and
-    # the pool workers split their gradients, and the pool forks its workers
-    # from a process whose helper thread has run
-    if harness._blas_threads() is None:
-        pytest.skip("numpy's OpenBLAS thread count cannot be set here")
-    split = problems._split_grad
+def _lowered_gate(monkeypatch, cpus):
+    """SPLIT_SECTION's shape passes the gate, on `cpus` CPUs; the list of
+    two-thread gradient calls, in this process."""
+    two_threads = problems._two_thread_grad
     ran = []
 
     def counted(A, y, x):
         ran.append(A.shape)
-        return split(A, y, x)
+        return two_threads(A, y, x)
 
     monkeypatch.setattr(problems, "GRAD_SPLIT_MIN", 512 * 256)
     monkeypatch.setattr(problems, "GRAD_SPLIT_MIN_COLS", 256)
-    monkeypatch.setattr(problems, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(problems, "_split_grad", counted)
+    monkeypatch.setattr(problems, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(problems, "_two_thread_grad", counted)
+    monkeypatch.setattr(problems, "_pool_workers", 1)
+    return ran
+
+
+def test_a_split_section_gives_the_same_bytes_with_and_without_jobs(
+        tmp_path, monkeypatch):
+    # the section sits above a lowered gate, so the serial sweep takes two
+    # BLAS threads per gradient, and the pool forks its workers from a
+    # process whose OpenBLAS has run two threads
+    if harness._blas_threads() is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be set here")
+    ran = _lowered_gate(monkeypatch, 2)
     out = []
     for jobs in (1, 2):
         rows = run_sweep(ExperimentConfig(**{**SPLIT_SECTION.__dict__,
@@ -456,4 +464,25 @@ def test_a_split_section_gives_the_same_bytes_with_and_without_jobs(
         if jobs == 1:
             assert ran and set(ran) == {(512, 256)}
     assert out[0] == out[1]
+
+
+@pytest.mark.parametrize("cpus, workers, raises", [
+    (2, 2, False), (4, 2, True), (2, 1, True), (3, 2, False)])
+def test_pool_workers_take_two_blas_threads_only_with_two_cpus_each(
+        monkeypatch, cpus, workers, raises):
+    # two workers that each took two threads on two CPUs ran an n = 1024
+    # sweep slower than with one each; a lone worker may still raise
+    if harness._blas_threads() is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be set here")
+    ran = _lowered_gate(monkeypatch, cpus)
+    get, set_ = harness._blas_threads()
+    old = get()
+    try:
+        harness._pin_blas_thread(workers)  # as the pool's initializer does
+        _, obj = make_gaussian_ls(512, 256, 100.0, 3)
+        obj.grad(obj.x0)
+        assert get() == 1
+    finally:
+        set_(old)
+    assert ran == [(512, 256)] * raises
 

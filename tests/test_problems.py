@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import os
 import signal
 import subprocess
@@ -199,10 +200,11 @@ def test_local_objectives_without_a_stack_run_as_with_it():
             == np.asarray(rowwise.distances).tobytes())
 
 
-# --- objective(): SVD and solve, overlapped where the gradient splits --------
+# --- objective(): SVD and solve, overlapped where the gradient takes two cores
 
 ASH331_STAND_IN = os.path.join(os.path.dirname(__file__), "data",
                                "ash331_synthetic.mtx")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(problems.__file__)))
 
 
 def _blas_counts():
@@ -224,14 +226,6 @@ def _blas_counts():
     if calls is None:
         return [contextlib.nullcontext()]
     return [at(1), at(2)]
-
-
-def _threads_after_the_helper():
-    """The thread count once the process's helper runs: building objectives
-    and splitting gradients must start no thread beyond it."""
-    with problems._held_helper() as helper:
-        helper.submit(int).result()
-    return threading.active_count()
 
 
 def _sequential(ls, x0):
@@ -260,7 +254,7 @@ def test_objective_matches_sequential_calls_bitwise(build):
     ls, x0 = build()
     for blas in _blas_counts():
         with blas:
-            before = _threads_after_the_helper()
+            before = threading.active_count()
             obj = ls.objective(x0)
             assert threading.active_count() == before
             L, mu, x_star, D = _sequential(ls, x0)
@@ -277,6 +271,7 @@ def low_gate(monkeypatch):
     CPUs; yields the list of calls handed to the helper."""
     monkeypatch.setattr(problems, "GRAD_SPLIT_MIN", 0)
     monkeypatch.setattr(problems, "GRAD_SPLIT_MIN_COLS", 0)
+    monkeypatch.setattr(problems, "GRAD_SPLIT_ALIGN", 1)
     monkeypatch.setattr(problems, "_cpu_count", lambda: 2)
     handed = []
     concurrently = problems._concurrently
@@ -290,7 +285,8 @@ def low_gate(monkeypatch):
 
 
 def test_objective_overlaps_exactly_where_grad_splits(split_gate):
-    # the SVD and the solve are stubbed: only where each runs matters
+    # the SVD and the solve are stubbed: only where each runs matters. The
+    # helper is a thread of the build alone: none is left once it returns
     where = []
 
     def bounds(self):
@@ -301,10 +297,11 @@ def test_objective_overlaps_exactly_where_grad_splits(split_gate):
     split_gate.setattr(LeastSquares, "solve",
                        lambda self: np.zeros(self.A.shape[1]))
     set_blas = problems._blas_threads()[1]
+    before = threading.active_count()
     for shape, cpus, blas, shares in [
             ((2048, 1024), 2, 1, True), ((32, 16), 2, 1, False),
             ((1024, 1024), 2, 1, False), ((2048, 1024), 2, 2, False),
-            ((2048, 1024), 1, 1, False)]:
+            ((2048, 1024), 1, 1, False), ((2052, 1028), 2, 1, False)]:
         split_gate.setattr(problems, "_cpu_count", lambda: cpus)
         set_blas(blas)
         ls = LeastSquares(np.zeros(shape), np.ones(shape[0]))
@@ -314,14 +311,24 @@ def test_objective_overlaps_exactly_where_grad_splits(split_gate):
         overlapped = where[-1].startswith("dqgrad-helper")
         split = split_gate.ran == [shape]
         assert overlapped == split == shares, (shape, cpus, blas)
+        assert threading.active_count() == before
 
 
-def test_objective_runs_in_sequence_while_the_helper_is_held():
+def test_objective_runs_in_sequence_where_no_thread_can_start(low_gate,
+                                                               monkeypatch):
+    # as at interpreter shutdown, when starting a thread raises
+    def refused(self):
+        raise RuntimeError("can't create new thread at interpreter shutdown")
+
+    if problems._blas_threads() is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be set here")
     ls, x0 = _gaussian(32, 16, 3)
     want = _sequential(ls, x0)
-    with problems._held_helper() as helper:
-        assert helper is not None
+    low_gate.clear()
+    monkeypatch.setattr(threading.Thread, "start", refused)
+    with _blas_counts()[0]:  # one BLAS thread
         obj = ls.objective(x0)
+    assert len(low_gate) == 1
     assert (obj.L, obj.mu, obj.x_star.tobytes(), obj.D) == (
         want[0], want[1], want[2].tobytes(), want[3])
 
@@ -339,7 +346,7 @@ def test_objective_on_nan_matrix_raises_what_the_svd_raises_first(low_gate):
     assert want == _raised(ls.spectrum_bounds)  # the sequential order fails here
     for blas in _blas_counts():
         with blas:
-            before = _threads_after_the_helper()
+            before = threading.active_count()
             assert _raised(lambda: ls.objective(x0)) == want
             assert threading.active_count() == before
     # one handoff, at one BLAS thread, where the count can be set
@@ -359,7 +366,7 @@ def test_objective_reraises_the_one_failing_call(monkeypatch, low_gate,
     monkeypatch.setattr(LeastSquares, failing, boom)
     for blas in _blas_counts():
         with blas:
-            before = _threads_after_the_helper()
+            before = threading.active_count()
             with pytest.raises(Boom, match=failing):
                 ls.objective(x0)
             assert threading.active_count() == before
@@ -367,36 +374,51 @@ def test_objective_reraises_the_one_failing_call(monkeypatch, low_gate,
     assert len(low_gate) == (problems._blas_threads() is not None)
 
 
-# --- grad(): two halves per product on large instances -------------------------
+# --- grad(): two BLAS threads on large aligned instances ----------------------
 
 
 @pytest.fixture
 def split_on(split_gate):
-    """Every gradient of at least 128 rows may split, on one BLAS thread and
-    whatever the CPU count; yields the list of split calls."""
+    """Every gradient of an aligned shape takes two BLAS threads, on one
+    BLAS thread and whatever the CPU count; yields the list of such calls."""
     split_gate.setattr(problems, "GRAD_SPLIT_MIN", 0)
     split_gate.setattr(problems, "GRAD_SPLIT_MIN_COLS", 0)
     yield split_gate.ran
 
 
+class _Calls(list):
+    """The shapes of the two-thread gradient calls, and as `counts` every
+    count the BLAS thread setter was given."""
+
+    def __init__(self):
+        super().__init__()
+        self.counts = []
+
+
 @pytest.fixture
 def split_gate(monkeypatch):
-    """The shape gate as it stands, on one BLAS thread and whatever the CPU
-    count; monkeypatch with the list of split calls as `ran`."""
+    """The shape gate as it stands, on one BLAS thread and two CPUs;
+    monkeypatch with the calls as `ran`."""
     calls = problems._blas_threads()
     if calls is None:
         pytest.skip("numpy's OpenBLAS thread count cannot be set here")
-    split = problems._split_grad
-    ran = []
+    get, set_ = calls
+    two_threads = problems._two_thread_grad
+    ran = _Calls()
+    counts = ran.counts
 
     def counted(A, y, x):
         ran.append(A.shape)
-        return split(A, y, x)
+        return two_threads(A, y, x)
+
+    def setter(threads):
+        counts.append(threads)
+        set_(threads)
 
     monkeypatch.setattr(problems, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(problems, "_split_grad", counted)
+    monkeypatch.setattr(problems, "_two_thread_grad", counted)
+    monkeypatch.setattr(problems, "_blas_threads", lambda: (get, setter))
     monkeypatch.ran = ran
-    get, set_ = calls
     old = get()
     set_(1)
     try:
@@ -409,37 +431,45 @@ def _flat(A, y, x):
     return A.T @ (A @ x - y)
 
 
+def _aligned(shape):
+    return all(side % problems.GRAD_SPLIT_ALIGN == 0 for side in shape)
+
+
 @pytest.mark.parametrize("shape", [(1031, 65), (1500, 777), (4096, 256),
-                                   (127, 100)],
+                                   (127, 100), (256, 128), (640, 384),
+                                   (2048, 1024)],
                          ids=lambda s: f"{s[0]}x{s[1]}")
 @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
 def test_split_gradient_is_the_flat_product_bitwise(split_on, shape, scale):
+    # only aligned shapes take two threads, each call raising the count and
+    # putting it back
     gen = make_rng(sum(shape))
     A = gen.standard_normal(shape) * scale
     y = gen.standard_normal(shape[0])
     ls = LeastSquares(A, y)
     for x in (gen.standard_normal(shape[1]) / scale, np.zeros(shape[1])):
         assert ls.grad(x).tobytes() == _flat(A, y, x).tobytes()
-    assert split_on == [shape, shape]
+    raised = _aligned(shape)
+    assert split_on == [shape, shape] * raised
+    assert split_on.counts == [2, 1, 2, 1] * raised
 
 
 def test_split_gradient_keeps_the_bits_of_nan_and_inf(split_on):
     gen = make_rng(4)
-    A = gen.standard_normal((700, 300))
-    y = gen.standard_normal(700)
+    A = gen.standard_normal((768, 384))
+    y = gen.standard_normal(768)
     A[3, 5] = np.nan
     A[650, 10] = np.inf
     A[9, 290] = -np.inf
     ls = LeastSquares(A, y)
-    points = (gen.standard_normal(300), np.full(300, np.inf),
-              np.where(np.arange(300) % 7 == 0, np.nan, 1.0))
+    points = (gen.standard_normal(384), np.full(384, np.inf),
+              np.where(np.arange(384) % 7 == 0, np.nan, 1.0))
     with np.errstate(invalid="ignore"):
         for x in points:
             assert ls.grad(x).tobytes() == _flat(A, y, x).tobytes()
     assert len(split_on) == 3
-    # the caller's error state holds in both halves: inf - inf is reported
-    # as the flat call reports it, as a warning (an error under pytest) or
-    # as FloatingPointError
+    # the caller's error state holds as in the flat call: inf - inf is
+    # reported as a warning (an error under pytest) or as FloatingPointError
     for state in ("warn", "raise"):
         with np.errstate(invalid=state):
             assert _raised(lambda: ls.grad(points[1])) == _raised(
@@ -447,11 +477,61 @@ def test_split_gradient_keeps_the_bits_of_nan_and_inf(split_on):
     assert len(split_on) == 5
 
 
-@pytest.mark.parametrize("x", [np.ones(301), np.ones((300, 1)), [1.0] * 300],
-                         ids=["long", "column", "list"])
+def test_an_overflow_on_openblass_thread_is_reported_as_in_the_flat_call(
+        split_on):
+    # only the rows OpenBLAS gives its own thread overflow; the flat call
+    # reports that, so the gradient must too
+    A = np.zeros((768, 384))
+    A[384:] = 1e300
+    ls = LeastSquares(A, np.zeros(768))
+    x = np.full(384, 1e10)
+    with np.errstate(over="raise", invalid="ignore"):
+        want = _raised(lambda: _flat(A, ls.y, x))
+        assert want[0] is FloatingPointError
+        assert _raised(lambda: ls.grad(x)) == want
+    assert split_on.counts == [2, 1]
+
+
+def test_a_caller_watching_underflow_gets_the_one_thread_call(split_on):
+    gen = make_rng(6)
+    A, y, x = (gen.standard_normal((256, 128)), gen.standard_normal(256),
+               gen.standard_normal(128))
+    with np.errstate(under="warn"):
+        assert LeastSquares(A, y).grad(x).tobytes() == _flat(A, y, x).tobytes()
+    assert split_on == [(256, 128)] and split_on.counts == []
+
+
+class _Refused:
+    """An entry of y whose subtraction raises, inside the raised call."""
+
+    def __rsub__(self, other):
+        raise ArithmeticError("refused")
+
+
+@pytest.mark.parametrize("cause", ["overflow", "mid-call"])
+def test_the_old_count_comes_back_after_a_gated_call_that_raises(split_on,
+                                                                 cause):
+    A = make_rng(7).standard_normal((256, 128))
+    if cause == "overflow":
+        ls, x = LeastSquares(A, np.zeros(256)), np.full(128, 1e307)
+        with (np.errstate(over="raise", invalid="raise"),
+              pytest.raises(FloatingPointError)):
+            ls.grad(x)
+    else:
+        y = np.zeros(256, dtype=object)
+        y[100] = _Refused()
+        with pytest.raises(ArithmeticError, match="refused"):
+            LeastSquares(A, y).grad(np.ones(128))
+    assert split_on.counts == [2, 1]
+    assert problems._blas_threads()[0]() == 1
+
+
+@pytest.mark.parametrize("x", [np.ones(385), np.ones((384, 1)), [1.0] * 384,
+                               np.ones(768)[::2], np.ones(384, np.float32)],
+                         ids=["long", "column", "list", "strided", "float32"])
 def test_a_point_the_split_cannot_take_gets_the_flat_call_here(split_on, x):
     gen = make_rng(5)
-    A, y = gen.standard_normal((700, 300)), gen.standard_normal(700)
+    A, y = gen.standard_normal((768, 384)), gen.standard_normal(768)
     ls = LeastSquares(A, y)
     try:
         want = _flat(A, y, x)
@@ -459,48 +539,38 @@ def test_a_point_the_split_cannot_take_gets_the_flat_call_here(split_on, x):
         with pytest.raises(ValueError) as info:
             ls.grad(x)
         assert str(info.value) == str(exc)
-        assert "_under_errstate" not in {f.name for f in traceback.extract_tb(
+        assert "_two_thread_grad" not in {f.name for f in traceback.extract_tb(
             info.value.__traceback__)}
     else:
         assert ls.grad(x).tobytes() == want.tobytes()
-    assert split_on == []
+    assert split_on == [] and split_on.counts == []
 
 
 def test_small_or_unaligned_instances_stay_flat(split_on, monkeypatch):
     gen = make_rng(6)
-    A = np.asfortranarray(gen.standard_normal((300, 200)))
-    y, x = gen.standard_normal(300), gen.standard_normal(200)
+    A = np.asfortranarray(gen.standard_normal((384, 256)))
+    y, x = gen.standard_normal(384), gen.standard_normal(256)
     assert LeastSquares(A, y).grad(x).tobytes() == _flat(A, y, x).tobytes()
-    assert split_on == []
-    monkeypatch.setattr(problems, "GRAD_SPLIT_MIN", 300 * 200 + 1)
     A = gen.standard_normal((300, 200))
     LeastSquares(A, np.zeros(300)).grad(np.zeros(200))
     assert split_on == []
+    monkeypatch.setattr(problems, "GRAD_SPLIT_MIN", 384 * 256 + 1)
+    A = gen.standard_normal((384, 256))
+    LeastSquares(A, np.zeros(384)).grad(np.zeros(256))
+    assert split_on == [] and split_on.counts == []
 
 
 @pytest.mark.parametrize("shape, splits", [
     ((4096, 512), False), ((2048, 768), False), ((1024, 1024), False),
-    ((2048, 1024), True), ((1536, 1536), True)],
+    ((2048, 1024), True), ((1536, 1536), True), ((2052, 1028), False),
+    ((2049, 1025), False)],
     ids=lambda v: f"{v[0]}x{v[1]}" if isinstance(v, tuple) else str(v))
 def test_only_shapes_measured_to_gain_split(split_gate, shape, splits):
-    # below 1024 columns a split gradient was slower than the flat one,
-    # whatever m * n (4096 x 512: +15%)
+    # the sizes where two cores gained, and of those only the aligned ones:
+    # at 2052 x 1028 and 2049 x 1025 two threads change the bits
     A = np.zeros(shape)
     LeastSquares(A, np.ones(shape[0])).grad(np.ones(shape[1]))
     assert split_gate.ran == ([shape] if splits else [])
-
-
-def test_the_gradient_stays_flat_while_the_helper_is_held(split_on):
-    # both halves of each product run on this thread, in sequence
-    gen = make_rng(7)
-    A, y, x = (gen.standard_normal((600, 300)), gen.standard_normal(600),
-               gen.standard_normal(300))
-    with problems._held_helper() as helper:
-        assert helper is not None
-        with problems._held_helper() as other:
-            assert other is None
-        g = LeastSquares(A, y).grad(x)
-    assert g.tobytes() == _flat(A, y, x).tobytes()
 
 
 @pytest.mark.parametrize("algo", ["dq-gd", "dq-agd", "dq-hb"])
@@ -517,20 +587,17 @@ def test_a_run_is_the_same_with_the_split_on_and_off(split_on, monkeypatch, algo
             == np.asarray(flat.distances).tobytes())
 
 
-def test_threads_sharing_the_helper_get_their_own_gradients(split_on):
-    # one helper for the process: a thread that finds it held runs flat,
-    # and no thread gets another's half
-    gen = make_rng(8)
-    problems_ = [LeastSquares(gen.standard_normal((256, 128)),
-                              gen.standard_normal(256)) for _ in range(6)]
-    points = [gen.standard_normal(128) for _ in problems_]
-    want = [_flat(ls.A, ls.y, x).tobytes() for ls, x in zip(problems_, points)]
+def _hammer(calls, seconds):
+    """Run each call on its own thread, over and over, for `seconds` with a
+    tiny switch interval; the calls whose result changed or that raised."""
     wrong, finished = [], []
 
     def hammer(i):
+        want = calls[i]()
         try:
-            for _ in range(150):
-                if problems_[i].grad(points[i]).tobytes() != want[i]:
+            deadline = time.monotonic() + seconds
+            while time.monotonic() < deadline:
+                if calls[i]() != want:
                     wrong.append(i)
         except Exception as exc:  # reported by the assertion below
             wrong.append(exc)
@@ -540,42 +607,72 @@ def test_threads_sharing_the_helper_get_their_own_gradients(split_on):
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=hammer, args=(i,), daemon=True)
-                   for i in range(len(problems_))]
+                   for i in range(len(calls))]
         for t in threads:
             t.start()
-        deadline = time.monotonic() + 60
+        deadline = time.monotonic() + seconds + 60
         for t in threads:
             t.join(timeout=max(0.0, deadline - time.monotonic()))
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    assert wrong == [] and sorted(finished) == list(range(len(problems_)))
-    assert split_on  # some calls did split
+    assert sorted(finished) == list(range(len(calls)))
+    return wrong
 
 
-def test_the_helper_is_one_thread_that_builds_and_splits(split_on):
-    _threads_after_the_helper()
-    helpers = [t for t in threading.enumerate()
-               if t.name.startswith("dqgrad-helper")]
-    assert len(helpers) == 1
-    before = threading.active_count()
-    ls, x0 = _gaussian(300, 150, 2)
-    ls.objective(x0)
-    problems._split_grad(ls.A, ls.y, x0)
-    assert threading.active_count() == before
+def test_threads_sharing_the_helper_get_their_own_gradients(split_on):
+    # the thread count is the process's: while one thread has it raised,
+    # another's gated gradient waits, and no thread gets another's bits
+    gen = make_rng(8)
+    problems_ = [LeastSquares(gen.standard_normal((256, 128)),
+                              gen.standard_normal(256)) for _ in range(6)]
+    points = [gen.standard_normal(128) for _ in problems_]
+    want = [_flat(ls.A, ls.y, x).tobytes() for ls, x in zip(problems_, points)]
+    calls = [lambda ls=ls, x=x: ls.grad(x).tobytes()
+             for ls, x in zip(problems_, points)]
+    assert _hammer(calls, 0.5) == []
+    assert [c() for c in calls] == want
+    assert split_on  # the calls did take two threads
+
+
+def test_a_raised_gradient_and_a_build_on_two_threads_keep_their_bits(
+        split_on):
+    # a build's SVD and solve change bits at two threads (they do from
+    # 300 x 150 up); it waits while a gradient has the count raised, and a
+    # gradient waits while a build runs. Two of each, on two cores
+    gen = make_rng(9)
+    grads = [(LeastSquares(gen.standard_normal((512, 256)),
+                           gen.standard_normal(512)),
+              gen.standard_normal(256)) for _ in range(2)]
+    builds = [_gaussian(300, 150, seed) for seed in (5, 6)]
+
+    def build(ls, x0):
+        obj = ls.objective(x0)
+        return obj.L, obj.mu, obj.x_star.tobytes(), obj.D
+
+    calls = ([lambda ls=ls, x=x: ls.grad(x).tobytes() for ls, x in grads]
+             + [functools.partial(build, ls, x0) for ls, x0 in builds])
+    want = ([_flat(ls.A, ls.y, x).tobytes() for ls, x in grads]
+            + [c() for c in calls[2:]])
+    assert _hammer(calls, 0.75) == []
+    assert [c() for c in calls] == want
+    assert split_on
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_child_forked_while_the_helper_idles_starts_its_own():
-    ls, x0 = _gaussian(300, 150, 2)
-    want = problems._split_grad(ls.A, ls.y, x0).tobytes()
+def test_a_child_forked_while_the_helper_idles_starts_its_own(split_on):
+    # the parent's gradient has started OpenBLAS's second thread, which
+    # idles when the child is forked
+    ls, x0 = _gaussian(512, 256, 2)
+    want = ls.grad(x0).tobytes()
+    assert split_on
     pid = os.fork()
     if pid == 0:  # the child: any failure, a hang included, shows as a code
         code = 1
         try:
             ls.objective(x0)
-            same = problems._split_grad(ls.A, ls.y, x0).tobytes() == want
-            code = 0 if same else 2
+            same = ls.grad(x0).tobytes() == want
+            code = 0 if same and len(split_on) == 2 else 2
         finally:
             os._exit(code)
     deadline = time.monotonic() + 60
@@ -587,33 +684,50 @@ def test_a_child_forked_while_the_helper_idles_starts_its_own():
         time.sleep(0.02)
     os.kill(pid, signal.SIGKILL)
     os.waitpid(pid, 0)
-    pytest.fail("the forked child hung on the helper")
+    pytest.fail("the forked child hung on a gated gradient")
 
 
 _CORETYPE_CHECK = """
 import numpy as np
 from dqgrad import problems
+problems._cpu_count = lambda: 2
+two_threads, ran = problems._two_thread_grad, []
+problems._two_thread_grad = lambda *args: ran.append(1) or two_threads(*args)
 gen = np.random.default_rng(3)
-for m, n in ((1031, 65), (1500, 777), (4096, 256)):
+for m, n, low in ((2048, 1024, False), (512, 256, True), (2052, 1028, False)):
+    if low:
+        problems.GRAD_SPLIT_MIN = problems.GRAD_SPLIT_MIN_COLS = 0
     A, y, x = (gen.standard_normal((m, n)), gen.standard_normal(m),
                gen.standard_normal(n))
-    split = problems._split_grad(A, y, x)
-    assert split.tobytes() == (A.T @ (A @ x - y)).tobytes(), (m, n)
-print("same")
+    ran.clear()
+    g = problems.LeastSquares(A, y).grad(x)
+    assert g.tobytes() == (A.T @ (A @ x - y)).tobytes(), (m, n)
+    print(len(ran))
 """
 
 
-@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+@pytest.mark.parametrize("coretype", ["Prescott", "Nehalem", "Sandybridge",
+                                      "Haswell", "SkylakeX"])
 def test_split_equals_flat_under_another_kernel_family(coretype):
-    # the byte contract is pinned only under the SkylakeX kernels; the
-    # split must hold under the families other hosts get
-    src = os.path.dirname(os.path.dirname(os.path.abspath(problems.__file__)))
+    # the byte contract is pinned under one kernel family; a gated gradient
+    # must keep the one-thread bits under each family other hosts get, and
+    # the gate must leave out a shape whose two-thread bits differ
+    if coretype == "SkylakeX" and not _has_avx512f():
+        pytest.skip("the SkylakeX kernels need AVX-512")
     env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
-           "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+           "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": SRC}
     done = subprocess.run([sys.executable, "-c", _CORETYPE_CHECK], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["same"]
+    assert done.stdout.split() == ["1", "1", "0"]
+
+
+def _has_avx512f():
+    try:
+        with open("/proc/cpuinfo", encoding="ascii") as fh:
+            return " avx512f" in fh.read()
+    except OSError:
+        return False
 
 
 _LATE_THREAD = """
@@ -623,19 +737,18 @@ from dqgrad import problems
 problems.GRAD_SPLIT_MIN = problems.GRAD_SPLIT_MIN_COLS = 0
 problems._cpu_count = lambda: 2
 gen = np.random.default_rng(3)
-A, y = gen.standard_normal((700, 300)), gen.standard_normal(700)
-x = gen.standard_normal(300)
+A, y = gen.standard_normal((768, 384)), gen.standard_normal(768)
+x = gen.standard_normal(384)
 ls = problems.LeastSquares(A, y)
-split = problems._split_grad
-ran = []
-problems._split_grad = lambda *args: ran.append(1) or split(*args)
-ls.grad(x)  # the helper's thread runs
+two_threads, ran = problems._two_thread_grad, []
+problems._two_thread_grad = lambda *args: ran.append(1) or two_threads(*args)
+ls.grad(x)  # OpenBLAS's second thread runs
 
 
 def late():
-    threading.main_thread().join()  # returns once the helper is shut down
+    threading.main_thread().join()  # returns once the main thread is done
     same = ls.grad(x).tobytes() == (A.T @ (A @ x - y)).tobytes()
-    obj = ls.objective(np.zeros(300))
+    obj = ls.objective(np.zeros(384))
     print("same" if same and len(ran) == 2 and obj.L > 0 else "differs")
 
 
@@ -644,10 +757,9 @@ threading.Thread(target=late).start()
 
 
 def test_a_thread_outliving_the_main_thread_still_gets_gradients():
-    # the helper's executor shuts down when the main thread ends; a thread
-    # still running then gets the flat products
-    src = os.path.dirname(os.path.dirname(os.path.abspath(problems.__file__)))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    # a thread still running when the main thread ends gets its gradients
+    # and builds its instances, the build's helper thread included
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": SRC}
     done = subprocess.run([sys.executable, "-c", _LATE_THREAD], env=env,
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr, done.stdout.split()) == (
@@ -655,27 +767,28 @@ def test_a_thread_outliving_the_main_thread_still_gets_gradients():
 
 
 _SMALL_RUNS = """
-import sys
 import threading
 from dqgrad import problems
 from dqgrad.harness import run_dq
 problems._cpu_count = lambda: 2
+get, set_ = problems._blas_threads()
+counts = []
+problems._blas_threads = lambda: (get, lambda n: counts.append(n) or set_(n))
 for m, n in ((32, 16), (331, 104)):
     _, obj = problems.make_gaussian_ls(m, n, 25.0, 3)
     run_dq("dq-gd", obj, 8, t_max=50)
-print(threading.active_count(), "concurrent.futures.thread" in sys.modules)
+print(threading.active_count(), len(counts))
 """
 
 
 def test_small_instances_start_no_thread():
     # below the gate an instance builds and runs on the calling thread
-    # alone, on one BLAS thread and two CPUs too
-    src = os.path.dirname(os.path.dirname(os.path.abspath(problems.__file__)))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    # alone, on one BLAS thread and two CPUs too, and never sets the count
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": SRC}
     done = subprocess.run([sys.executable, "-c", _SMALL_RUNS], env=env,
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr, done.stdout.split()) == (
-        0, "", ["1", "False"])
+        0, "", ["1", "0"])
 
 
 # --- remap_spectrum: the SVD in place ------------------------------------------

@@ -659,6 +659,30 @@ def test_a_raised_gradient_and_a_build_on_two_threads_keep_their_bits(
     assert split_on
 
 
+def test_the_helper_is_one_thread_that_builds_and_splits(split_on):
+    # the build's SVD runs on the one helper thread it starts; the gradient
+    # splits on OpenBLAS's threads alone. Neither leaves a thread behind
+    seen = []
+    bounds = LeastSquares.spectrum_bounds
+
+    def watched(self):
+        seen.append((threading.current_thread().name,
+                     [t.name for t in threading.enumerate()
+                      if t.name.startswith("dqgrad-helper")]))
+        return bounds(self)
+
+    ls, x0 = _gaussian(512, 256, 2)
+    before = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LeastSquares, "spectrum_bounds", watched)
+        ls.objective(x0)
+    assert seen == [("dqgrad-helper", ["dqgrad-helper"])]
+    assert threading.active_count() == before
+    ls.grad(x0)
+    assert split_on == [(512, 256)]
+    assert threading.active_count() == before
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_child_forked_while_the_helper_idles_starts_its_own(split_on):
     # the parent's gradient has started OpenBLAS's second thread, which

@@ -13,22 +13,23 @@ Rows. The server holds one row per channel. Channels that share a coder
 (one per rate) are decoded in one call, with one range per row, and the
 rows are summed in channel order, q_0 + q_1 + ..., into the direction: the
 last row of one np.add.accumulate over them (np.add.reduce sums in another
-order for some row counts). Every server takes this one path: a DQ engine
-has one channel, so it is row 0 and its direction is q_0 itself. The
+order for some row counts). Every server takes this one path: a
+one-channel engine is row 0, and its direction is q_0 itself. The
 quantizer module's BitCoder codes any number of rows of one rate in one
-pass, each row bit-equal to the quantizer's flat reference. One row at a
-float range keeps the flat shapes, so K = 1 pays nothing for the stack.
-Naive quantization's K workers are rows of one worker side too
-(NQGDWorkers). The server packs one downlink frame per broadcast and
-queues it on every channel; each
-channel checks the length of its frame, and the worker side reads the K
-frames as one (K, n) stack of iterates. One stacked oracle
-(problems.LeastSquaresStack) gives the K gradients and one matmul every
-row's u_k @ u_k, each bit-equal to its row's flat call. Each side steps
-one cursor for all K ranges (schedules.naive_rows), and each rate's rows
-are quantized and packed in one pass, one payload per channel. By the
-same rule as the coder's, one worker (K = 1) is read, evaluated, measured
-and stepped by the flat calls and a scalar cursor, as is every DQ engine.
+pass, each row bit-equal to the quantizer's flat reference, and one row at
+a float range keeps the flat shapes.
+
+Every one-channel worker, DQ or naive, runs one flat round
+(_WorkerBase.round) with a scalar cursor; the methods differ only in the
+quantizer input. Naive quantization's K > 1 workers are the rows of one
+worker side (NQGDWorkers). The server packs one downlink frame per
+broadcast and queues it on every channel; each channel checks the length
+of its frame, and the worker side reads the K frames as one (K, n) stack
+of iterates. One stacked oracle (problems.LeastSquaresStack) gives the K
+gradients and one matmul every row's u_k @ u_k, each bit-equal to its
+row's flat call. Each side steps one cursor for all K ranges
+(schedules.naive_rows), and each rate's rows are quantized and packed in
+one pass, one payload per channel.
 
 The worker compensates past quantization errors so that it always
 evaluates the gradient on the unquantized method's trajectory; the exact
@@ -41,17 +42,18 @@ bookkeeping per algorithm:
           z = x + eta*e1,                     u = grad(z) - c
   nq-gd   u = grad(x)                         (no compensation)
 
-e1, e2 are the last two quantization errors (zero-initialized). The
-worker reconstructs through the coder's one cell-center map, as the
-server decodes, so e1 is exactly what the server applied minus u, in
-every round. The containment invariant ||u_t|| <= r_t is asserted each
-round with a small relative slack for float roundoff
-(containment="strict"). The heavy-ball schedule at alpha = 0 has only an
-empirical guarantee, so its engine runs with containment="saturate": the
-worker records each escape and the quantizer clamps to its range instead
-of raising. The builders derive the schedule, hyperparameters and
-containment from the problem alone. Hot path: that norm and the harness's
-distances are math.sqrt(u @ u), bit-equal to np.linalg.norm.
+e1, e2 are the last two quantization errors (zero-initialized; a single
+naive worker keeps them but never reads them). The worker reconstructs
+through the coder's one cell-center map, as the server decodes, so e1 is
+exactly what the server applied minus u, in every round. The containment
+invariant ||u_t|| <= r_t is asserted each round with a small relative
+slack for float roundoff (containment="strict"). The heavy-ball schedule
+at alpha = 0 has only an empirical guarantee, so its engine runs with
+containment="saturate": the worker records each escape and the quantizer
+clamps to its range instead of raising. The builders derive the schedule,
+hyperparameters and containment from the problem alone. Hot path: that
+norm and the harness's distances are math.sqrt(u @ u), bit-equal to
+np.linalg.norm.
 
 Cycles. Below the threshold rate the range recursion reaches a fixed
 point in floating point, and a stalled run often cycles exactly through
@@ -153,8 +155,11 @@ def step(algo, state, direction, hp):
 
 
 class _WorkerBase:
-    """The worker half of a DQ engine; its coder's saturate flag is its
-    containment: an escape raises when strict and is counted otherwise."""
+    """The one round of every one-channel worker, DQ or naive: read the
+    iterate, step the range, measure and code the quantizer input, keep
+    the error memory and send. A subclass gives the quantizer input. The
+    coder's saturate flag is the containment: an escape raises when strict
+    and is counted otherwise."""
 
     def __init__(self, grad, hp, schedule, coder):
         self.grad = grad
@@ -200,6 +205,12 @@ class _WorkerBase:
         channel.send_payload(wire)
 
 
+class NQGDWorker(_WorkerBase):
+    # no compensation: the error memory is kept but never read
+    def quantizer_input(self, x):
+        return self.grad(x)
+
+
 class DQGDWorker(_WorkerBase):
     def quantizer_input(self, x):
         z = x + self.hp.eta * self.e1
@@ -231,16 +242,8 @@ def _rate_groups(coders):
     return list(members.items())
 
 
-def _cursor(schedules):
-    """One cursor for every channel's range: it steps to a float for one
-    channel, and to the (K, 1) column of the K naive ranges for K."""
-    if len(schedules) == 1:
-        return ScheduleCursor(schedules[0])
-    return ScheduleCursor(naive_rows(schedules))
-
-
 class NQGDWorkers:
-    """The K naive-quantization workers, run as the rows of one stack.
+    """K > 1 naive-quantization workers, run as the rows of one stack.
 
     grad maps the (K, n) stack of iterates to the (K, n) stack of local
     gradients u_k. The K channels' frames are read as one stack, one matmul
@@ -251,15 +254,13 @@ class NQGDWorkers:
     any row's containment, so a mis-sized frame on any channel raises
     FramingError, even after a row that escapes. Past the read, a row that
     leaves its cube raises what a worker-at-a-time loop would have raised
-    first, with that row's own t, ||u|| and r. One row (K = 1) is read,
-    evaluated, measured and stepped flat: grad then maps (n,) to (n,), and
-    its range is a float. Naive quantization never compensates, so there
-    is no error memory, and its ranges never settle.
+    first, with that row's own t, ||u|| and r. Naive quantization never
+    compensates, so there is no error memory, and its ranges never settle.
     """
 
     def __init__(self, grad, schedules, coders):
         self.grad = grad
-        self.cursor = _cursor(schedules)
+        self.cursor = ScheduleCursor(naive_rows(schedules))
         self.coders = coders
         self._groups = _rate_groups(coders)
         self.last_u_norm = None  # largest ||u_k|| and r_k of the last round
@@ -270,17 +271,6 @@ class NQGDWorkers:
     memory = ()
 
     def round(self, channels):
-        if len(channels) == 1:
-            (channel,) = channels
-            t, x = channel.recv_iterate()
-            u = self.grad(x)
-            u_norm, r = math.sqrt(u @ u), self.cursor.step()
-            if not u_norm <= r * (1.0 + CONTAINMENT_RTOL):  # a NaN norm violates
-                raise ScheduleViolationError(t, u_norm, r)
-            self.last_u_norm, self.last_r = u_norm, r
-            (wire,) = self.coders[0].encode_rows(r, u)
-            channel.send_payload(wire)
-            return
         ts, X = unpack_iterates([ch.recv_frame() for ch in channels])
         U = self.grad(X)
         norms = np.sqrt(np.matmul(U[:, None, :], U[:, :, None])[:, 0])
@@ -328,7 +318,9 @@ class _ServerBase:
         self.algo = algo
         self.state = initial_state(algo, x0)
         self.hp = dataclasses.replace(hp, eta=hp.eta / len(coders))
-        self.cursor = _cursor(schedules)
+        # a float range for one channel, the (K, 1) column of K naive ranges
+        self.cursor = ScheduleCursor(schedules[0] if len(schedules) == 1
+                                     else naive_rows(schedules))
         self.coders = coders
         self._groups = _rate_groups(coders)
         # rows in channel order, when one decode does not return them all
@@ -366,9 +358,10 @@ class _ServerBase:
 def run_protocol(server, worker, channels, steps, on_iteration=None, stop=None):
     """Strictly alternating rounds; returns the number of rounds run.
 
-    The one worker side serves every channel: a DQ worker its one channel,
-    NQGDWorkers all K. Rounds served from a proven cycle (see Cycles) count
-    as run, and every round reaches on_iteration and stop.
+    The one worker side serves every channel: a one-channel worker (every
+    DQ engine, and nq-gd at K = 1) its one, NQGDWorkers all K > 1. Rounds
+    served from a proven cycle (see Cycles) count as run, and every round
+    reaches on_iteration and stop.
     """
     cycles = _Cycles(server, worker, channels) if _CYCLE_SLOTS else None
     for t in range(steps):
@@ -535,9 +528,11 @@ def build_dq_engine(algo, objective, R, alpha=0.0, containment=None):
 def build_nq_engine(problem, rates):
     """K-worker naive quantization; rates is one integer per worker.
 
-    Returns (worker side, server, channels). Workers of one rate share a
-    coder on each end, so each rate is coded in one call per round.
-    Containment is provable for the naive schedule, so every worker is strict.
+    Returns (worker side, server, channels): one worker runs the flat
+    round every DQ worker runs, and K > 1 run as the rows of the problem's
+    stack. Workers of one rate share a coder on each end, so each rate is
+    coded in one call per round. Containment is provable for the naive
+    schedule, so every worker is strict.
     """
     n = problem.x0.shape[0]
     specs = {R: QuantizerSpec(n, R) for R in rates}
@@ -552,14 +547,9 @@ def build_nq_engine(problem, rates):
         return [by_rate[R] for R in rates]
 
     if problem.K == 1:
-        grad = problem.locals_[0].grad
-    elif problem.stack is not None:
-        grad = problem.stack.grad
-    else:  # general local objectives: one oracle call per row
-        grads = [obj.grad for obj in problem.locals_]
-
-        def grad(X):
-            return np.array([g(x) for g, x in zip(grads, X)])
-    worker = NQGDWorkers(grad, schedules, coders())
+        (coder,) = coders()
+        worker = NQGDWorker(problem.locals_[0].grad, hp, schedules[0], coder)
+    else:
+        worker = NQGDWorkers(problem.stack.grad, schedules, coders())
     server = _ServerBase("gd", problem.x0, hp, schedules, coders())
     return worker, server, [Channel(n, R) for R in rates]

@@ -219,6 +219,24 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        # the shape and spectrum every trial's instance build would reject
+        p = self.problem
+        if p["kind"] == "mtx":
+            m, n = np.asarray(p["matrix"]).shape
+            if m < n:
+                where = f" {p['path']}" if "path" in p else ""
+                raise ValueError(f"matrix{where} is {m} x {n}; least squares "
+                                 f"needs at least as many rows as columns")
+        elif p["kind"] in ("gaussian", "interpolation"):
+            m, n = p["m"], p["n"]
+            if not m >= n >= 1:
+                raise ValueError(f"need m >= n >= 1, got {m} x {n}")
+            kappas = p["kappas"] if p["kind"] == "interpolation" else [p["kappa"]]
+            for kappa in kappas:
+                if not kappa >= 1:  # NaN fails too
+                    raise ValueError(f"condition number must be >= 1, got {kappa}")
+                if kappa == math.inf:
+                    raise ValueError("condition number must be finite, got inf")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.t_max < 1:
@@ -376,6 +394,19 @@ def _pin_blas_thread(workers=1):
     return old
 
 
+def _pool_map(fn, items, workers, chunksize=1):
+    """fn over items, results in order: on a pool of `workers` processes,
+    each on one BLAS thread, or serially below two workers."""
+    if workers < 2:
+        return list(map(fn, items))
+    # imported here: it costs a serial `import dqgrad` about 20 ms
+    from concurrent.futures import ProcessPoolExecutor
+
+    pin = functools.partial(_pin_blas_thread, workers)
+    with ProcessPoolExecutor(max_workers=workers, initializer=pin) as pool:
+        return list(pool.map(fn, items, chunksize=chunksize))
+
+
 @contextlib.contextmanager
 def _one_blas_thread(n):
     """One BLAS thread inside, the old count after: from n = 384 up the
@@ -404,19 +435,8 @@ def run_sweep(config):
     # a pool starts all its workers at once, so it gets no more than trials
     workers = min(config.jobs, config.trials)
     with _one_blas_thread(n):
-        if workers > 1:
-            # imported here: it costs a serial `import dqgrad` about 20 ms
-            from concurrent.futures import ProcessPoolExecutor
-
-            pin = functools.partial(_pin_blas_thread, workers)
-            with ProcessPoolExecutor(max_workers=workers,
-                                     initializer=pin) as pool:
-                trial_results = list(
-                    pool.map(_run_trial, [config] * config.trials,
-                             range(config.trials))
-                )
-        else:
-            trial_results = [_run_trial(config, t) for t in range(config.trials)]
+        trial_results = _pool_map(functools.partial(_run_trial, config),
+                                  range(config.trials), workers)
         kappa = _reference_kappa(config)
 
     rows = []

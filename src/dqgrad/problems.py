@@ -447,10 +447,10 @@ class MultiWorkerProblem:
 
     L and mu are the averages of the local constants: valid smoothness and
     strong-convexity constants for the average objective, not necessarily
-    tight ones. stack, when given, holds the K local problems as one
-    LeastSquaresStack, and the naive workers take their K gradients from it
-    in one call; without it each local oracle is called on its own row. A
-    stack is checked against the local oracles at x0.
+    tight ones. stack holds the K local problems as one LeastSquaresStack,
+    and the naive workers take their K gradients from it in one call; K > 1
+    needs it, and it is checked against the local oracles at x0. One local
+    objective (K = 1) needs none: its one worker calls its oracle.
     """
 
     locals_: tuple
@@ -460,6 +460,9 @@ class MultiWorkerProblem:
 
     def __post_init__(self):
         if self.stack is None:
+            if self.K > 1:
+                raise ValueError(f"{self.K} local objectives need their "
+                                 f"stack, a LeastSquaresStack")
             return
         if (self.stack.A.shape[0] != self.K or not np.array_equal(
                 self.stack.grad(np.tile(self.x0, (self.K, 1))),

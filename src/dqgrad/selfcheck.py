@@ -8,12 +8,10 @@ one. Every check reduces its draws by max or by count, so a quick run,
 which sees a prefix of the draws, passes whenever the full run does.
 """
 
-import functools
-
 import numpy as np
 
 from .engines import build_dq_engine, initial_state, run_protocol, step
-from .harness import _pin_blas_thread, run_dq, run_nq
+from .harness import _pool_map, run_dq, run_nq
 from .hyperparams import optimal_hyperparams
 from .problems import (_cpu_count, make_gaussian_ls, make_interpolation_problem,
                        make_worst_case_gd)
@@ -129,18 +127,11 @@ def check_containment(size):
         R = int(gen.integers(1, 13))
         draws.append((algo, alpha, kappa, n, R, 30_000 + i))
     # independent runs: on two CPUs, a two-worker pool, each worker on one
-    # BLAS thread (on two, c3 took twice as long as serially); started as
-    # run_sweep's pool is, since a spawned worker re-runs the caller's
+    # BLAS thread (on two, c3 took twice as long as serially); started by
+    # run_sweep's own helper, since a spawned worker re-runs the caller's
     # main script
     workers = min(2, _cpu_count(), size)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pin = functools.partial(_pin_blas_thread, workers)
-        with ProcessPoolExecutor(max_workers=workers, initializer=pin) as pool:
-            violations = sum(pool.map(_violations, draws, chunksize=25))
-    else:
-        violations = sum(map(_violations, draws))
+    violations = sum(_pool_map(_violations, draws, workers, chunksize=25))
     return violations == 0, (
         f"{size} randomized runs (kappa in [1.5,50], R in [1,12], "
         f"n in {{4,16,64}}), {violations} violations of ||u_t|| <= r_t")

@@ -154,7 +154,7 @@ def test_a_pool_starts_no_more_workers_than_trials(monkeypatch, jobs, trials,
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
+        def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
@@ -287,11 +287,34 @@ def test_emitters_create_parent_directories(tmp_path):
 def test_trial_errors_carry_their_index():
     from dqgrad.harness import TrialError
 
-    # a wide matrix fails only when the trial builds its instance
+    # a rank-deficient matrix fails only when the trial builds its instance
     bad = ExperimentConfig(**{**SMALL.__dict__,
-                              "problem": {"kind": "mtx", "matrix": np.ones((2, 3))}})
-    with pytest.raises(TrialError, match="trial 0.*m >= n"):
+                              "problem": {"kind": "mtx", "matrix": np.zeros((3, 2))}})
+    with pytest.raises(TrialError, match="trial 0.*mu > 0"):
         run_sweep(bad)
+
+
+@pytest.mark.parametrize("problem,detail", [
+    ({"kind": "gaussian", "m": 32, "n": 16, "kappa": math.inf},
+     "condition number must be finite"),
+    ({"kind": "gaussian", "m": 32, "n": 16, "kappa": 0.5},
+     "condition number must be >= 1, got 0.5"),
+    ({"kind": "gaussian", "m": 8, "n": 16, "kappa": 5.0},
+     "need m >= n >= 1, got 8 x 16"),
+    ({"kind": "interpolation", "m": 32, "n": 16, "kappas": [2.0, math.nan]},
+     "condition number must be >= 1, got nan"),
+    ({"kind": "mtx", "matrix": np.ones((2, 3))},
+     "matrix is 2 x 3; least squares needs"),
+], ids=["kappa-inf", "kappa-below-1", "wide", "interpolation-kappa-nan",
+        "mtx-wide"])
+def test_a_config_rejects_its_problem_values_when_built(problem, detail):
+    # programmatic configs are checked as config files are, before any trial
+    workers = len(problem.get("kappas", [None]))
+    algos = ("nq-gd",) if problem["kind"] == "interpolation" else SMALL.algos
+    with pytest.raises(ValueError, match=detail):
+        ExperimentConfig(**{**SMALL.__dict__, "problem": problem,
+                            "workers": workers, "algos": algos,
+                            "rates": (2 * workers,)})
 
 
 def test_config_missing_file():

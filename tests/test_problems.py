@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqgrad import problems
-from dqgrad.harness import run_dq, run_nq
+from dqgrad.harness import run_dq
 from dqgrad.hyperparams import optimal_hyperparams
 from dqgrad.problems import (
     DegenerateInstanceError,
@@ -188,16 +188,14 @@ def test_a_stack_must_hold_the_local_problems():
             MultiWorkerProblem(prob.locals_, prob.x_star, prob.x0, stack)
 
 
-def test_local_objectives_without_a_stack_run_as_with_it():
-    # general objectives: the naive workers call each local oracle on its
-    # row, and the run is the stacked one bit for bit
+def test_local_objectives_without_a_stack_are_refused():
+    # K > 1 naive workers take their gradients from the stack alone; one
+    # local objective needs none
     prob = make_interpolation_problem(3, 6, 12, [2.0, 5.0, 3.0], 4)
-    bare = MultiWorkerProblem(prob.locals_, prob.x_star, prob.x0)
-    (stacked, _), (rowwise, _) = (run_nq(p, [4, 6, 4], t_max=300)
-                                  for p in (prob, bare))
-    assert stacked.terminal_T == rowwise.terminal_T
-    assert (np.asarray(stacked.distances).tobytes()
-            == np.asarray(rowwise.distances).tobytes())
+    with pytest.raises(ValueError, match="3 local objectives need their stack"):
+        MultiWorkerProblem(prob.locals_, prob.x_star, prob.x0)
+    one = MultiWorkerProblem(prob.locals_[:1], prob.x_star, prob.x0)
+    assert one.K == 1 and one.stack is None
 
 
 # --- objective(): SVD and solve, overlapped where the gradient takes two cores

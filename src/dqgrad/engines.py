@@ -19,17 +19,17 @@ quantizer module's BitCoder codes any number of rows of one rate in one
 pass, each row bit-equal to the quantizer's flat reference, and one row at
 a float range keeps the flat shapes.
 
-Every one-channel worker, DQ or naive, runs one flat round
-(_WorkerBase.round) with a scalar cursor; the methods differ only in the
-quantizer input. Naive quantization's K > 1 workers are the rows of one
-worker side (NQGDWorkers). The server packs one downlink frame per
-broadcast and queues it on every channel; each channel checks the length
-of its frame, and the worker side reads the K frames as one (K, n) stack
-of iterates. One stacked oracle (problems.LeastSquaresStack) gives the K
-gradients and one matmul every row's u_k @ u_k, each bit-equal to its
-row's flat call. Each side steps one cursor for all K ranges
-(schedules.naive_rows), and each rate's rows are quantized and packed in
-one pass, one payload per channel.
+Every worker, DQ or naive, one channel or K, runs one round
+(_WorkerBase.round); the methods differ only in the quantizer input, one
+worker class each. As on the server, its shape follows the cursor: one
+channel is a flat row at a float range, K channels a (K, n) stack at the
+(K, 1) column of their ranges (schedules.naive_rows). The server packs one
+downlink frame per broadcast and queues it on every channel; each channel
+checks the length of its frame, and K channels' frames are read as one
+stack of iterates. One stacked oracle (problems.LeastSquaresStack) gives
+the K gradients and one matmul every row's u_k @ u_k, each bit-equal to
+its row's flat call, and each rate's rows are quantized and packed in one
+pass, one payload per channel.
 
 The worker compensates past quantization errors so that it always
 evaluates the gradient on the unquantized method's trajectory; the exact
@@ -42,18 +42,18 @@ bookkeeping per algorithm:
           z = x + eta*e1,                     u = grad(z) - c
   nq-gd   u = grad(x)                         (no compensation)
 
-e1, e2 are the last two quantization errors (zero-initialized; a single
-naive worker keeps them but never reads them). The worker reconstructs
-through the coder's one cell-center map, as the server decodes, so e1 is
-exactly what the server applied minus u, in every round. The containment
-invariant ||u_t|| <= r_t is asserted each round with a small relative
-slack for float roundoff (containment="strict"). The heavy-ball schedule
-at alpha = 0 has only an empirical guarantee, so its engine runs with
-containment="saturate": the worker records each escape and the quantizer
-clamps to its range instead of raising. The builders derive the schedule,
-hyperparameters and containment from the problem alone. Hot path: that
-norm and the harness's distances are math.sqrt(u @ u), bit-equal to
-np.linalg.norm.
+e1, e2 are the last two quantization errors (zero-initialized). A
+compensating worker reconstructs through the coder's one cell-center map,
+as the server decodes, so e1 is exactly what the server applied minus u,
+in every round; a naive worker keeps no memory and never reconstructs.
+The containment invariant ||u_t|| <= r_t is asserted each round with a
+small relative slack for float roundoff (containment="strict"). The
+heavy-ball schedule at alpha = 0 has only an empirical guarantee, so its
+engine runs with containment="saturate": the worker records each escape
+and the quantizer clamps to its range instead of raising. The builders
+derive the schedule, hyperparameters and containment from the problem
+alone. Hot path: that norm and the harness's distances are
+math.sqrt(u @ u), bit-equal to np.linalg.norm.
 
 Cycles. Below the threshold rate the range recursion reaches a fixed
 point in floating point, and a stalled run often cycles exactly through
@@ -155,58 +155,103 @@ def step(algo, state, direction, hp):
 
 
 class _WorkerBase:
-    """The one round of every one-channel worker, DQ or naive: read the
-    iterate, step the range, measure and code the quantizer input, keep
-    the error memory and send. A subclass gives the quantizer input. The
-    coder's saturate flag is the containment: an escape raises when strict
-    and is counted otherwise."""
+    """The one worker round, for one channel or K: read the iterates, step
+    the ranges, measure, check and code the quantizer inputs (a subclass
+    gives them) and send one payload per channel, each coder's rows in one
+    pass. A compensating worker (one channel) codes through BitCoder.encode
+    and keeps the error memory (e1, e2); a naive one keeps none and never
+    reconstructs. Each coder's saturate flag is its rows' containment: an
+    escape raises when strict and is recorded otherwise."""
 
-    def __init__(self, grad, hp, schedule, coder):
+    compensates = True
+
+    def __init__(self, grad, hp, schedules, coders):
         self.grad = grad
         self.hp = hp
-        self.cursor = ScheduleCursor(schedule)
-        self.coder = coder
-        self.e1 = None
-        self.e2 = None
-        self.last_r = None
-        self.last_u_norm = None
+        self.cursor = _cursor(schedules)
+        self.coders = coders
+        self._groups = _rate_groups(coders)
+        self.e1 = self.e2 = None
+        # with K rows, the largest r_k and ||u_k|| of the last round
+        self.last_r = self.last_u_norm = None
         self.violations = []
 
     @property
     def memory(self):
-        """The error memory a round reads, (e1, e2)."""
-        return self.e1, self.e2
+        """The error memory a round reads: (e1, e2), or () when naive."""
+        return (self.e1, self.e2) if self.compensates else ()
 
     @memory.setter
     def memory(self, value):
-        self.e1, self.e2 = value
-
-    def _ensure_state(self, n):
-        if self.e1 is None:
-            self.e1 = np.zeros(n)
-            self.e2 = np.zeros(n)
+        if self.compensates:
+            self.e1, self.e2 = value
 
     def quantizer_input(self, x):
         raise NotImplementedError
 
     def round(self, channels):
-        (channel,) = channels
-        t, x = channel.recv_iterate()
-        self._ensure_state(x.shape[0])
-        r = self.last_r = self.cursor.step()
+        flat = len(channels) == 1  # a flat row, else a (K, n) stack
+        if flat:
+            t, x = channels[0].recv_iterate()
+            ts = (t,)
+        else:
+            ts, x = unpack_iterates([ch.recv_frame() for ch in channels])
+        if self.compensates and self.e1 is None:
+            self.e1, self.e2 = np.zeros(x.shape), np.zeros(x.shape)
+        r = self.cursor.step()
         u = self.quantizer_input(x)
-        u_norm = self.last_u_norm = math.sqrt(u @ u)
-        if not u_norm <= r * (1.0 + CONTAINMENT_RTOL):  # a NaN norm violates
-            if not self.coder.saturate:
-                raise ScheduleViolationError(t, u_norm, r)
-            self.violations.append(t)
-        wire, recon = self.coder.encode(r, u)
-        self.e2, self.e1 = self.e1, recon - u
-        channel.send_payload(wire)
+        bound = r * (1.0 + CONTAINMENT_RTOL)
+        if flat:
+            norms = self.last_u_norm = math.sqrt(u @ u)
+            inside = norms <= bound  # a NaN norm escapes
+            self.last_r = r
+        else:
+            norms = np.sqrt(np.matmul(u[:, None, :], u[:, :, None])[:, 0])
+            inside = np.count_nonzero(norms <= bound) == len(u)
+            self.last_u_norm, self.last_r = float(norms.max()), float(r.max())
+        if not inside:
+            self._first_escape(ts, norms, r, u)
+        try:
+            if self.compensates:  # one channel; the next round reads its error
+                wire, recon = self.coders[0].encode(r, u)
+                self.e2, self.e1 = self.e1, recon - u
+                channels[0].send_payload(wire)
+            else:
+                one = len(self._groups) == 1  # then its rows are all of u
+                for coder, rows in self._groups:
+                    wires = coder.encode_rows(r if one else r[rows],
+                                              u if one else u[rows])
+                    for k, wire in zip(rows, wires):
+                        channels[k].send_payload(wire)
+        except RangeViolationError:
+            if inside:  # else every strict row was coded alone already
+                self._first_escape(ts, norms, r, u)
+            raise
+
+    def _first_escape(self, ts, norms, ranges, u):
+        """The rows one at a time, in channel order, as K workers would run
+        them: a row that escapes its range raises under a strict coder and
+        is recorded under a saturating one, and a strict row is coded alone,
+        so that the first to leave its cube raises as its own worker
+        would."""
+        if u.ndim == 1:  # one flat row
+            norms, ranges, u = [norms], [ranges], [u]
+        else:
+            norms, ranges = norms[:, 0].tolist(), ranges[:, 0].tolist()
+        for coder, t, u_norm, r, row in zip(self.coders, ts, norms, ranges, u):
+            if not u_norm <= r * (1.0 + CONTAINMENT_RTOL):
+                if not coder.saturate:
+                    raise ScheduleViolationError(t, u_norm, r)
+                self.violations.append(t)
+            elif not coder.saturate:
+                coder.encode_rows(r, row)
 
 
 class NQGDWorker(_WorkerBase):
-    # no compensation: the error memory is kept but never read
+    # no compensation, so no error memory: at one channel the local oracle,
+    # at K the problem's stack
+    compensates = False
+
     def quantizer_input(self, x):
         return self.grad(x)
 
@@ -233,6 +278,13 @@ class DQHBWorker(_WorkerBase):
         return self.grad(z) - c
 
 
+def _cursor(schedules):
+    """One cursor for a party's channels: it steps a float range for one
+    channel, and the (K, 1) column of K naive ranges (naive_rows)."""
+    return ScheduleCursor(schedules[0] if len(schedules) == 1
+                          else naive_rows(schedules))
+
+
 def _rate_groups(coders):
     """(coder, channel indices) of each distinct coder, in order of first
     use; the indices increase."""
@@ -240,65 +292,6 @@ def _rate_groups(coders):
     for k, coder in enumerate(coders):
         members.setdefault(coder, []).append(k)
     return list(members.items())
-
-
-class NQGDWorkers:
-    """K > 1 naive-quantization workers, run as the rows of one stack.
-
-    grad maps the (K, n) stack of iterates to the (K, n) stack of local
-    gradients u_k. The K channels' frames are read as one stack, one matmul
-    gives every row's u_k @ u_k, one cursor step gives the (K, 1) column of
-    their ranges, and containment is one comparison of the two. Each
-    rate's rows are then quantized and packed in one pass, one payload per
-    channel. Every channel's frame is read and its length checked before
-    any row's containment, so a mis-sized frame on any channel raises
-    FramingError, even after a row that escapes. Past the read, a row that
-    leaves its cube raises what a worker-at-a-time loop would have raised
-    first, with that row's own t, ||u|| and r. Naive quantization never
-    compensates, so there is no error memory, and its ranges never settle.
-    """
-
-    def __init__(self, grad, schedules, coders):
-        self.grad = grad
-        self.cursor = ScheduleCursor(naive_rows(schedules))
-        self.coders = coders
-        self._groups = _rate_groups(coders)
-        self.last_u_norm = None  # largest ||u_k|| and r_k of the last round
-        self.last_r = None
-
-    # containment is strict (an escape raises), and there is no error memory
-    violations = ()
-    memory = ()
-
-    def round(self, channels):
-        ts, X = unpack_iterates([ch.recv_frame() for ch in channels])
-        U = self.grad(X)
-        norms = np.sqrt(np.matmul(U[:, None, :], U[:, :, None])[:, 0])
-        r = self.cursor.step()  # the (K, 1) column, as norms
-        if np.count_nonzero(norms <= r * (1.0 + CONTAINMENT_RTOL)) < len(U):
-            self._first_escape(ts, norms, r, U)  # a NaN norm violates
-        self.last_u_norm = float(norms.max())
-        self.last_r = float(r.max())
-        one = len(self._groups) == 1  # then its rows are all of U
-        try:
-            for coder, rows in self._groups:
-                wires = coder.encode_rows(r if one else r[rows],
-                                          U if one else U[rows])
-                for k, wire in zip(rows, wires):
-                    channels[k].send_payload(wire)
-        except RangeViolationError:
-            self._first_escape(ts, norms, r, U)
-            raise
-
-    def _first_escape(self, ts, norms, ranges, U):
-        """Check and quantize the rows one at a time, in channel order, so
-        the first that escapes its range or leaves its cube raises as its
-        own worker would."""
-        for coder, t, u_norm, r, u in zip(self.coders, ts, norms[:, 0].tolist(),
-                                          ranges[:, 0].tolist(), U):
-            if not u_norm <= r * (1.0 + CONTAINMENT_RTOL):
-                raise ScheduleViolationError(t, u_norm, r)
-            coder.encode_rows(r, u)
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +311,7 @@ class _ServerBase:
         self.algo = algo
         self.state = initial_state(algo, x0)
         self.hp = dataclasses.replace(hp, eta=hp.eta / len(coders))
-        # a float range for one channel, the (K, 1) column of K naive ranges
-        self.cursor = ScheduleCursor(schedules[0] if len(schedules) == 1
-                                     else naive_rows(schedules))
+        self.cursor = _cursor(schedules)
         self.coders = coders
         self._groups = _rate_groups(coders)
         # rows in channel order, when one decode does not return them all
@@ -358,8 +349,8 @@ class _ServerBase:
 def run_protocol(server, worker, channels, steps, on_iteration=None, stop=None):
     """Strictly alternating rounds; returns the number of rounds run.
 
-    The one worker side serves every channel: a one-channel worker (every
-    DQ engine, and nq-gd at K = 1) its one, NQGDWorkers all K > 1. Rounds
+    The one worker side serves every channel, as one flat row (every DQ
+    engine, and nq-gd at K = 1) or as the rows of one stack. Rounds
     served from a proven cycle (see Cycles) count as run, and every round
     reaches on_iteration and stop.
     """
@@ -519,7 +510,8 @@ def build_dq_engine(algo, objective, R, alpha=0.0, containment=None):
     worker_cls, rule = _DQ_PAIRS[algo]
     spec = QuantizerSpec(objective.n, R)
     saturate = containment == "saturate"
-    worker = worker_cls(objective.grad, hp, schedule, BitCoder(spec, saturate))
+    worker = worker_cls(objective.grad, hp, [schedule],
+                        [BitCoder(spec, saturate)])
     server = _ServerBase(rule, objective.x0, hp, [schedule],
                          [BitCoder(spec, saturate)])
     return worker, server, Channel(objective.n, R)
@@ -528,9 +520,9 @@ def build_dq_engine(algo, objective, R, alpha=0.0, containment=None):
 def build_nq_engine(problem, rates):
     """K-worker naive quantization; rates is one integer per worker.
 
-    Returns (worker side, server, channels): one worker runs the flat
-    round every DQ worker runs, and K > 1 run as the rows of the problem's
-    stack. Workers of one rate share a coder on each end, so each rate is
+    Returns (worker side, server, channels): one NQGDWorker for every K,
+    over the local oracle at K = 1 and as the rows of the problem's stack
+    at K > 1. Workers of one rate share a coder on each end, so each rate is
     coded in one call per round. Containment is provable for the naive
     schedule, so every worker is strict.
     """
@@ -546,10 +538,7 @@ def build_nq_engine(problem, rates):
         by_rate = {R: BitCoder(spec) for R, spec in specs.items()}
         return [by_rate[R] for R in rates]
 
-    if problem.K == 1:
-        (coder,) = coders()
-        worker = NQGDWorker(problem.locals_[0].grad, hp, schedules[0], coder)
-    else:
-        worker = NQGDWorkers(problem.stack.grad, schedules, coders())
+    grad = problem.locals_[0].grad if problem.K == 1 else problem.stack.grad
+    worker = NQGDWorker(grad, hp, schedules, coders())
     server = _ServerBase("gd", problem.x0, hp, schedules, coders())
     return worker, server, [Channel(n, R) for R in rates]

@@ -222,11 +222,19 @@ class ExperimentConfig:
         # the shape and spectrum every trial's instance build would reject
         p = self.problem
         if p["kind"] == "mtx":
-            m, n = np.asarray(p["matrix"]).shape
+            A = np.asarray(p["matrix"])
+            m, n = A.shape
+            where = f" {p['path']}" if "path" in p else ""
             if m < n:
-                where = f" {p['path']}" if "path" in p else ""
                 raise ValueError(f"matrix{where} is {m} x {n}; least squares "
                                  f"needs at least as many rows as columns")
+            # the rule and the constants every trial's spectrum_bounds gives
+            s = np.linalg.svd(A, compute_uv=False)
+            L, mu = float(s[0] ** 2), float(s[-1] ** 2)
+            if not L >= mu > 0:
+                raise ValueError(f"matrix{where} has smallest singular value "
+                                 f"{float(s[-1])!r}; least squares needs "
+                                 f"L >= mu > 0, got L={L}, mu={mu}")
         elif p["kind"] in ("gaussian", "interpolation"):
             m, n = p["m"], p["n"]
             if not m >= n >= 1:

@@ -256,19 +256,38 @@ def test_sweep_rejects_a_wide_matrix_when_loading(tmp_path, capsys):
     assert not (tmp_path / "wide.csv").exists()
 
 
+def test_sweep_rejects_a_rank_deficient_matrix_when_loading(tmp_path, capsys):
+    # a zero column passes the shape check but gives mu = 0: the config is
+    # refused before the sweep announces any trial
+    (tmp_path / "rankdef.mtx").write_text(
+        "%%MatrixMarket matrix array real general\n3 2\n1\n0\n0\n0\n0\n0\n")
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[rankdef]\nproblem = mtx\npath = rankdef.mtx\n"
+                   "algos = gd, dq-gd\nrates = 2, 3\ntrials = 2\n"
+                   "csv = rankdef.csv\n")
+    assert main(["sweep", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: [rankdef] matrix {tmp_path / 'rankdef.mtx'} "
+                          f"has smallest singular value 0.0; least squares "
+                          f"needs L >= mu > 0, got L=1.0, mu=0.0")
+    assert "Traceback" not in err
+    assert not (tmp_path / "rankdef.csv").exists()
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_reports_a_failed_trial_as_an_error(tmp_path, capsys, jobs):
-    # a zero column passes the shape check but gives mu = 0, which fails
-    # only when trial 0 builds its instance; with two jobs the error is
-    # raised in a pool worker and pickled back
-    (tmp_path / "zc.mtx").write_text(
-        "%%MatrixMarket matrix array real general\n3 2\n1\n2\n3\n0\n0\n0\n")
+    # orthonormal columns give kappa = 1, where the accelerated schedule is
+    # undefined: that fails only when trial 0 builds its engine; with two
+    # jobs the error is raised in a pool worker and pickled back
+    (tmp_path / "id.mtx").write_text(
+        "%%MatrixMarket matrix array real general\n3 2\n1\n0\n0\n0\n1\n0\n")
     cfg = tmp_path / "exp.ini"
-    cfg.write_text("[zc]\nproblem = mtx\npath = zc.mtx\nalgos = gd\n"
-                   "rates = 2\ntrials = 2\ncsv = zc.csv\n")
+    cfg.write_text("[id]\nproblem = mtx\npath = id.mtx\nalgos = dq-agd\n"
+                   "rates = 2\ntrials = 2\ncsv = id.csv\n")
     assert main(["sweep", str(cfg), "--jobs", jobs]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: [zc] trial 0: "
-                          "InvalidConstantsError('need L >= mu > 0")
+    assert err.startswith("error: [id] trial 0: ValueError('the accelerated "
+                          "schedule is undefined at condition number 1")
     assert "Traceback" not in err
-    assert not (tmp_path / "zc.csv").exists()
+    assert not (tmp_path / "id.csv").exists()

@@ -15,7 +15,7 @@ from dqgrad.engines import (
     DQAGDWorker,
     DQGDWorker,
     DQHBWorker,
-    NQGDWorkers,
+    NQGDWorker,
     ScheduleViolationError,
     _ServerBase,
     build_dq_engine,
@@ -120,7 +120,7 @@ def _zero_error_run(algo, obj, hp, steps):
     schedule, _ = dq_schedule(algo, obj, R=8)
     coder = ExactCoder()
     # the schedule is irrelevant at zero quantization error
-    worker = worker_cls(obj.grad, hp, schedule, coder)
+    worker = worker_cls(obj.grad, hp, [schedule], [coder])
     server = _ServerBase(rule, obj.x0, hp, [schedule], [coder])
     chan = LoopbackChannel()
     xs = []
@@ -175,7 +175,7 @@ def test_zero_momentum_reduces_to_dq_gd_bitwise(algo):
 
     def run(which):
         worker_cls, rule = _DQ_PAIRS[which]
-        worker = worker_cls(obj.grad, hp, schedule, BitCoder(spec))
+        worker = worker_cls(obj.grad, hp, [schedule], [BitCoder(spec)])
         server = _ServerBase(rule, obj.x0, hp, [schedule], [BitCoder(spec)])
         xs = []
         run_protocol(server, worker, [Channel(obj.n, R)], 80,
@@ -193,10 +193,9 @@ def test_agd_and_hb_share_quantizer_input():
     _, obj = make_gaussian_ls(20, 8, 5, 7)
     hp = optimal_hyperparams(obj.L, obj.mu, "hb")
     schedule, _ = dq_schedule("dq-hb", obj, R=5)
-    wa = DQAGDWorker(obj.grad, hp, schedule, ExactCoder())
-    wh = DQHBWorker(obj.grad, hp, schedule, ExactCoder())
+    wa = DQAGDWorker(obj.grad, hp, [schedule], [ExactCoder()])
+    wh = DQHBWorker(obj.grad, hp, [schedule], [ExactCoder()])
     for w in (wa, wh):
-        w._ensure_state(8)
         w.e1 = gen.standard_normal(8)
         w.e2 = gen.standard_normal(8)
     wh.e1[:] = wa.e1
@@ -224,7 +223,7 @@ def test_schedule_violation_raises():
     _, obj = make_gaussian_ls(16, 6, 4, 13)
     hp = optimal_hyperparams(obj.L, obj.mu, "gd")
     tiny = constant_range(1e-9)
-    worker = DQGDWorker(obj.grad, hp, tiny, BitCoder(QuantizerSpec(6, 4)))
+    worker = DQGDWorker(obj.grad, hp, [tiny], [BitCoder(QuantizerSpec(6, 4))])
     server = _ServerBase("gd", obj.x0, hp, [tiny], [BitCoder(QuantizerSpec(6, 4))])
     with pytest.raises(ScheduleViolationError):
         run_protocol(server, worker, [Channel(6, 4)], 5)
@@ -239,13 +238,14 @@ def test_non_finite_quantizer_input_violates_containment():
 
     wide = constant_range(1e9)
     spec = QuantizerSpec(6, 4)
-    worker = DQGDWorker(nan_grad, hp, wide, BitCoder(spec))
+    worker = DQGDWorker(nan_grad, hp, [wide], [BitCoder(spec)])
     server = _ServerBase("gd", obj.x0, hp, [wide], [BitCoder(spec)])
     with pytest.raises(ScheduleViolationError):
         run_protocol(server, worker, [Channel(6, 4)], 5)
 
     # saturate mode counts the escape; the saturating quantizer still refuses
-    worker = DQGDWorker(nan_grad, hp, wide, BitCoder(spec, saturate=True))
+    worker = DQGDWorker(nan_grad, hp, [wide],
+                        [BitCoder(spec, saturate=True)])
     server = _ServerBase("gd", obj.x0, hp, [wide], [BitCoder(spec, saturate=True)])
     with pytest.raises(RangeViolationError):
         run_protocol(server, worker, [Channel(6, 4)], 5)
@@ -268,11 +268,11 @@ def test_builder_saturates_only_heavy_ball_at_alpha_zero(algo, alpha):
     _, obj = make_gaussian_ls(32, 16, 25, 14)
     worker, server, _ = build_dq_engine(algo, obj, 8, alpha)
     saturate = algo == "dq-hb" and alpha == 0.0
-    assert worker.coder.saturate is saturate
+    assert worker.coders[0].saturate is saturate
     assert server.coders[0].saturate is saturate
     # an explicit value overrides the default on both halves
     worker, server, _ = build_dq_engine(algo, obj, 8, alpha, containment="strict")
-    assert not worker.coder.saturate and not server.coders[0].saturate
+    assert not worker.coders[0].saturate and not server.coders[0].saturate
 
 
 @pytest.mark.parametrize("bad", ["strcit", "record", ""])
@@ -320,7 +320,7 @@ def test_worker_and_server_reconstruct_alike_in_every_round():
     _, obj = make_gaussian_ls(32, 16, 5.0, 3)
     worker, server, channel = build_dq_engine("dq-hb", obj, 8)
     worker_recon, server_recon = [], []
-    encode, decode = worker.coder.encode, server.coders[0].decode
+    encode, decode = worker.coders[0].encode, server.coders[0].decode
 
     def tapped_encode(r, u):
         wire, recon = encode(r, u)
@@ -332,7 +332,7 @@ def test_worker_and_server_reconstruct_alike_in_every_round():
         server_recon.append(q.tobytes())
         return q
 
-    worker.coder.encode = tapped_encode
+    worker.coders[0].encode = tapped_encode
     server.coders[0].decode = tapped_decode
     rec = _drive("dq-hb", 8, obj, server, worker, [channel], 1500)
     assert rec.terminal_T == 1500 and server.cycle is None
@@ -408,7 +408,7 @@ def _zero_gradient_engine(schedule):
     n, R = 16, 1
     hp = HyperParams(eta=1.0, gamma=0.0, sigma=0.0)
     spec = QuantizerSpec(n, R)
-    worker = DQGDWorker(np.zeros_like, hp, schedule, BitCoder(spec, True))
+    worker = DQGDWorker(np.zeros_like, hp, [schedule], [BitCoder(spec, True)])
     server = _ServerBase("gd", np.zeros(n), hp, [schedule],
                          [BitCoder(spec, True)])
     return worker, server, [Channel(n, R)]
@@ -784,11 +784,12 @@ def test_naive_rows_send_what_each_worker_would(rates):
 
 
 def _escape_rows(us, rates=(2, 3, 2)):
-    """NQGDWorkers over fixed quantizer inputs at range 1; rows 0 and 2
-    share a coder, so they are quantized together and before row 1."""
+    """A K-channel NQGDWorker over fixed quantizer inputs at range 1; rows
+    0 and 2 share a coder, so they are quantized together and before row
+    1."""
     n = len(us[0])
-    worker = NQGDWorkers(lambda X: np.array(us, dtype=np.float64),
-                         [constant_range(1.0)] * len(us), _shared_coders(n, rates))
+    worker = NQGDWorker(lambda X: np.array(us, dtype=np.float64), None,
+                        [constant_range(1.0)] * len(us), _shared_coders(n, rates))
     channels = [Channel(n, R) for R in rates]
     for ch in channels:
         ch.send_iterate(4, np.zeros(n))
@@ -830,8 +831,9 @@ def test_naive_rows_raise_the_escaping_rows_own_error(k):
     us = [[0.0, r / 2.0, 0.0] for r in ranges]
     us[k] = [0.0, 3.0 * ranges[k], 0.0]
     us[-1] = [np.nan] * 3 if k < 3 else us[-1]
-    worker = NQGDWorkers(lambda X: np.array(us), [constant_range(r) for r in ranges],
-                         _shared_coders(3, (2, 3, 2, 3)))
+    worker = NQGDWorker(lambda X: np.array(us), None,
+                        [constant_range(r) for r in ranges],
+                        _shared_coders(3, (2, 3, 2, 3)))
     channels = [Channel(3, R) for R in (2, 3, 2, 3)]
     for t, ch in zip((4, 5, 6, 7), channels):
         ch.send_iterate(t, np.zeros(3))
@@ -890,3 +892,27 @@ def test_naive_rows_code_each_rate_once_per_round(monkeypatch):
         assert rec.terminal_T > 1
         assert calls == {**dict.fromkeys(ONE_PASS, per_round),
                          **dict.fromkeys(PUBLIC_ROUTE, 0)}
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_naive_workers_keep_no_memory_and_never_reconstruct(monkeypatch, K):
+    # one worker or K, a naive worker sends grad(x) as it is: it has no
+    # error memory to keep, so its round never maps cells to their centers
+    prob = make_interpolation_problem(K, 12, 24, [4.0, 2.0, 8.0][:K], 29)
+    worker, server, channels = build_nq_engine(prob, [4] * K)
+    assert type(worker) is NQGDWorker
+    centers, calls = quantizer._centers, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return centers(*args, **kwargs)
+
+    monkeypatch.setattr(quantizer, "_centers", counted)
+    for t in range(20):
+        server.broadcast(channels)
+        worker.round(channels)
+        assert calls == [] and worker.memory == (), t
+        server.collect(channels)
+        assert len(calls) == 1  # the server decodes through the centers
+        calls.clear()
+    assert worker.violations == []

@@ -287,10 +287,11 @@ def test_emitters_create_parent_directories(tmp_path):
 def test_trial_errors_carry_their_index():
     from dqgrad.harness import TrialError
 
-    # a rank-deficient matrix fails only when the trial builds its instance
-    bad = ExperimentConfig(**{**SMALL.__dict__,
-                              "problem": {"kind": "mtx", "matrix": np.zeros((3, 2))}})
-    with pytest.raises(TrialError, match="trial 0.*mu > 0"):
+    # orthonormal columns give kappa = 1, where the accelerated schedule is
+    # undefined: that fails only when the trial builds its engine
+    bad = ExperimentConfig(**{**SMALL.__dict__, "algos": ("dq-agd",),
+                              "problem": {"kind": "mtx", "matrix": np.eye(3, 2)}})
+    with pytest.raises(TrialError, match="trial 0.*condition number 1"):
         run_sweep(bad)
 
 
@@ -305,8 +306,13 @@ def test_trial_errors_carry_their_index():
      "condition number must be >= 1, got nan"),
     ({"kind": "mtx", "matrix": np.ones((2, 3))},
      "matrix is 2 x 3; least squares needs"),
+    ({"kind": "mtx", "matrix": np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])},
+     r"matrix has smallest singular value 0\.0; least squares needs "
+     r"L >= mu > 0, got L=1\.0, mu=0\.0"),
+    ({"kind": "mtx", "matrix": np.zeros((3, 2))},
+     r"smallest singular value 0\.0; .* got L=0\.0, mu=0\.0"),
 ], ids=["kappa-inf", "kappa-below-1", "wide", "interpolation-kappa-nan",
-        "mtx-wide"])
+        "mtx-wide", "mtx-rank-deficient", "mtx-zero"])
 def test_a_config_rejects_its_problem_values_when_built(problem, detail):
     # programmatic configs are checked as config files are, before any trial
     workers = len(problem.get("kappas", [None]))

@@ -92,9 +92,9 @@ def test_counter_and_tracer_see_every_round():
     assert counter.snapshot()["transport.downlink_bytes"] == frames * (4 + 8 * 16)
     for name in ("harness.observe", "harness.stop"):
         assert tracer.calls[instruments.NAMES.index(name)] == rounds, name
-    # every one-channel round, dq-gd's and the single naive worker's, steps
-    # through the one worker round; no round came from a cycle
-    assert all(rec.cycle is None for rec in records[:2])
-    flat = records[0].terminal_T + records[1].terminal_T
+    # every round, dq-gd's, the single naive worker's and the three naive
+    # workers' stacked ones, steps through the one worker round; no round
+    # came from a cycle
+    assert all(rec.cycle is None for rec in records)
     for name in ("engines.worker.round", "engines.worker.quantizer_input"):
-        assert tracer.calls[instruments.NAMES.index(name)] == flat, name
+        assert tracer.calls[instruments.NAMES.index(name)] == rounds, name

@@ -12,16 +12,14 @@ half of above-floor iterations: the raw T-th root would carry the
 transient constant, and the tail half suppresses it.
 """
 
-import contextlib
 import functools
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bounds, problems, rng as rngmod
+from . import _blas, bounds, rng as rngmod
 from .engines import (
     build_dq_engine,
     build_nq_engine,
@@ -33,7 +31,6 @@ from .hyperparams import optimal_hyperparams, sigma_agd, sigma_gd, sigma_hb
 from .problems import (
     LeastSquares,
     MultiWorkerProblem,
-    _blas_threads,
     make_gaussian_ls,
     make_interpolation_problem,
 )
@@ -45,9 +42,6 @@ UNQUANTIZED = ("gd", "agd", "hb")
 # FLOOR_SCALE * max(1, D) or rises above DIVERGENCE_SCALE * max(1, D)
 FLOOR_SCALE = 1e-13
 DIVERGENCE_SCALE = 1e9
-# from this n up, the BLAS thread count changes the bits of the instance
-# constants and of the gradients (measured with numpy's bundled OpenBLAS)
-BLAS_THREAD_BITS_N = 384
 
 
 class InsufficientDataError(Exception):
@@ -255,6 +249,8 @@ class ExperimentConfig:
             raise ValueError(f"hb_alpha must be finite and >= 0, got {self.hb_alpha}")
         if not self.rates or min(self.rates) < 1:
             raise ValueError("rates must be a nonempty list of integers >= 1")
+        if not self.algos:
+            raise ValueError("algos must name at least one algorithm")
         for algo in self.algos:
             if algo not in UNQUANTIZED + SCHEMES:
                 raise ValueError(f"unknown algorithm {algo!r}")
@@ -386,22 +382,6 @@ _SIGMA_OF = {"gd": sigma_gd, "dq-gd": sigma_gd, "nq-gd": sigma_gd,
              "hb": sigma_hb, "dq-hb": sigma_hb}
 
 
-def _pin_blas_thread(workers=1):
-    """Set numpy's OpenBLAS to one thread; the old count, or None. As a pool
-    initializer, `workers` is the number of busy workers in the pool: a
-    large gradient raises the count to two only where each has two CPUs
-    (two workers on two CPUs that each took two threads ran a four-trial
-    n = 1024 sweep in 15-21 s, against 9-10 s on one thread each)."""
-    problems._pool_workers = workers
-    calls = _blas_threads()
-    if calls is None:
-        return None
-    get, set_ = calls
-    old = get()
-    set_(1)
-    return old
-
-
 def _pool_map(fn, items, workers, chunksize=1):
     """fn over items, results in order: on a pool of `workers` processes,
     each on one BLAS thread, or serially below two workers."""
@@ -410,28 +390,9 @@ def _pool_map(fn, items, workers, chunksize=1):
     # imported here: it costs a serial `import dqgrad` about 20 ms
     from concurrent.futures import ProcessPoolExecutor
 
-    pin = functools.partial(_pin_blas_thread, workers)
+    pin = functools.partial(_blas.pin_pool_worker, workers)
     with ProcessPoolExecutor(max_workers=workers, initializer=pin) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))
-
-
-@contextlib.contextmanager
-def _one_blas_thread(n):
-    """One BLAS thread inside, the old count after: from n = 384 up the
-    thread count changes result bits, and a sweep's bytes must not depend
-    on it. Warns at such n when the count cannot be set. Inside, a large
-    aligned gradient still raises the count to two for its own call, with
-    the same bits (problems.LeastSquares.grad)."""
-    old = _pin_blas_thread()
-    if old is None and n >= BLAS_THREAD_BITS_N:
-        warnings.warn(f"cannot pin numpy's BLAS to one thread; at n = {n} the "
-                      f"sweep's bytes may depend on the BLAS thread count",
-                      RuntimeWarning, stacklevel=3)
-    try:
-        yield
-    finally:
-        if old is not None:
-            _blas_threads()[1](old)
 
 
 def run_sweep(config):
@@ -442,7 +403,7 @@ def run_sweep(config):
          or np.asarray(config.problem["matrix"]).shape[1])
     # a pool starts all its workers at once, so it gets no more than trials
     workers = min(config.jobs, config.trials)
-    with _one_blas_thread(n):
+    with _blas.one_thread(n):
         trial_results = _pool_map(functools.partial(_run_trial, config),
                                   range(config.trials), workers)
         kappa = _reference_kappa(config)

@@ -10,10 +10,11 @@ which sees a prefix of the draws, passes whenever the full run does.
 
 import numpy as np
 
+from . import _blas
 from .engines import build_dq_engine, initial_state, run_protocol, step
 from .harness import _pool_map, run_dq, run_nq
 from .hyperparams import optimal_hyperparams
-from .problems import (_cpu_count, make_gaussian_ls, make_interpolation_problem,
+from .problems import (make_gaussian_ls, make_interpolation_problem,
                        make_worst_case_gd)
 from .quantizer import BitCoder, QuantizerSpec, decode_payload, encode_payload
 from .rng import make_rng
@@ -130,7 +131,7 @@ def check_containment(size):
     # BLAS thread (on two, c3 took twice as long as serially); started by
     # run_sweep's own helper, since a spawned worker re-runs the caller's
     # main script
-    workers = min(2, _cpu_count(), size)
+    workers = min(2, _blas.cpu_count(), size)
     violations = sum(_pool_map(_violations, draws, workers, chunksize=25))
     return violations == 0, (
         f"{size} randomized runs (kappa in [1.5,50], R in [1,12], "

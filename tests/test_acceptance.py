@@ -59,7 +59,7 @@ def test_c3_maps_its_draws_over_a_pool_only_with_cpus_to_spare(
         monkeypatch, cpus, pools):
     import concurrent.futures
 
-    from dqgrad import selfcheck
+    from dqgrad import _blas, selfcheck
 
     started, real = [], concurrent.futures.ProcessPoolExecutor
 
@@ -68,7 +68,7 @@ def test_c3_maps_its_draws_over_a_pool_only_with_cpus_to_spare(
         return real(max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
-    monkeypatch.setattr(selfcheck, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(_blas, "cpu_count", lambda: cpus)
     ok, detail = selfcheck.check_containment(30)
     assert ok and detail.startswith("30 randomized runs")
     assert "0 violations" in detail

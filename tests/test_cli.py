@@ -223,8 +223,10 @@ def test_sweep_worker_problem_mismatch_fails_before_any_trial(
     (GOOD + "hb_alpha = inf\n", "hb_alpha must be finite and >= 0, got inf"),
     (GOOD + "t_max = -5\n", "t_max must be >= 1"),
     (GOOD + "seed = -1\n", "seed must be >= 0"),
+    (GOOD.replace("algos = gd, dq-gd", "algos ="),
+     "algos must name at least one algorithm"),
 ], ids=["kappa-inf", "hb-alpha-negative", "hb-alpha-nan", "hb-alpha-inf",
-        "t-max-negative", "seed-negative"])
+        "t-max-negative", "seed-negative", "algos-empty"])
 def test_sweep_rejects_a_malformed_value_when_loading(tmp_path, capsys,
                                                       monkeypatch, body, detail):
     from dqgrad import harness

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from dqgrad import harness, problems
+from dqgrad import _blas
 from dqgrad.configfile import ConfigError, load_experiments, parse_rates
 from dqgrad.harness import (
     CSV_HEADER,
@@ -416,10 +416,10 @@ BLAS_SECTION = ExperimentConfig(
 
 def _blas_sweep_bytes(tmp_path, threads):
     """The CSV bytes of BLAS_SECTION swept with numpy's BLAS at `threads`."""
-    get, set_ = harness._blas_threads()
-    set_(threads)
-    rows = run_sweep(BLAS_SECTION)
-    assert get() == threads  # the sweep puts the old count back
+    with _blas.threads(threads):
+        rows = run_sweep(BLAS_SECTION)
+        # the sweep puts the old count back
+        assert _blas._blas_threads()[0]() == threads
     path = tmp_path / f"threads{threads}.csv"
     emit_csv(rows, path)
     return path.read_bytes()
@@ -428,19 +428,13 @@ def _blas_sweep_bytes(tmp_path, threads):
 def test_a_large_section_gives_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
     # from n = 384 up the BLAS thread count moves result bits; the sweep
     # pins one thread, so the count it is started with does not matter
-    if harness._blas_threads() is None:
+    if _blas._blas_threads() is None:
         pytest.skip("numpy's OpenBLAS thread count cannot be set here")
-    get, set_ = harness._blas_threads()
-    old = get()
-    try:
-        assert (_blas_sweep_bytes(tmp_path, 1)
-                == _blas_sweep_bytes(tmp_path, 2))
-    finally:
-        set_(old)
+    assert _blas_sweep_bytes(tmp_path, 1) == _blas_sweep_bytes(tmp_path, 2)
 
 
 def test_a_sweep_warns_at_large_n_when_blas_cannot_be_pinned(monkeypatch):
-    monkeypatch.setattr(harness, "_blas_threads", lambda: None)
+    monkeypatch.setattr(_blas, "_blas_threads", lambda: None)
     small = ExperimentConfig(algos=("gd",), trials=1, t_max=300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -460,18 +454,18 @@ SPLIT_SECTION = ExperimentConfig(
 def _lowered_gate(monkeypatch, cpus):
     """SPLIT_SECTION's shape passes the gate, on `cpus` CPUs; the list of
     two-thread gradient calls, in this process."""
-    two_threads = problems._two_thread_grad
+    two_threads = _blas.two_thread_grad
     ran = []
 
     def counted(A, y, x):
         ran.append(A.shape)
         return two_threads(A, y, x)
 
-    monkeypatch.setattr(problems, "GRAD_SPLIT_MIN", 512 * 256)
-    monkeypatch.setattr(problems, "GRAD_SPLIT_MIN_COLS", 256)
-    monkeypatch.setattr(problems, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(problems, "_two_thread_grad", counted)
-    monkeypatch.setattr(problems, "_pool_workers", 1)
+    monkeypatch.setattr(_blas, "GRAD_SPLIT_MIN", 512 * 256)
+    monkeypatch.setattr(_blas, "GRAD_SPLIT_MIN_COLS", 256)
+    monkeypatch.setattr(_blas, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_blas, "two_thread_grad", counted)
+    monkeypatch.setattr(_blas, "_pool_workers", 1)
     return ran
 
 
@@ -480,7 +474,7 @@ def test_a_split_section_gives_the_same_bytes_with_and_without_jobs(
     # the section sits above a lowered gate, so the serial sweep takes two
     # BLAS threads per gradient, and the pool forks its workers from a
     # process whose OpenBLAS has run two threads
-    if harness._blas_threads() is None:
+    if _blas._blas_threads() is None:
         pytest.skip("numpy's OpenBLAS thread count cannot be set here")
     ran = _lowered_gate(monkeypatch, 2)
     out = []
@@ -501,17 +495,13 @@ def test_pool_workers_take_two_blas_threads_only_with_two_cpus_each(
         monkeypatch, cpus, workers, raises):
     # two workers that each took two threads on two CPUs ran an n = 1024
     # sweep slower than with one each; a lone worker may still raise
-    if harness._blas_threads() is None:
+    if _blas._blas_threads() is None:
         pytest.skip("numpy's OpenBLAS thread count cannot be set here")
     ran = _lowered_gate(monkeypatch, cpus)
-    get, set_ = harness._blas_threads()
-    old = get()
-    try:
-        harness._pin_blas_thread(workers)  # as the pool's initializer does
+    with _blas.threads(1):
+        _blas.pin_pool_worker(workers)  # as the pool's initializer does
         _, obj = make_gaussian_ls(512, 256, 100.0, 3)
         obj.grad(obj.x0)
-        assert get() == 1
-    finally:
-        set_(old)
+        assert _blas._blas_threads()[0]() == 1
     assert ran == [(512, 256)] * raises
 

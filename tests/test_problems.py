@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dqgrad import problems
+from dqgrad import _blas, problems
 from dqgrad.harness import run_dq
 from dqgrad.hyperparams import optimal_hyperparams
 from dqgrad.problems import (
@@ -207,23 +207,11 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(problems.__file__)))
 
 def _blas_counts():
     """Each BLAS thread count to run at, as a context manager: 1 and 2 when
-    the count can be set (the helper is used only at 1), else the current
-    one."""
-    calls = problems._blas_threads()
-
-    @contextlib.contextmanager
-    def at(threads):
-        get, set_ = calls
-        old = get()
-        set_(threads)
-        try:
-            yield
-        finally:
-            set_(old)
-
-    if calls is None:
+    the count can be set (the build's helper thread starts only at 1), else
+    the current one."""
+    if _blas._blas_threads() is None:
         return [contextlib.nullcontext()]
-    return [at(1), at(2)]
+    return [_blas.threads(1), _blas.threads(2)]
 
 
 def _sequential(ls, x0):
@@ -267,18 +255,18 @@ def test_objective_matches_sequential_calls_bitwise(build):
 def low_gate(monkeypatch):
     """Every float64 C-order matrix passes the gate's shape test, on two
     CPUs; yields the list of calls handed to the helper."""
-    monkeypatch.setattr(problems, "GRAD_SPLIT_MIN", 0)
-    monkeypatch.setattr(problems, "GRAD_SPLIT_MIN_COLS", 0)
-    monkeypatch.setattr(problems, "GRAD_SPLIT_ALIGN", 1)
-    monkeypatch.setattr(problems, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(_blas, "GRAD_SPLIT_MIN", 0)
+    monkeypatch.setattr(_blas, "GRAD_SPLIT_MIN_COLS", 0)
+    monkeypatch.setattr(_blas, "GRAD_SPLIT_ALIGN", 1)
+    monkeypatch.setattr(_blas, "cpu_count", lambda: 2)
     handed = []
-    concurrently = problems._concurrently
+    concurrently = _blas.concurrently
 
     def counted(first, second):
         handed.append(first)
         return concurrently(first, second)
 
-    monkeypatch.setattr(problems, "_concurrently", counted)
+    monkeypatch.setattr(_blas, "concurrently", counted)
     yield handed
 
 
@@ -294,13 +282,13 @@ def test_objective_overlaps_exactly_where_grad_splits(split_gate):
     split_gate.setattr(LeastSquares, "spectrum_bounds", bounds)
     split_gate.setattr(LeastSquares, "solve",
                        lambda self: np.zeros(self.A.shape[1]))
-    set_blas = problems._blas_threads()[1]
+    set_blas = _blas._blas_threads()[1]
     before = threading.active_count()
     for shape, cpus, blas, shares in [
             ((2048, 1024), 2, 1, True), ((32, 16), 2, 1, False),
             ((1024, 1024), 2, 1, False), ((2048, 1024), 2, 2, False),
             ((2048, 1024), 1, 1, False), ((2052, 1028), 2, 1, False)]:
-        split_gate.setattr(problems, "_cpu_count", lambda: cpus)
+        split_gate.setattr(_blas, "cpu_count", lambda: cpus)
         set_blas(blas)
         ls = LeastSquares(np.zeros(shape), np.ones(shape[0]))
         split_gate.ran.clear()
@@ -318,7 +306,7 @@ def test_objective_runs_in_sequence_where_no_thread_can_start(low_gate,
     def refused(self):
         raise RuntimeError("can't create new thread at interpreter shutdown")
 
-    if problems._blas_threads() is None:
+    if _blas._blas_threads() is None:
         pytest.skip("numpy's OpenBLAS thread count cannot be set here")
     ls, x0 = _gaussian(32, 16, 3)
     want = _sequential(ls, x0)
@@ -348,7 +336,7 @@ def test_objective_on_nan_matrix_raises_what_the_svd_raises_first(low_gate):
             assert _raised(lambda: ls.objective(x0)) == want
             assert threading.active_count() == before
     # one handoff, at one BLAS thread, where the count can be set
-    assert len(low_gate) == (problems._blas_threads() is not None)
+    assert len(low_gate) == (_blas._blas_threads() is not None)
 
 
 @pytest.mark.parametrize("failing", ["spectrum_bounds", "solve"])
@@ -369,7 +357,7 @@ def test_objective_reraises_the_one_failing_call(monkeypatch, low_gate,
                 ls.objective(x0)
             assert threading.active_count() == before
     # one handoff, at one BLAS thread, where the count can be set
-    assert len(low_gate) == (problems._blas_threads() is not None)
+    assert len(low_gate) == (_blas._blas_threads() is not None)
 
 
 # --- grad(): two BLAS threads on large aligned instances ----------------------
@@ -379,8 +367,8 @@ def test_objective_reraises_the_one_failing_call(monkeypatch, low_gate,
 def split_on(split_gate):
     """Every gradient of an aligned shape takes two BLAS threads, on one
     BLAS thread and whatever the CPU count; yields the list of such calls."""
-    split_gate.setattr(problems, "GRAD_SPLIT_MIN", 0)
-    split_gate.setattr(problems, "GRAD_SPLIT_MIN_COLS", 0)
+    split_gate.setattr(_blas, "GRAD_SPLIT_MIN", 0)
+    split_gate.setattr(_blas, "GRAD_SPLIT_MIN_COLS", 0)
     yield split_gate.ran
 
 
@@ -397,11 +385,11 @@ class _Calls(list):
 def split_gate(monkeypatch):
     """The shape gate as it stands, on one BLAS thread and two CPUs;
     monkeypatch with the calls as `ran`."""
-    calls = problems._blas_threads()
+    calls = _blas._blas_threads()
     if calls is None:
         pytest.skip("numpy's OpenBLAS thread count cannot be set here")
     get, set_ = calls
-    two_threads = problems._two_thread_grad
+    two_threads = _blas.two_thread_grad
     ran = _Calls()
     counts = ran.counts
 
@@ -413,16 +401,12 @@ def split_gate(monkeypatch):
         counts.append(threads)
         set_(threads)
 
-    monkeypatch.setattr(problems, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(problems, "_two_thread_grad", counted)
-    monkeypatch.setattr(problems, "_blas_threads", lambda: (get, setter))
-    monkeypatch.ran = ran
-    old = get()
-    set_(1)
-    try:
+    with _blas.threads(1):
+        monkeypatch.setattr(_blas, "cpu_count", lambda: 2)
+        monkeypatch.setattr(_blas, "two_thread_grad", counted)
+        monkeypatch.setattr(_blas, "_blas_threads", lambda: (get, setter))
+        monkeypatch.ran = ran
         yield monkeypatch
-    finally:
-        set_(old)
 
 
 def _flat(A, y, x):
@@ -430,7 +414,7 @@ def _flat(A, y, x):
 
 
 def _aligned(shape):
-    return all(side % problems.GRAD_SPLIT_ALIGN == 0 for side in shape)
+    return all(side % _blas.GRAD_SPLIT_ALIGN == 0 for side in shape)
 
 
 @pytest.mark.parametrize("shape", [(1031, 65), (1500, 777), (4096, 256),
@@ -521,7 +505,7 @@ def test_the_old_count_comes_back_after_a_gated_call_that_raises(split_on,
         with pytest.raises(ArithmeticError, match="refused"):
             LeastSquares(A, y).grad(np.ones(128))
     assert split_on.counts == [2, 1]
-    assert problems._blas_threads()[0]() == 1
+    assert _blas._blas_threads()[0]() == 1
 
 
 @pytest.mark.parametrize("x", [np.ones(385), np.ones((384, 1)), [1.0] * 384,
@@ -537,7 +521,7 @@ def test_a_point_the_split_cannot_take_gets_the_flat_call_here(split_on, x):
         with pytest.raises(ValueError) as info:
             ls.grad(x)
         assert str(info.value) == str(exc)
-        assert "_two_thread_grad" not in {f.name for f in traceback.extract_tb(
+        assert "two_thread_grad" not in {f.name for f in traceback.extract_tb(
             info.value.__traceback__)}
     else:
         assert ls.grad(x).tobytes() == want.tobytes()
@@ -552,7 +536,7 @@ def test_small_or_unaligned_instances_stay_flat(split_on, monkeypatch):
     A = gen.standard_normal((300, 200))
     LeastSquares(A, np.zeros(300)).grad(np.zeros(200))
     assert split_on == []
-    monkeypatch.setattr(problems, "GRAD_SPLIT_MIN", 384 * 256 + 1)
+    monkeypatch.setattr(_blas, "GRAD_SPLIT_MIN", 384 * 256 + 1)
     A = gen.standard_normal((384, 256))
     LeastSquares(A, np.zeros(384)).grad(np.zeros(256))
     assert split_on == [] and split_on.counts == []
@@ -574,10 +558,10 @@ def test_only_shapes_measured_to_gain_split(split_gate, shape, splits):
 @pytest.mark.parametrize("algo", ["dq-gd", "dq-agd", "dq-hb"])
 def test_a_run_is_the_same_with_the_split_on_and_off(split_on, monkeypatch, algo):
     _, obj = make_gaussian_ls(512, 256, 100.0, 9)
-    monkeypatch.setattr(problems, "GRAD_SPLIT_MIN", 512 * 256 + 1)
+    monkeypatch.setattr(_blas, "GRAD_SPLIT_MIN", 512 * 256 + 1)
     flat = run_dq(algo, obj, 8, t_max=30)
     assert split_on == []
-    monkeypatch.setattr(problems, "GRAD_SPLIT_MIN", 512 * 256)
+    monkeypatch.setattr(_blas, "GRAD_SPLIT_MIN", 512 * 256)
     split = run_dq(algo, obj, 8, t_max=30)
     assert len(split_on) >= 30
     assert split.terminal_T == flat.terminal_T == 30
@@ -618,7 +602,7 @@ def _hammer(calls, seconds):
     return wrong
 
 
-def test_threads_sharing_the_helper_get_their_own_gradients(split_on):
+def test_threads_sharing_the_thread_count_get_their_own_gradients(split_on):
     # the thread count is the process's: while one thread has it raised,
     # another's gated gradient waits, and no thread gets another's bits
     gen = make_rng(8)
@@ -657,7 +641,7 @@ def test_a_raised_gradient_and_a_build_on_two_threads_keep_their_bits(
     assert split_on
 
 
-def test_the_helper_is_one_thread_that_builds_and_splits(split_on):
+def test_a_build_starts_one_thread_and_a_split_starts_none(split_on):
     # the build's SVD runs on the one helper thread it starts; the gradient
     # splits on OpenBLAS's threads alone. Neither leaves a thread behind
     seen = []
@@ -682,7 +666,7 @@ def test_the_helper_is_one_thread_that_builds_and_splits(split_on):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_child_forked_while_the_helper_idles_starts_its_own(split_on):
+def test_a_child_forked_while_openblass_thread_idles_starts_its_own(split_on):
     # the parent's gradient has started OpenBLAS's second thread, which
     # idles when the child is forked
     ls, x0 = _gaussian(512, 256, 2)
@@ -711,14 +695,14 @@ def test_a_child_forked_while_the_helper_idles_starts_its_own(split_on):
 
 _CORETYPE_CHECK = """
 import numpy as np
-from dqgrad import problems
-problems._cpu_count = lambda: 2
-two_threads, ran = problems._two_thread_grad, []
-problems._two_thread_grad = lambda *args: ran.append(1) or two_threads(*args)
+from dqgrad import _blas, problems
+_blas.cpu_count = lambda: 2
+two_threads, ran = _blas.two_thread_grad, []
+_blas.two_thread_grad = lambda *args: ran.append(1) or two_threads(*args)
 gen = np.random.default_rng(3)
 for m, n, low in ((2048, 1024, False), (512, 256, True), (2052, 1028, False)):
     if low:
-        problems.GRAD_SPLIT_MIN = problems.GRAD_SPLIT_MIN_COLS = 0
+        _blas.GRAD_SPLIT_MIN = _blas.GRAD_SPLIT_MIN_COLS = 0
     A, y, x = (gen.standard_normal((m, n)), gen.standard_normal(m),
                gen.standard_normal(n))
     ran.clear()
@@ -755,15 +739,15 @@ def _has_avx512f():
 _LATE_THREAD = """
 import threading
 import numpy as np
-from dqgrad import problems
-problems.GRAD_SPLIT_MIN = problems.GRAD_SPLIT_MIN_COLS = 0
-problems._cpu_count = lambda: 2
+from dqgrad import _blas, problems
+_blas.GRAD_SPLIT_MIN = _blas.GRAD_SPLIT_MIN_COLS = 0
+_blas.cpu_count = lambda: 2
 gen = np.random.default_rng(3)
 A, y = gen.standard_normal((768, 384)), gen.standard_normal(768)
 x = gen.standard_normal(384)
 ls = problems.LeastSquares(A, y)
-two_threads, ran = problems._two_thread_grad, []
-problems._two_thread_grad = lambda *args: ran.append(1) or two_threads(*args)
+two_threads, ran = _blas.two_thread_grad, []
+_blas.two_thread_grad = lambda *args: ran.append(1) or two_threads(*args)
 ls.grad(x)  # OpenBLAS's second thread runs
 
 
@@ -790,12 +774,12 @@ def test_a_thread_outliving_the_main_thread_still_gets_gradients():
 
 _SMALL_RUNS = """
 import threading
-from dqgrad import problems
+from dqgrad import _blas, problems
 from dqgrad.harness import run_dq
-problems._cpu_count = lambda: 2
-get, set_ = problems._blas_threads()
+_blas.cpu_count = lambda: 2
+get, set_ = _blas._blas_threads()
 counts = []
-problems._blas_threads = lambda: (get, lambda n: counts.append(n) or set_(n))
+_blas._blas_threads = lambda: (get, lambda n: counts.append(n) or set_(n))
 for m, n in ((32, 16), (331, 104)):
     _, obj = problems.make_gaussian_ls(m, n, 25.0, 3)
     run_dq("dq-gd", obj, 8, t_max=50)
@@ -821,11 +805,11 @@ def svd_path(request, monkeypatch):
     """The in-place SVD through LAPACKE, and with the library loader patched
     to find nothing, so that np.linalg.svd runs instead."""
     if request.param == "lapacke":
-        if problems._lapacke_gesdd() is None:
+        if _blas._lapacke_gesdd() is None:
             pytest.skip("numpy's BLAS exports no LAPACKE_dgesdd_work")
     else:
-        monkeypatch.setattr(problems, "_openblas", lambda: None)
-        assert problems._lapacke_gesdd() is None
+        monkeypatch.setattr(_blas, "_openblas", lambda: None)
+        assert _blas._lapacke_gesdd() is None
     return request.param
 
 
@@ -838,7 +822,7 @@ def _numpy_svd_bytes(A):
                          ids=lambda s: f"{s[0]}x{s[1]}")
 def test_in_place_svd_is_numpys_bitwise(svd_path, shape):
     A = make_rng(sum(shape)).standard_normal(shape)
-    got = problems._svd_in_place(A.copy(order="F"))
+    got = _blas.svd_in_place(A.copy(order="F"))
     assert [f.tobytes() for f in got] == _numpy_svd_bytes(A)
     if svd_path == "lapacke":
         assert got[0].flags.f_contiguous and got[2].flags.f_contiguous
@@ -846,7 +830,7 @@ def test_in_place_svd_is_numpys_bitwise(svd_path, shape):
 
 def test_in_place_svd_of_an_integer_matrix_is_numpys_bitwise(svd_path):
     A = make_rng(8).integers(-9, 10, size=(9, 4))
-    got = problems._svd_in_place(np.array(A, dtype=np.float64, order="F"))
+    got = _blas.svd_in_place(np.array(A, dtype=np.float64, order="F"))
     assert [f.tobytes() for f in got] == _numpy_svd_bytes(A)
 
 
@@ -861,7 +845,7 @@ def _read_only(A):
 ], ids=["C-order", "float32", "read-only", "3-d"])
 def test_in_place_svd_takes_only_a_matrix_it_may_overwrite(A):
     with pytest.raises(ValueError, match="writeable Fortran-order float64"):
-        problems._svd_in_place(A)
+        _blas.svd_in_place(A)
 
 
 def _instance_bytes():
@@ -875,10 +859,10 @@ def _instance_bytes():
 
 
 def test_instances_are_the_same_through_lapacke_and_numpy(monkeypatch):
-    if problems._lapacke_gesdd() is None:
+    if _blas._lapacke_gesdd() is None:
         pytest.skip("numpy's BLAS exports no LAPACKE_dgesdd_work")
     through_lapacke = _instance_bytes()
-    monkeypatch.setattr(problems, "_openblas", lambda: None)
+    monkeypatch.setattr(_blas, "_openblas", lambda: None)
     assert _instance_bytes() == through_lapacke
 
 
@@ -922,26 +906,26 @@ def test_a_matrix_the_svd_cannot_take_raises_what_numpy_raises(svd_path,
 ], ids=["lda", "ldu", "lwork"])
 def test_an_illegal_lapacke_argument_is_named(monkeypatch, index, value,
                                               message):
-    gesdd = problems._lapacke_gesdd()
+    gesdd = _blas._lapacke_gesdd()
     if gesdd is None:
         pytest.skip("numpy's BLAS exports no LAPACKE_dgesdd_work")
 
     def with_bad_argument(*args):
         return gesdd(*args[:index], value, *args[index + 1:])
 
-    monkeypatch.setattr(problems, "_lapacke_gesdd", lambda: with_bad_argument)
+    monkeypatch.setattr(_blas, "_lapacke_gesdd", lambda: with_bad_argument)
     with pytest.raises(ValueError, match=message):
         problems.remap_spectrum(make_rng(6).standard_normal((8, 4)), 4.0)
 
 
 _SVD_CORETYPE_CHECK = """
 import numpy as np
-from dqgrad import problems
+from dqgrad import _blas, problems
 gen = np.random.default_rng(5)
 for m, n in ((331, 104), (128, 64), (40, 40), (3, 5)):
     A = gen.standard_normal((m, n))
     want = np.linalg.svd(A, full_matrices=False)
-    got = problems._svd_in_place(np.asfortranarray(A))
+    got = _blas.svd_in_place(np.asfortranarray(A))
     assert [f.tobytes() for f in got] == [f.tobytes() for f in want], (m, n)
     U, s, Vt = want
     lo = 1.0 / np.sqrt(9.0)
@@ -988,7 +972,7 @@ def test_a_large_build_stays_within_its_memory():
     # and by 91 MiB in place with the C-order draw kept alive (2-core x86-64
     # VM). It reads its own peak (VmHWM): ru_maxrss would start from this
     # test process's size, which Linux carries across exec.
-    if problems._lapacke_gesdd() is None:
+    if _blas._lapacke_gesdd() is None:
         pytest.skip("numpy's BLAS exports no LAPACKE_dgesdd_work")
     src = os.path.dirname(os.path.dirname(os.path.abspath(problems.__file__)))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}

@@ -10,7 +10,14 @@ two for its own call, with the one-thread bits (two_thread_grad), and the
 build runs its SVD on a helper thread while the calling thread solves
 (concurrently). Smaller instances never touch the count and start no
 thread. The raise holds the lock across its call, and so does every LAPACK
-call of problems, whose bits change at two threads.
+call of problems, whose bits change at two threads. The thread a raise
+starts sleeps once idle for 2**THREAD_TIMEOUT cycles, not OpenBLAS's
+2**28 (about 0.1 s, longer than the rest of a round): the first raise of
+the process sets OPENBLAS_THREAD_TIMEOUT unless the user has, has OpenBLAS
+read it again and stops its threads, and starts a fresh one that reads it
+from a helper kept off the caller's CPU, whichever module loaded numpy
+first. The sweep's pins (one_thread) nest: the first saves the count and
+the last puts it back.
 
 svd_in_place overwrites a Fortran-order copy of the draw through one
 LAPACKE_dgesdd_work call: a process that builds a 2048 x 1024 instance
@@ -48,6 +55,13 @@ GRAD_SPLIT_MIN_COLS = 1024
 # equal at 2048 x 1024, 2304 x 1152, 2176 x 1088, different at
 # 2052 x 1028, 2049 x 1025); 128 keeps a margin of 64
 GRAD_SPLIT_ALIGN = 128
+# OpenBLAS's raised thread sleeps once idle for 2**THREAD_TIMEOUT cycles
+# (OPENBLAS_THREAD_TIMEOUT; OpenBLAS takes 4 to 30, default 28, about
+# 0.1 s, through which it spins for the rest of every n = 1024 round): 4,
+# at once, read cpu_s 1.1% below 14 (awake across the few us between a
+# gradient's two products) in the median of 8 protocol-n1024 pairs, 6 of
+# them lower, at the same wall_s
+THREAD_TIMEOUT = 4
 # from this n up, the BLAS thread count changes the bits of the instance
 # constants and of the gradients (measured with numpy's bundled OpenBLAS)
 BLAS_THREAD_BITS_N = 384
@@ -56,6 +70,11 @@ BLAS_THREAD_BITS_N = 384
 _pool_workers = 1
 # reentrant, so that a raised gradient sets the count under its own hold
 lock = threading.RLock()
+# set under the lock: whether THREAD_TIMEOUT has been applied, how many
+# one_thread pins are open and the count the first of them saved
+_timeout_applied = False
+_pins = 0
+_unpinned = None
 
 
 @functools.cache
@@ -113,13 +132,26 @@ def threads(count):
 def one_thread(n):
     """One BLAS thread inside, the old count after, so that a sweep's bytes
     do not depend on the count; warns from n = BLAS_THREAD_BITS_N up when
-    the count cannot be set. A gated gradient inside still raises it."""
-    with threads(1) as pinned:
+    the count cannot be set. A gated gradient inside still raises it. Pins
+    that overlap, as concurrent sweeps on two threads do, share one: the
+    first saves the old count and the last to leave puts it back."""
+    global _pins, _unpinned
+    with lock:
+        if _pins == 0:
+            _unpinned = _swap(1)
+        _pins += 1
+        pinned = _unpinned is not None
+    try:
         if not pinned and n >= BLAS_THREAD_BITS_N:
             warnings.warn(f"cannot pin numpy's BLAS to one thread; at n = {n} "
                           f"the sweep's bytes may depend on the BLAS thread "
                           f"count", RuntimeWarning, stacklevel=3)
         yield
+    finally:
+        with lock:
+            _pins -= 1
+            if _pins == 0 and _unpinned is not None:
+                _swap(_unpinned)
 
 
 def pin_pool_worker(workers):
@@ -156,11 +188,44 @@ def two_thread_grad(A, y, x):
     on one thread under the caller's np.errstate, which reports what the
     flat call reports; so is every call of a caller who watches underflow."""
     if np.geterr()["under"] == "ignore":
-        with lock, np.errstate(all="ignore"), threads(2):
-            g = A.T @ (A @ x - y)
+        with lock, np.errstate(all="ignore"):
+            if not _timeout_applied:
+                _apply_thread_timeout()
+            with threads(2):
+                g = A.T @ (A @ x - y)
         if np.isfinite(g).all():
             return g
     return A.T @ (A @ x - y)
+
+
+def _apply_thread_timeout():
+    """Once per process, under the lock, before the first raise: set
+    OPENBLAS_THREAD_TIMEOUT to THREAD_TIMEOUT unless the user has, have
+    OpenBLAS read its variables again, stop its threads (its own fork
+    handler) and start a fresh one, which sleeps when idle. Nothing changes
+    where the library lacks either call."""
+    global _timeout_applied
+    _timeout_applied = True
+    lib = _openblas()
+    read_env = getattr(lib, "openblas_read_env", None)
+    shutdown = getattr(lib, "blas_thread_shutdown_", None)
+    if read_env is None or shutdown is None:
+        return
+    read_env.restype, read_env.argtypes = None, []
+    shutdown.restype, shutdown.argtypes = ctypes.c_int, []
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", str(THREAD_TIMEOUT))
+    read_env()
+    shutdown()
+    # OpenBLAS starts its fresh thread at the next count it is given, with
+    # the CPUs of the thread that gives it; a helper kept off this CPU gives
+    # it (this thread holds the lock). A sleeping thread left to the
+    # scheduler was often woken onto the CPU of its caller, who spins there
+    # waiting for it: on the 2-core VM 2 of 19 protocol-n1024 runs read
+    # wall_s 4.2-4.3 s against about 2 s, with cpu_s = wall_s
+    get, set_ = _blas_threads()
+    old = get()
+    concurrently(lambda: set_(2), lambda: None)
+    set_(old)
 
 
 def concurrently(first, second):

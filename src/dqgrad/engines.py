@@ -234,17 +234,21 @@ class _WorkerBase:
         is recorded under a saturating one, and a strict row is coded alone,
         so that the first to leave its cube raises as its own worker
         would."""
-        if u.ndim == 1:  # one flat row
-            norms, ranges, u = [norms], [ranges], [u]
-        else:
-            norms, ranges = norms[:, 0].tolist(), ranges[:, 0].tolist()
-        for coder, t, u_norm, r, row in zip(self.coders, ts, norms, ranges, u):
-            if not u_norm <= r * (1.0 + CONTAINMENT_RTOL):
-                if not coder.saturate:
-                    raise ScheduleViolationError(t, u_norm, r)
-                self.violations.append(t)
-            elif not coder.saturate:
-                coder.encode_rows(r, row)
+        if u.ndim == 1:  # one flat row, checked without the row loop
+            self._escape_row(self.coders[0], ts[0], norms, ranges, u)
+            return
+        for coder, t, u_norm, r, row in zip(self.coders, ts,
+                                            norms[:, 0].tolist(),
+                                            ranges[:, 0].tolist(), u):
+            self._escape_row(coder, t, u_norm, r, row)
+
+    def _escape_row(self, coder, t, u_norm, r, row):
+        if not u_norm <= r * (1.0 + CONTAINMENT_RTOL):
+            if not coder.saturate:
+                raise ScheduleViolationError(t, u_norm, r)
+            self.violations.append(t)
+        elif not coder.saturate:
+            coder.encode_rows(r, row)
 
 
 class NQGDWorker(_WorkerBase):

@@ -383,7 +383,8 @@ class _Calls(list):
 
 @pytest.fixture
 def split_gate(monkeypatch):
-    """The shape gate as it stands, on one BLAS thread and two CPUs;
+    """The shape gate as it stands, on one BLAS thread and two CPUs, after
+    OpenBLAS's re-init with the idle timeout, as at a process's first raise;
     monkeypatch with the calls as `ran`."""
     calls = _blas._blas_threads()
     if calls is None:
@@ -402,6 +403,8 @@ def split_gate(monkeypatch):
         set_(threads)
 
     with _blas.threads(1):
+        with _blas.lock:
+            _blas._apply_thread_timeout()
         monkeypatch.setattr(_blas, "cpu_count", lambda: 2)
         monkeypatch.setattr(_blas, "two_thread_grad", counted)
         monkeypatch.setattr(_blas, "_blas_threads", lambda: (get, setter))
@@ -424,7 +427,7 @@ def _aligned(shape):
 @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
 def test_split_gradient_is_the_flat_product_bitwise(split_on, shape, scale):
     # only aligned shapes take two threads, each call raising the count and
-    # putting it back
+    # putting it back, on the thread OpenBLAS started at its re-init
     gen = make_rng(sum(shape))
     A = gen.standard_normal(shape) * scale
     y = gen.standard_normal(shape[0])

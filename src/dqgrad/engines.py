@@ -53,7 +53,9 @@ engine runs with containment="saturate": the worker records each escape
 and the quantizer clamps to its range instead of raising. The builders
 derive the schedule, hyperparameters and containment from the problem
 alone. Hot path: that norm and the harness's distances are
-math.sqrt(u @ u), bit-equal to np.linalg.norm.
+math.sqrt(u.dot(u)), as np.linalg.norm takes it; one channel is collected
+without a list, and the cycle detector asks settled() only once the last
+two ranges are equal.
 
 Cycles. Below the threshold rate the range recursion reaches a fixed
 point in floating point, and a stalled run often cycles exactly through
@@ -202,7 +204,7 @@ class _WorkerBase:
         u = self.quantizer_input(x)
         bound = r * (1.0 + CONTAINMENT_RTOL)
         if flat:
-            norms = self.last_u_norm = math.sqrt(u @ u)
+            norms = self.last_u_norm = math.sqrt(u.dot(u))
             inside = norms <= bound  # a NaN norm escapes
             self.last_r = r
         else:
@@ -330,13 +332,14 @@ class _ServerBase:
 
     def broadcast(self, channels):
         """(t, x) down every channel, as one frame packed once."""
-        frame = pack_iterate(self.t, self.x)
+        frame = pack_iterate(self.t, self.state[0])
         for ch in channels:
             ch.send_frame(frame)
 
     def collect(self, channels):
         r = self.cursor.step()  # a float, or the (K, 1) column of K ranges
-        wires = [ch.recv_payload_bits() for ch in channels]
+        wires = ((channels[0].recv_payload_bits(),) if len(channels) == 1
+                 else [ch.recv_payload_bits() for ch in channels])
         q = self._stack
         if q is None:  # one coder decodes every channel, in order
             q = self.coders[0].decode(r, wires)
@@ -387,6 +390,7 @@ class _Cycles:
         self.window = 1  # rounds compared with the saved one before a new save
         # (server state, worker memory, ||u||, r) of each round since the save
         self.outcomes = []
+        self.last_r = worker.last_r  # the worker's range a round before
 
     def enter(self, t):
         """Before round t: the saved round if round t starts from the same
@@ -396,8 +400,10 @@ class _Cycles:
         x are compared first, and the rest of the state only when x matches.
         """
         state, worker = self.server.state, self.worker
-        if self.saved is None and not self.server.cursor.settled():
-            return None  # once settled, the ranges stay settled
+        if self.saved is None:  # unsettled while the worker's r_{t-2} != r_{t-1}
+            r2, self.last_r = self.last_r, worker.last_r
+            if r2 != worker.last_r or not self.server.cursor.settled():
+                return None  # once settled, the ranges stay settled
         memory = worker.memory
         x = state[0].tobytes()
         if self.saved is not None:
@@ -434,15 +440,13 @@ class _Cycles:
         for label in worker.violations[-p:]:
             if label >= server.t - p:
                 escaped[label - server.t + p] = True
-        period = list(zip(self.outcomes, escaped,
-                          zip(*[tr.downlink_bytes[-p:] for tr in traces]),
-                          zip(*[tr.uplink_bits[-p:] for tr in traces])))
+        logs = [tr.downlink_bytes for tr in traces] + [tr.uplink_bits for tr in traces]
+        period = list(zip(self.outcomes, escaped, zip(*[log[-p:] for log in logs])))
         end = steps
-        for j, ((state, memory, u_norm, r), escape, downs, ups) in zip(
+        for j, ((state, memory, u_norm, r), escape, entries) in zip(
                 range(t, steps), itertools.cycle(period)):
-            for trace, down, up in zip(traces, downs, ups):
-                trace.downlink_bytes.append(down)
-                trace.uplink_bits.append(up)
+            for log, entry in zip(logs, entries):
+                log.append(entry)
             if escape:
                 worker.violations.append(server.t)
             worker.memory = memory

@@ -143,7 +143,7 @@ def run_unquantized(algo, objective, t_max=10_000):
     for _ in range(t_max):
         state = step(algo, state, objective.grad(state[0]), hp)
         d = state[0] - objective.x_star
-        record.distances.append(math.sqrt(d @ d))
+        record.distances.append(math.sqrt(d.dot(d)))
         if stop():
             break
     return record
@@ -162,8 +162,8 @@ def _drive(algo, R, problem, server, worker, channels, t_max):
     distances, u_norms, ranges = record.distances, record.u_norms, record.ranges
 
     def observe(t, srv, w):
-        d = srv.x - x_star
-        distances.append(math.sqrt(d @ d))
+        d = srv.state[0] - x_star
+        distances.append(math.sqrt(d.dot(d)))
         u_norms.append(w.last_u_norm)
         ranges.append(w.last_r)
 
@@ -254,6 +254,9 @@ class ExperimentConfig:
         for algo in self.algos:
             if algo not in UNQUANTIZED + SCHEMES:
                 raise ValueError(f"unknown algorithm {algo!r}")
+        if "dq-agd" in self.algos and (p.get("kappa") == 1 or
+                                       p["kind"] == "mtx" and s[0] == s[-1]):
+            raise ValueError("dq-agd is undefined at condition number 1; use dq-gd")
         if self.allocation not in ("uniform", "waterfilling"):
             raise ValueError(f"unknown allocation {self.allocation!r}")
         if self.workers < 1:

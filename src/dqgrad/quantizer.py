@@ -31,17 +31,17 @@ Two codecs, which share no code:
   int. The coder is checked against it (acceptance check c10 and the test
   suite), so a fault in any of the coder's pieces shows as a mismatch.
 
-Hot path: at n = 16 a numpy call costs more than its arithmetic, so the
-coder's pieces work in place, bit-equal to the reference's plain forms:
-in-place floor and clip equal np.clip(np.floor((u + r) / w), 0, 2**R - 1)
-on non-NaN u >= -r, and -r + y equals y + (-r). A saturating row is
-clamped only when some |u| exceeds r. The bits are packed as uint8, from a
-table of every index's bits up to R = 8 and shifted out of int64 above it,
-and unpacked by one 2-D dot of (rows * n, R) bits with the rate's float
-weights, straight to float cells; those constants are built once per rate
-and are read-only (_layout). The domain check and the clip hold every
-cell in [0, 2**R - 1], so the coder packs without the reference's index
-check.
+Hot path: at n = 16 a numpy call costs more than its arithmetic, so each
+entry point takes one checked pass: a float64 row or stack goes in as it
+is, one argmax of |u| (the largest, or the first NaN) checks the domain,
+and error details are looked up only on failure. The pieces work in place,
+bit-equal to the reference's forms: floor and clip equal np.clip(np.floor(
+(u + r) / w), 0, 2**R - 1) on non-NaN u >= -r, -r + y equals y + (-r), and
+a saturating row is clamped only when some |u| exceeds r. At R = 8 a cell
+is its byte; below, its bits come from a table of every index, above,
+from shifts of int64; rows that fill whole bytes pack and unpack as one
+buffer, contracted with the rate's float weights (read-only, _layout).
+The clip holds every cell in [0, 2**R - 1]: no index check.
 """
 
 import collections
@@ -62,6 +62,7 @@ _LARGEST_RANGE = sys.float_info.max / 2
 # largest rate whose bits come from a table of every index, (2**R, R) uint8:
 # 2 KB at R = 8; above it the bits are shifted out of int64 and cast to uint8
 _TABLE_RATE = 8
+_FLOAT64 = np.dtype(np.float64)
 
 
 class RangeViolationError(Exception):
@@ -380,7 +381,8 @@ def _checked_cells(spec, r, u, saturate):
     failing element in row order raises RangeViolationError. Rows of cell
     width 0 (r = 0, or 2r/2**R below the smallest float) go to cell 0.
     """
-    u = np.asarray(u, dtype=np.float64)
+    if u.__class__ is not np.ndarray or u.dtype is not _FLOAT64:
+        u = np.asarray(u, dtype=np.float64)
     n = spec.n
     column = getattr(r, "ndim", 0) > 0
     if u.ndim != 1 + column or u.shape[-1] != n:
@@ -388,25 +390,21 @@ def _checked_cells(spec, r, u, saturate):
                          f"at a (G, 1) column of ranges, got {u.shape}")
     width = _cell_widths(spec, r, len(u))
     mag = np.abs(u)
-    if saturate:
-        top = mag.max(initial=0.0)  # NaN if any element is
-        failed = not top < math.inf
-        # the clamp leaves every element of [-r, r] as it is
-        clamp = column or not top <= r
-    else:
-        inside = mag <= r  # NaN fails
-        failed = np.count_nonzero(inside) < u.size
-        clamp = False
+    if saturate or not column:  # argmax: the largest |u|, or the first NaN
+        top = mag.item(mag.argmax()) if mag.size else 0.0
+        failed = not (top < math.inf if saturate else top <= r)
+    else:  # each row at its own range
+        failed = np.count_nonzero(mag <= r) < mag.size
     if failed:
-        if saturate:
-            inside = np.isfinite(u)
+        inside = np.isfinite(u) if saturate else mag <= r
         row, coord = divmod(int(np.argmin(inside)), n)
         raise RangeViolationError(coord, float(u.reshape(-1, n)[row, coord]),
                                   float(r[row, 0] if column else r),
                                   row if column else None)
+    clamp = saturate and (column or not top <= r)  # keeps [-r, r] as it is
     nlev = spec.levels
-    if column and not width.all():  # rows of width 0 divide by 1, go to cell 0
-        dead = width == 0.0
+    if column and np.count_nonzero(width) < len(width):
+        dead = width == 0.0  # rows of width 0 divide by 1, go to cell 0
         cells = _cells(u, r, np.where(dead, 1.0, width), nlev, clamp)
         cells[dead[:, 0]] = 0.0
         return cells, width
@@ -433,13 +431,13 @@ def _cells(u, r, width, nlev, clamp):
     cells /= width
     np.floor(cells, out=cells)
     # u >= -r, so u + r >= 0 and only the top needs the clip
-    return np.minimum(cells, nlev - 1, out=cells)
+    return np.minimum(cells, nlev - 1.0, out=cells)
 
 
 def _centers(cells, r, width, out=None):
     """The cell centers -r + (cells + 0.5)*width of float cell numbers, in
     float64; in place with out=cells."""
-    recon = np.add(cells, 0.5, out=out, dtype=np.float64)
+    recon = np.add(cells, 0.5, out=out)
     recon *= width
     return np.add(recon, -r, out=recon)
 
@@ -451,6 +449,8 @@ def _pack(cells, R):
 
     Nothing here checks the range: a value outside it packs garbage.
     """
+    if R == 8:  # a byte per cell
+        return cells.astype(np.uint8)
     layout = _layout(R)
     if layout.table is not None:
         bits = layout.table.take(cells.astype(np.uint8), axis=0)
@@ -462,20 +462,24 @@ def _pack(cells, R):
         bits &= 1
     if cells.ndim == 1:  # packbits is much faster without an axis
         return np.packbits(bits)
-    G, n = cells.shape
-    return np.packbits(bits.reshape(G, n * R), axis=1)
+    G, n = cells.shape  # whole bytes pack as one buffer, else row by row
+    return (np.packbits(bits).reshape(G, n * R // 8) if n * R % 8 == 0
+            else np.packbits(bits.reshape(G, n * R), axis=1))
 
 
 def _unpack(data, n, R, weights):
     """The float cell numbers of packed rows, their bits contracted with the
     rate's weights: (n,) of one row's (nbytes,) data, (G, n) of a stack's
     (G, nbytes)."""
+    if R == 8:  # a byte per cell
+        return data.astype(np.float64)
     if data.ndim == 1:  # unpackbits is faster without an axis
-        return np.dot(np.unpackbits(data, count=n * R).reshape(n, R), weights)
+        return np.unpackbits(data, count=n * R).reshape(n, R).dot(weights)
     # several times faster as one (G*n, R) dot than as a (G, n, R) one
     G = len(data)
-    bits = np.unpackbits(data, axis=1, count=n * R).reshape(G * n, R)
-    return np.dot(bits, weights).reshape(G, n)
+    bits = (np.unpackbits(data, axis=1, count=n * R) if n * R % 8
+            else np.unpackbits(data))  # whole bytes: one buffer
+    return bits.reshape(G * n, R).dot(weights).reshape(G, n)
 
 
 def _wires(bufs, shape):

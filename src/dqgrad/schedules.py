@@ -123,9 +123,10 @@ class ScheduleCursor:
         self.t = 0
         self._r1 = 0.0
         self._r2 = 0.0
+        self._next = _recursion(schedule)
 
     def step(self):
-        r = self.schedule.next(self.t, self._r1, self._r2)
+        r = self._next(self.t, self._r1, self._r2)
         self._r2, self._r1 = self._r1, r
         self.t += 1
         return r
@@ -135,6 +136,20 @@ class ScheduleCursor:
         # the naive rows of one cursor step as a column, and settled() tests
         # for the naive scheme before it compares any ranges
         return self.schedule.settled(self.t, self._r1, self._r2)
+
+
+def _recursion(s):
+    """s.next, which stays the reference, as one call: its operations, bit for bit."""
+    sigma, L, D, eps, gamma, lam = s.sigma, s.L, s.D, s.eps, s.gamma, s.lam
+    if s.scheme == "dq-gd":
+        return lambda t, r1, r2: sigma**t * L * D + eps * r1 if t else L * D
+    if s.scheme == "nq-gd":
+        return lambda t, r1, r2: sigma**t * L * D
+    if s.scheme == "dq-agd":
+        return lambda t, r1, r2: sigma**t * L * D * lam + eps * (r1 + gamma * (r1 + r2))
+    alpha, e_alpha, sqrt2 = s.alpha, math.e**s.alpha, math.sqrt(2.0)
+    return lambda t, r1, r2: (sigma**t * (max(t, 1) ** alpha * e_alpha) * sqrt2
+                              * L * D + eps * (r1 + gamma * (r1 + r2)))
 
 
 def naive_rows(schedules):

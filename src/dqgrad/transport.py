@@ -17,6 +17,9 @@ downlink  : uint32 little-endian iteration index, then n float64
             worker's containment.
 uplink    : the packed payload bits, zero-padded to a whole byte; the bit
             count n*R is implied by the public (n, R) and checked.
+
+Hot path: a little-endian float64 iterate is framed without a cast, and a
+frame is read by one frombuffer, copied so that x is aligned for BLAS.
 """
 
 from collections import deque
@@ -30,19 +33,23 @@ class FramingError(Exception):
     pass
 
 
+_INDEX = struct.Struct("<I")
+_WIRE = np.dtype("<f8")
+
+
 def pack_iterate(iteration, x):
-    x = np.asarray(x, dtype=np.float64)
+    if x.__class__ is not np.ndarray or x.dtype is not _WIRE:
+        x = np.asarray(x, dtype=np.float64).astype(_WIRE, copy=False)
     if x.ndim != 1 or x.size == 0:
         raise FramingError(f"iterate must be a nonempty vector, got shape {x.shape}")
-    return struct.pack("<I", iteration) + x.astype("<f8", copy=False).tobytes()
+    return _INDEX.pack(iteration) + x.tobytes()
 
 
 def unpack_iterate(frame):
-    if len(frame) < 4 or (len(frame) - 4) % 8 != 0 or len(frame) == 4:
+    if len(frame) < 12 or len(frame) % 8 != 4:
         raise FramingError(f"bad downlink frame length {len(frame)}")
-    (iteration,) = struct.unpack_from("<I", frame, 0)
-    x = np.frombuffer(frame, dtype="<f8", offset=4).copy()
-    return iteration, x
+    x = np.frombuffer(frame, _WIRE, offset=4).copy()
+    return _INDEX.unpack_from(frame)[0], x
 
 
 def unpack_iterates(frames):

@@ -1,6 +1,6 @@
 import pytest
 
-from dqgrad import selfcheck
+from dqgrad import harness, selfcheck
 from dqgrad.cli import main
 
 
@@ -278,18 +278,37 @@ def test_sweep_rejects_a_rank_deficient_matrix_when_loading(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_sweep_reports_a_failed_trial_as_an_error(tmp_path, capsys, jobs):
+def test_sweep_reports_a_failed_trial_as_an_error(tmp_path, capsys, monkeypatch,
+                                                  jobs):
+    # every trial fails in its runs; with two jobs the error is raised in a
+    # pool worker, forked with the patch, and pickled back
+    def fail(config, trial):
+        raise ArithmeticError(f"run failed in trial {trial}")
+
+    monkeypatch.setattr(harness, "_run_trial_inner", fail)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[g]\nproblem = gaussian\nm = 8\nn = 4\nkappa = 2\n"
+                   "algos = dq-gd\nrates = 2\ntrials = 2\ncsv = g.csv\n")
+    assert main(["sweep", str(cfg), "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: [g] trial 0: ArithmeticError('run failed in trial "
+                   "0')\n")
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_sweep_rejects_dq_agd_on_a_matrix_of_condition_number_one(tmp_path,
+                                                                   capsys):
     # orthonormal columns give kappa = 1, where the accelerated schedule is
-    # undefined: that fails only when trial 0 builds its engine; with two
-    # jobs the error is raised in a pool worker and pickled back
+    # undefined: the config is refused before the sweep announces any trial
     (tmp_path / "id.mtx").write_text(
         "%%MatrixMarket matrix array real general\n3 2\n1\n0\n0\n0\n1\n0\n")
     cfg = tmp_path / "exp.ini"
     cfg.write_text("[id]\nproblem = mtx\npath = id.mtx\nalgos = dq-agd\n"
                    "rates = 2\ntrials = 2\ncsv = id.csv\n")
-    assert main(["sweep", str(cfg), "--jobs", jobs]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: [id] trial 0: ValueError('the accelerated "
-                          "schedule is undefined at condition number 1")
+    assert main(["sweep", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: [id] dq-agd is undefined at condition "
+                          "number 1")
     assert "Traceback" not in err
     assert not (tmp_path / "id.csv").exists()

@@ -357,13 +357,15 @@ def _bits(v):
                   elements=st.floats(allow_nan=True, allow_infinity=True)
                   | st.floats(-1e3, 1e3)))
 def test_sqrt_of_self_dot_is_the_vector_norm(v):
-    # engines and harness take norms as math.sqrt(v @ v) on the hot path
+    # engines and harness take norms as math.sqrt(v.dot(v)) on the hot path,
+    # the dot np.linalg.norm takes; v @ v gives the same bits
     with np.errstate(over="ignore", invalid="ignore"):
-        fast, ref = math.sqrt(v @ v), float(np.linalg.norm(v))
-    if math.isnan(ref):
-        assert math.isnan(fast)
-    else:
-        assert _bits(fast) == _bits(ref)
+        ref = float(np.linalg.norm(v))
+        for fast in (math.sqrt(v.dot(v)), math.sqrt(v @ v)):
+            if math.isnan(ref):
+                assert math.isnan(fast)
+            else:
+                assert _bits(fast) == _bits(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +565,28 @@ def test_cycle_table_waits_for_the_peak_of_a_stalled_range(monkeypatch):
     run_protocol(ref_server, ref_worker, ref_channels, 10)
     assert ref_worker.violations == worker.violations
     assert _same_bits(ref_server.x, server.x)
+
+
+@pytest.mark.parametrize("seed,kappa", [(7, 5.0), (8, 25.0)])
+def test_the_detector_saves_the_first_settled_round(monkeypatch, seed, kappa):
+    # the detector asks the cursor only once the worker's last two ranges
+    # are equal; the first round it saves is still the first round whose
+    # server cursor is settled
+    settled, saved = [], []
+
+    class Logged(engines._Cycles):
+        def enter(self, t):
+            settled.append(self.server.cursor.settled())
+            start = super().enter(t)
+            saved.append(self.saved is not None)
+            return start
+
+    monkeypatch.setattr(engines, "_Cycles", Logged)
+    ss = np.random.SeedSequence(seed, spawn_key=(0,))
+    obj = make_gaussian_ls(32, 16, kappa, ss)[1]
+    run_dq("dq-gd", obj, 2, t_max=3000)
+    assert True in settled
+    assert saved.index(True) == settled.index(True)
 
 
 def test_cycle_table_compares_the_whole_state_of_rounds_that_share_x():

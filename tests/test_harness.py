@@ -284,15 +284,34 @@ def test_emitters_create_parent_directories(tmp_path):
     assert nested_svg.exists()
 
 
-def test_trial_errors_carry_their_index():
+def test_trial_errors_carry_their_index(monkeypatch):
+    from dqgrad import harness
     from dqgrad.harness import TrialError
 
-    # orthonormal columns give kappa = 1, where the accelerated schedule is
-    # undefined: that fails only when the trial builds its engine
-    bad = ExperimentConfig(**{**SMALL.__dict__, "algos": ("dq-agd",),
-                              "problem": {"kind": "mtx", "matrix": np.eye(3, 2)}})
-    with pytest.raises(TrialError, match="trial 0.*condition number 1"):
-        run_sweep(bad)
+    # a failure inside a trial's runs reaches the caller with the trial's
+    # index and the cause's repr
+    def fail(config, trial):
+        raise ArithmeticError(f"run failed in trial {trial}")
+
+    monkeypatch.setattr(harness, "_run_trial_inner", fail)
+    with pytest.raises(TrialError, match=r"^trial 0: ArithmeticError\('run "
+                                         r"failed in trial 0'\)$"):
+        run_sweep(SMALL)
+
+
+@pytest.mark.parametrize("problem", [
+    {"kind": "mtx", "matrix": np.eye(3, 2)},
+    {"kind": "gaussian", "m": 16, "n": 8, "kappa": 1.0},
+], ids=["mtx-orthonormal", "gaussian-kappa-1"])
+def test_a_config_rejects_dq_agd_at_condition_number_one(problem):
+    # the accelerated schedule is undefined there: refused when built, not
+    # when every trial builds its engine; dq-gd runs at kappa = 1
+    with pytest.raises(ValueError, match="dq-agd is undefined at condition "
+                                         "number 1"):
+        ExperimentConfig(**{**SMALL.__dict__, "problem": problem,
+                            "algos": ("gd", "dq-agd")})
+    ExperimentConfig(**{**SMALL.__dict__, "problem": problem,
+                        "algos": ("gd", "dq-gd", "agd")})
 
 
 @pytest.mark.parametrize("problem,detail", [

@@ -612,6 +612,90 @@ def test_stacked_coder_raises_what_the_reference_chain_raises(
     assert str(exc.value) == str(ref.value)
 
 
+# --- the single-pass codec at the rates a protocol round runs ------------------
+
+
+# 0, widths that are subnormal (2r/2**R below 2**-1022) or underflow to 0,
+# and ordinary ranges
+SMALL_RANGES = (st.sampled_from([0.0, 5e-324, 1e-315, 2.0**-1010, 1e-300, 1.0,
+                                 1e300]) | st.floats(1e-12, 1e6))
+
+
+@st.composite
+def round_cases(draw):
+    """(spec, column, saturate, U): G rows of n <= 64 at R <= 16, byte-filling
+    rates and R = 8 among them, each row strictly inside its cube, on its
+    faces, or (saturating) outside it."""
+    n, R = draw(st.integers(1, 64)), draw(st.integers(0, 16))
+    G, saturate = draw(st.integers(1, 4)), draw(st.booleans())
+    ranges = draw(st.lists(SMALL_RANGES, min_size=G, max_size=G))
+    gen = make_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for r in ranges:
+        u = r * (2.0 * gen.random(n) - 1.0) * 0.999  # strictly inside
+        where = draw(st.sampled_from(["inside", "faces", "outside"]
+                                     if saturate else ["inside", "faces"]))
+        if where != "inside":
+            pick = gen.random(n) < 0.5
+            far = [r] if where == "faces" else [1.5 * r, 4 * r, 1e10, 1.7e308]
+            sign = np.where(gen.random(n) < 0.5, -1.0, 1.0)
+            u[pick] = (sign * gen.choice(far, size=n))[pick]
+        rows.append(u)
+    return QuantizerSpec(n, R), np.array(ranges)[:, None], saturate, np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(round_cases())
+def test_single_pass_codec_equals_the_flat_reference(case):
+    # encode, encode_rows and decode against ScaledQuantizer.quantize,
+    # encode_payload and reconstruct(decode_payload(...)), bit for bit
+    spec, column, saturate, U = case
+    coder = BitCoder(spec, saturate)
+    nbits = spec.n * spec.R
+    refs = []
+    for r, u in zip(column[:, 0].tolist(), U):
+        idx, ref_recon = spec.scaled(r, saturate).quantize(u)
+        bits, _ = encode_payload(idx, spec.R)
+        refs.append(bits)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow, no divide by zero
+            payload, recon = coder.encode(r, u)
+            assert coder.encode_rows(r, u) == [payload]
+        assert (payload.bits, payload.nbits) == (bits, nbits)
+        assert recon.tobytes() == ref_recon.tobytes()
+        ref = reconstruct(spec, r, decode_payload(bits, nbits, spec.n, spec.R))
+        assert coder.decode(r, [bits]).tobytes() == ref.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        payloads = coder.encode_rows(column, U)
+    assert [(p.bits, p.nbits) for p in payloads] == [(b, nbits) for b in refs]
+    decoded = coder.decode(column, refs)
+    for g, (r, bits) in enumerate(zip(column[:, 0].tolist(), refs)):
+        ref = reconstruct(spec, r, decode_payload(bits, nbits, spec.n, spec.R))
+        assert decoded[g].tobytes() == ref.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(round_cases(), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+def test_single_pass_codec_raises_on_non_finite_input(case, bad, data):
+    # NaN and +-inf never pass, in either mode, with the reference's error
+    spec, column, saturate, U = case
+    g = data.draw(st.integers(0, len(U) - 1))
+    U[g, data.draw(st.integers(0, spec.n - 1))] = bad
+    coder = BitCoder(spec, saturate)
+    r, u = float(column[g, 0]), U[g]
+    with pytest.raises(RangeViolationError) as ref:
+        spec.scaled(r, saturate).quantize(u)
+    for encode in (coder.encode, coder.encode_rows):
+        with pytest.raises(RangeViolationError) as exc:
+            encode(r, u)
+        assert _fields(exc.value) == _fields(ref.value)
+    with pytest.raises(RangeViolationError) as exc:
+        coder.encode_rows(column[g:g + 1], U[g:g + 1])
+    assert _fields(exc.value) == (*_fields(ref.value)[:4], 0,
+                                  f"row 0: {ref.value}")
+
+
 @pytest.mark.parametrize("saturate", [False, True])
 def test_one_row_coder_skips_the_general_route(monkeypatch, saturate):
     def general(*args, **kwargs):

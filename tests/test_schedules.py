@@ -262,6 +262,44 @@ def test_one_cursor_of_naive_rows_steps_as_its_rows_bitwise(sigma):
     assert not stacked.schedule.L.flags.writeable
 
 
+def _bits(r):
+    return np.asarray(r, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("scheme,alpha,kappa,R", [
+    ("dq-gd", 0.0, 5.0, 2), ("dq-gd", 0.0, 25.0, 8), ("dq-agd", 0.0, 25.0, 2),
+    ("dq-agd", 0.0, 25.0, 6), ("dq-hb", 0.0, 5.0, 2), ("dq-hb", 0.0, 25.0, 8),
+    ("dq-hb", 0.5, 5.0, 2), ("dq-hb", 3.0, 25.0, 4), ("nq-gd", 0.0, 5.0, 4),
+    ("nq-rows", 0.0, 5.0, 4)])
+def test_one_call_step_keeps_both_ends_on_the_next_recursion(scheme, alpha,
+                                                             kappa, R):
+    # n = 16: eps = 1 at R = 2, where the dq ranges stall or grow; the
+    # cursor's one-call step gives RangeSchedule.next's ranges bit for bit
+    # for 5000 rounds on both ends, and whenever settled() holds, the last
+    # two ranges are equal, so a caller may skip it while they differ
+    hp = optimal_hyperparams(1.0, 1.0 / kappa, "gd" if "nq" in scheme
+                             else scheme[3:])
+    consts = dict(L=2.5, D=1.3, sigma=hp.sigma, gamma=hp.gamma, rho=4.0, R=R,
+                  lam=agd_lambda(kappa), alpha=alpha)
+    if scheme == "nq-rows":
+        s = naive_rows([RangeSchedule("nq-gd", **{**consts, "L": L})
+                        for L in (2.5, 0.25, 1e-3)])
+    else:
+        s = RangeSchedule(scheme, **consts)
+    worker, server = ScheduleCursor(s), ScheduleCursor(s)
+    r1 = r2 = 0.0
+    settled = 0
+    for t in range(5000):
+        r = s.next(t, r1, r2)
+        assert _bits(worker.step()) == _bits(server.step()) == _bits(r), t
+        r2, r1 = r1, r
+        if server.settled():
+            settled += 1
+            assert _bits(r1) == _bits(r2) and worker.settled(), t
+    # the stalled gd and agd ranges settle; naive ranges never do
+    assert (settled > 0) == (R == 2 and scheme in ("dq-gd", "dq-agd"))
+
+
 def test_naive_rows_need_one_sigma_and_one_D():
     a = RangeSchedule("nq-gd", L=1.0, D=2.0, sigma=0.5)
     for other in (dict(sigma=0.6), dict(D=3.0), dict(scheme="dq-gd")):

@@ -45,6 +45,55 @@ def test_random_iterate_roundtrips_bitwise():
         assert np.array_equal(x2, x)
 
 
+def _frame(t, values):
+    """The downlink frame written out by hand: uint32 LE, then float64 LE."""
+    return (int(t).to_bytes(4, "little")
+            + b"".join(np.float64(v).astype("<f8").tobytes() for v in values))
+
+
+X = np.array([1.5, -0.0, np.inf, -2.0**-1074, np.nan, 3.0])
+
+
+@pytest.mark.parametrize("x", [
+    X, X.astype(np.float32), X.astype(">f8"), np.repeat(X, 2)[::2],
+    X[::-1], list(X), np.asfortranarray(X.reshape(2, 3))[0],
+], ids=["float64", "float32", "big-endian", "strided", "reversed", "list",
+        "fortran-row"])
+def test_every_iterate_frames_as_its_float64_values(x):
+    # the little-endian float64 array is framed as it is, any other iterate
+    # after its cast to float64, with the same bytes
+    values = np.asarray(x, dtype=np.float64).tolist()
+    frame = pack_iterate(7, x)
+    assert frame == _frame(7, values)
+    t, y = unpack_iterate(frame)
+    assert t == 7 and y.tobytes() == _frame(0, values)[4:]
+
+
+@pytest.mark.parametrize("x,shape", [
+    (np.float64(1.0), r"\(\)"), (np.array(2.0), r"\(\)"),
+    (np.array([]), r"\(0,\)"),
+    (np.zeros((2, 3)), r"\(2, 3\)"), (np.zeros((0, 3), dtype=">f8"), r"\(0, 3\)"),
+    ([], r"\(0,\)"),
+], ids=["scalar", "0-d", "empty", "matrix", "empty-matrix-big-endian", "empty-list"])
+def test_an_iterate_that_is_no_nonempty_vector_is_refused(x, shape):
+    with pytest.raises(FramingError, match=rf"^iterate must be a nonempty "
+                                           rf"vector, got shape {shape}$"):
+        pack_iterate(0, x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_a_frame_of_the_wrong_length_raises_from_recv_iterate(n):
+    channel = Channel(3, 2)
+    channel.send_frame(pack_iterate(5, np.ones(n)))
+    with pytest.raises(FramingError, match=f"^expected a 28-byte downlink "
+                                           f"frame, got {4 + 8 * n} bytes$"):
+        channel.recv_iterate()
+    assert not channel._down
+    channel.send_frame(pack_iterate(5, np.arange(3.0)))
+    t, x = channel.recv_iterate()
+    assert t == 5 and x.tolist() == [0.0, 1.0, 2.0]
+
+
 def test_stacked_frames_read_as_rows():
     frames = [pack_iterate(t, x) for t, x in
               [(3, np.array([1.0, -0.0])), (4, np.array([np.inf, 2.5]))]]

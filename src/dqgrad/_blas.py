@@ -164,20 +164,17 @@ def pin_pool_worker(workers):
     _swap(1)
 
 
-def fits_two_cores(A):
-    """A is a float64 C-order matrix of at least GRAD_SPLIT_MIN entries and
-    GRAD_SPLIT_MIN_COLS columns, both sides multiples of GRAD_SPLIT_ALIGN."""
-    m, n = A.shape
-    return (n >= GRAD_SPLIT_MIN_COLS and A.size >= GRAD_SPLIT_MIN
-            and m % GRAD_SPLIT_ALIGN == 0 and n % GRAD_SPLIT_ALIGN == 0
-            and A.dtype == np.float64 and A.flags.c_contiguous)
-
-
 def on_two_cores(A):
-    """True when work on A shares a second core (the one gate of the
-    two-thread gradient and the overlapped build): A fits (fits_two_cores),
-    the process has two CPUs to itself and numpy's BLAS runs one thread."""
-    if not (fits_two_cores(A) and cpu_count() >= 2 * _pool_workers):
+    """True when work on A shares a second core: A is a float64 C-order
+    matrix of at least GRAD_SPLIT_MIN entries and GRAD_SPLIT_MIN_COLS
+    columns, both sides multiples of GRAD_SPLIT_ALIGN, the process has two
+    CPUs to itself and numpy's BLAS runs one thread. The one gate of the
+    two-thread gradient and the overlapped build."""
+    m, n = A.shape
+    if not (n >= GRAD_SPLIT_MIN_COLS and A.size >= GRAD_SPLIT_MIN
+            and m % GRAD_SPLIT_ALIGN == 0 and n % GRAD_SPLIT_ALIGN == 0
+            and A.dtype == np.float64 and A.flags.c_contiguous
+            and cpu_count() >= 2 * _pool_workers):
         return False
     calls = _blas_threads()
     return calls is not None and calls[0]() == 1

@@ -54,8 +54,8 @@ and the quantizer clamps to its range instead of raising. The builders
 derive the schedule, hyperparameters and containment from the problem
 alone. Hot path: that norm and the harness's distances are
 math.sqrt(u.dot(u)), as np.linalg.norm takes it; one channel is collected
-without a list, and the cycle detector asks settled() only once the last
-two ranges are equal.
+without a list, and the cursor answers settled() itself while the last
+two ranges differ.
 
 Cycles. Below the threshold rate the range recursion reaches a fixed
 point in floating point, and a stalled run often cycles exactly through
@@ -390,7 +390,6 @@ class _Cycles:
         self.window = 1  # rounds compared with the saved one before a new save
         # (server state, worker memory, ||u||, r) of each round since the save
         self.outcomes = []
-        self.last_r = worker.last_r  # the worker's range a round before
 
     def enter(self, t):
         """Before round t: the saved round if round t starts from the same
@@ -400,10 +399,8 @@ class _Cycles:
         x are compared first, and the rest of the state only when x matches.
         """
         state, worker = self.server.state, self.worker
-        if self.saved is None:  # unsettled while the worker's r_{t-2} != r_{t-1}
-            r2, self.last_r = self.last_r, worker.last_r
-            if r2 != worker.last_r or not self.server.cursor.settled():
-                return None  # once settled, the ranges stay settled
+        if self.saved is None and not self.server.cursor.settled():
+            return None  # once settled, the ranges stay settled
         memory = worker.memory
         x = state[0].tobytes()
         if self.saved is not None:

@@ -254,8 +254,9 @@ class ExperimentConfig:
         for algo in self.algos:
             if algo not in UNQUANTIZED + SCHEMES:
                 raise ValueError(f"unknown algorithm {algo!r}")
-        if "dq-agd" in self.algos and (p.get("kappa") == 1 or
-                                       p["kind"] == "mtx" and s[0] == s[-1]):
+        # the rule every trial's dq_schedule applies, at the section's kappa
+        if "dq-agd" in self.algos and p["kind"] in ("mtx", "gaussian") and sigma_agd(
+                L / mu if p["kind"] == "mtx" else p["kappa"]) == 0.0:
             raise ValueError("dq-agd is undefined at condition number 1; use dq-gd")
         if self.allocation not in ("uniform", "waterfilling"):
             raise ValueError(f"unknown allocation {self.allocation!r}")

@@ -59,16 +59,15 @@ class LeastSquares:
             raise ValueError(f"need m >= n, got {m} x {n}")
         if self.y.shape != (m,):
             raise ValueError("y length must match the row count")
-        # the gate's static half, once per matrix, at the constants it is built at
-        object.__setattr__(self, "_fits", _blas.fits_two_cores(self.A))
 
     def grad(self, x):
         A, y = self.A, self.y
         if (type(x) is np.ndarray and x.dtype == np.float64
                 and x.shape == A.shape[1:] and x.flags.c_contiguous):
-            if self._fits and _blas.on_two_cores(A):
+            if _blas.on_two_cores(A):
                 return _blas.two_thread_grad(A, y, x)
-            # the gemv calls of the product below, bit for bit, for less
+            # the gemv calls of the product below, bit for bit, for less; on
+            # a reversed view or a complex x the two forms can round apart
             return A.T.dot(A.dot(x) - y)
         return A.T @ (A @ x - y)
 

@@ -63,24 +63,23 @@ class RangeSchedule:
         """Per-unit-range covering radius rho_n * 2**-R."""
         return self.rho * 2.0 ** (-self.R)
 
-    def leading(self, t):
-        if self.scheme == "dq-gd":
-            return self.sigma**t * self.L * self.D
-        if self.scheme == "dq-agd":
-            return self.sigma**t * self.L * self.D * self.lam
+    @functools.cached_property
+    def next(self):
+        """next(t, r_{t-1}, r_{t-2}) is r_t (zeros before the start): one call
+        of the scheme's recursion, bound to its constants once."""
         if self.scheme == "dq-hb":
-            sub = max(t, 1) ** self.alpha * math.e**self.alpha
-            return self.sigma**t * sub * math.sqrt(2.0) * self.L * self.D
-        return self.sigma**t * self.L * self.D  # nq-gd
+            return functools.partial(_dq_hb, self.sigma, self.alpha,
+                                     math.e**self.alpha, math.sqrt(2.0),
+                                     self.L, self.D, self.eps, self.gamma)
+        if self.scheme == "dq-agd":
+            return functools.partial(_dq_agd, self.sigma, self.L, self.D,
+                                     self.lam, self.eps, self.gamma)
+        step = _dq_gd if self.scheme == "dq-gd" else _nq_gd
+        return functools.partial(step, self.sigma, self.L, self.D, self.eps)
 
-    def next(self, t, r_prev, r_prev2):
-        """r_t given r_{t-1}, r_{t-2} (zeros before the start)."""
-        if self.scheme == "dq-gd":
-            return self.L * self.D if t == 0 else self.leading(t) + self.eps * r_prev
-        if self.scheme == "nq-gd":
-            return self.leading(t)
-        feedback = r_prev + self.gamma * (r_prev + r_prev2)
-        return self.leading(t) + self.eps * feedback
+    def leading(self, t):
+        """The forcing term of r_t: the recursion at zero ranges."""
+        return self.next(t, 0.0, 0.0)
 
     def settled(self, t, r_prev, r_prev2):
         """True only if next() returns r = r_prev at t and at every later t.
@@ -123,7 +122,7 @@ class ScheduleCursor:
         self.t = 0
         self._r1 = 0.0
         self._r2 = 0.0
-        self._next = _recursion(schedule)
+        self._next = schedule.next
 
     def step(self):
         r = self._next(self.t, self._r1, self._r2)
@@ -133,23 +132,28 @@ class ScheduleCursor:
 
     def settled(self):
         """True once every later step() returns the last range again."""
-        # the naive rows of one cursor step as a column, and settled() tests
-        # for the naive scheme before it compares any ranges
-        return self.schedule.settled(self.t, self._r1, self._r2)
+        # r_{t-1} != r_{t-2}, the common case, is answered here; the naive
+        # rows step a column of ranges, and their scheme never settles
+        s = self.schedule
+        return (s.scheme != "nq-gd" and self._r1 == self._r2
+                and s.settled(self.t, self._r1, self._r2))
 
 
-def _recursion(s):
-    """s.next, which stays the reference, as one call: its operations, bit for bit."""
-    sigma, L, D, eps, gamma, lam = s.sigma, s.L, s.D, s.eps, s.gamma, s.lam
-    if s.scheme == "dq-gd":
-        return lambda t, r1, r2: sigma**t * L * D + eps * r1 if t else L * D
-    if s.scheme == "nq-gd":
-        return lambda t, r1, r2: sigma**t * L * D
-    if s.scheme == "dq-agd":
-        return lambda t, r1, r2: sigma**t * L * D * lam + eps * (r1 + gamma * (r1 + r2))
-    alpha, e_alpha, sqrt2 = s.alpha, math.e**s.alpha, math.sqrt(2.0)
-    return lambda t, r1, r2: (sigma**t * (max(t, 1) ** alpha * e_alpha) * sqrt2
-                              * L * D + eps * (r1 + gamma * (r1 + r2)))
+def _dq_gd(sigma, L, D, eps, t, r1, r2):
+    return sigma**t * L * D + eps * r1 if t else L * D
+
+
+def _nq_gd(sigma, L, D, eps, t, r1, r2):
+    return sigma**t * L * D
+
+
+def _dq_agd(sigma, L, D, lam, eps, gamma, t, r1, r2):
+    return sigma**t * L * D * lam + eps * (r1 + gamma * (r1 + r2))
+
+
+def _dq_hb(sigma, alpha, e_alpha, sqrt2, L, D, eps, gamma, t, r1, r2):
+    return (sigma**t * (max(t, 1) ** alpha * e_alpha) * sqrt2 * L * D
+            + eps * (r1 + gamma * (r1 + r2)))
 
 
 def naive_rows(schedules):

@@ -1,6 +1,6 @@
 import pytest
 
-from dqgrad import harness, selfcheck
+from dqgrad import selfcheck
 from dqgrad.cli import main
 
 
@@ -278,21 +278,17 @@ def test_sweep_rejects_a_rank_deficient_matrix_when_loading(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_sweep_reports_a_failed_trial_as_an_error(tmp_path, capsys, monkeypatch,
-                                                  jobs):
-    # every trial fails in its runs; with two jobs the error is raised in a
-    # pool worker, forked with the patch, and pickled back
-    def fail(config, trial):
-        raise ArithmeticError(f"run failed in trial {trial}")
-
-    monkeypatch.setattr(harness, "_run_trial_inner", fail)
+def test_sweep_reports_a_failed_trial_as_an_error(tmp_path, capsys, jobs):
+    # at kappa = 1e300 the accelerated momentum rounds to 1, so every
+    # trial's engine build fails; with two jobs the error is raised in a
+    # pool worker and pickled back
     cfg = tmp_path / "exp.ini"
-    cfg.write_text("[g]\nproblem = gaussian\nm = 8\nn = 4\nkappa = 2\n"
-                   "algos = dq-gd\nrates = 2\ntrials = 2\ncsv = g.csv\n")
+    cfg.write_text("[g]\nproblem = gaussian\nm = 8\nn = 4\nkappa = 1e300\n"
+                   "algos = dq-agd\nrates = 2\ntrials = 2\ncsv = g.csv\n")
     assert main(["sweep", str(cfg), "--jobs", jobs]) == 1
     err = capsys.readouterr().err
-    assert err == ("error: [g] trial 0: ArithmeticError('run failed in trial "
-                   "0')\n")
+    assert err == ("error: [g] trial 0: InvalidConstantsError('momentum must "
+                   "be in [0, 1)')\n")
     assert not (tmp_path / "g.csv").exists()
 
 

@@ -302,7 +302,11 @@ def test_trial_errors_carry_their_index(monkeypatch):
 @pytest.mark.parametrize("problem", [
     {"kind": "mtx", "matrix": np.eye(3, 2)},
     {"kind": "gaussian", "m": 16, "n": 8, "kappa": 1.0},
-], ids=["mtx-orthonormal", "gaussian-kappa-1"])
+    # singular values one ulp apart: L / mu = 1 + 2**-52, where the
+    # accelerated rate sqrt(1 - 1/sqrt(kappa)) rounds to 0 as at kappa = 1
+    {"kind": "mtx", "matrix": np.diag([float.fromhex("0x1.6a09e667f3bccp+0"),
+                                       float.fromhex("0x1.6a09e667f3bcbp+0")])},
+], ids=["mtx-orthonormal", "gaussian-kappa-1", "mtx-one-ulp"])
 def test_a_config_rejects_dq_agd_at_condition_number_one(problem):
     # the accelerated schedule is undefined there: refused when built, not
     # when every trial builds its engine; dq-gd runs at kappa = 1

@@ -76,6 +76,24 @@ def test_gradient_matches_central_differences():
             assert fd == pytest.approx(g[i], rel=1e-6, abs=1e-8)
 
 
+@pytest.mark.parametrize("n", [1, 3, 16, 104])
+def test_every_point_gets_the_bits_of_the_matmul_product(n):
+    # a C-order float64 point takes the dot form, and any other the matmul
+    # form: on a reversed view or a complex point the dot form's bits can
+    # differ
+    gen = make_rng(n)
+    A, y = gen.standard_normal((2 * n, n)), gen.standard_normal(2 * n)
+    x = gen.standard_normal(n)
+    ls = LeastSquares(A, y)
+    for point in (x, x[::-1], np.ones(2 * n)[::2],
+                  x + 1j * gen.standard_normal(n), x.astype(np.float32),
+                  list(x), x[:, None]):
+        want = A.T @ (A @ point - y)
+        got = ls.grad(point)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_gradient_lipschitz_and_strong_convexity_bracket():
     _, obj = make_gaussian_ls(40, 16, 9, 17)
     gen = make_rng(2)

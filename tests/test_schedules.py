@@ -266,6 +266,21 @@ def _bits(r):
     return np.asarray(r, dtype=np.float64).tobytes()
 
 
+def _textbook(s, t, r1, r2):
+    """r_t as the module docstring writes it, in its order of operations."""
+    lead = s.sigma**t * s.L * s.D
+    if s.scheme == "dq-gd":
+        return lead + s.eps * r1 if t else s.L * s.D
+    if s.scheme == "nq-gd":
+        return lead
+    if s.scheme == "dq-agd":
+        lead = lead * s.lam
+    else:
+        sub = max(t, 1) ** s.alpha * math.e**s.alpha
+        lead = s.sigma**t * sub * math.sqrt(2.0) * s.L * s.D
+    return lead + s.eps * (r1 + s.gamma * (r1 + r2))
+
+
 @pytest.mark.parametrize("scheme,alpha,kappa,R", [
     ("dq-gd", 0.0, 5.0, 2), ("dq-gd", 0.0, 25.0, 8), ("dq-agd", 0.0, 25.0, 2),
     ("dq-agd", 0.0, 25.0, 6), ("dq-hb", 0.0, 5.0, 2), ("dq-hb", 0.0, 25.0, 8),
@@ -274,9 +289,9 @@ def _bits(r):
 def test_one_call_step_keeps_both_ends_on_the_next_recursion(scheme, alpha,
                                                              kappa, R):
     # n = 16: eps = 1 at R = 2, where the dq ranges stall or grow; the
-    # cursor's one-call step gives RangeSchedule.next's ranges bit for bit
-    # for 5000 rounds on both ends, and whenever settled() holds, the last
-    # two ranges are equal, so a caller may skip it while they differ
+    # cursor's one-call step gives the textbook recursion's ranges bit for
+    # bit for 5000 rounds on both ends, and the cursor's settled(), which
+    # answers unequal last ranges itself, agrees with the schedule's
     hp = optimal_hyperparams(1.0, 1.0 / kappa, "gd" if "nq" in scheme
                              else scheme[3:])
     consts = dict(L=2.5, D=1.3, sigma=hp.sigma, gamma=hp.gamma, rho=4.0, R=R,
@@ -290,14 +305,26 @@ def test_one_call_step_keeps_both_ends_on_the_next_recursion(scheme, alpha,
     r1 = r2 = 0.0
     settled = 0
     for t in range(5000):
-        r = s.next(t, r1, r2)
+        r = _textbook(s, t, r1, r2)
         assert _bits(worker.step()) == _bits(server.step()) == _bits(r), t
+        assert _bits(s.next(t, r1, r2)) == _bits(r), t
         r2, r1 = r1, r
-        if server.settled():
-            settled += 1
-            assert _bits(r1) == _bits(r2) and worker.settled(), t
+        assert server.settled() == worker.settled() == s.settled(t + 1, r1,
+                                                                 r2), t
+        settled += server.settled()
     # the stalled gd and agd ranges settle; naive ranges never do
     assert (settled > 0) == (R == 2 and scheme in ("dq-gd", "dq-agd"))
+
+
+def test_a_schedule_pickles_with_its_recursion_bound():
+    # the bound recursion is built of module functions, so a schedule that
+    # has stepped still travels to a pool worker
+    import pickle
+
+    s = RangeSchedule("dq-hb", L=2.0, D=1.5, sigma=0.7, gamma=0.3, rho=2.0,
+                      R=3, alpha=0.5)
+    r = s.next(4, 1.0, 0.5)
+    assert pickle.loads(pickle.dumps(s)).next(4, 1.0, 0.5) == r
 
 
 def test_naive_rows_need_one_sigma_and_one_D():

@@ -53,39 +53,39 @@ engine runs with containment="saturate": the worker records each escape
 and the quantizer clamps to its range instead of raising. The builders
 derive the schedule, hyperparameters and containment from the problem
 alone. Hot path: that norm and the harness's distances are
-math.sqrt(u.dot(u)), as np.linalg.norm takes it; one channel is collected
-without a list, and the cursor answers settled() itself while the last
-two ranges differ.
+math.sqrt(u.dot(u)), as np.linalg.norm takes it, and one channel is
+collected without a list.
 
 Cycles. Below the threshold rate the range recursion reaches a fixed
 point in floating point, and a stalled run often cycles exactly through
 its iterates and errors. run_protocol, the one loop that sees both
-parties, proves such a cycle and fills the rest of the run from it:
+parties, restores such a cycle's rounds instead of computing them:
 
-  1. Settled range. Once the server's cursor is settled
-     (RangeSchedule.settled: r_{t-1} == r_{t-2} is a fixed point of the
-     recursion, and its leading term is absorbed with a margin and can
-     only shrink), every later round runs at that same r.
+  1. One range. Rounds are saved and compared only while the server
+     cursor's last two ranges are equal (from t = 2, and only for a scheme
+     with feedback), and the saved round is dropped when the range moves.
   2. Deterministic round. At a fixed r a round is a function of the
      server's state and the worker side's memory (e1, e2) alone: the
      quantizer input never reads t, a payload is its bits alone, and the
      frame's t only labels an escape.
-  3. Periodic until t_max. So if the bytes of that state at the start of
-     round t equal those at round s < t, then rounds t, t+1, ... repeat
-     rounds s, s+1, ... with period p = t - s, to the last round.
+  3. Checked rounds. So once the bytes of that state at the start of round
+     t equal those at round s < t, round t + k repeats round s + k mod p,
+     p = t - s, if it runs at that round's range: each restored round first
+     steps both cursors to it (ScheduleCursor.step_to). At the first range
+     that differs, the round is computed and the detector starts over.
 
-Once the ranges are settled, Brent's cycle detector (R. P. Brent, BIT 20,
-1980) compares each round's starting state with one saved round's, the
-bytes of x first and the rest only when x matches; when window rounds pass
-with no match it saves the current round and doubles window, up to
-_CYCLE_SLOTS, the longest period it finds. The rounds since the save are
-held with the state and observables each left behind, so at a hit they are
-one period, and every later round is restored from it: the server's state,
-the worker's memory, ||u|| and r, the channel trace entries and the
-escapes, relabelled with their round. Every round still reaches
-on_iteration and stop, and each party ends where a computed run ends, bit
-for bit. server.cycle is then (s, p), s the saved round: on the cycle, but
-not always its first round.
+Brent's cycle detector (R. P. Brent, BIT 20, 1980) compares each round's
+starting state with one saved round's, the bytes of x first and the rest
+only when x matches; when window rounds pass with no match it saves the
+current round and doubles window, up to _CYCLE_SLOTS, the longest period
+it finds. The rounds since the save are held with the state and
+observables each left behind, so at a hit they are one period: the
+server's state, the worker's memory, ||u|| and r, the channel trace
+entries and the escapes, relabelled with their round. Every round still
+reaches on_iteration and stop, and each party ends where a computed run
+ends, bit for bit. server.cycle is then (s, p), s the saved round: on the
+cycle, but not always its first round; server.replayed counts the
+rounds restored.
 """
 
 import dataclasses
@@ -105,8 +105,8 @@ from .transport import Channel, pack_iterate, unpack_iterates
 CONTAINMENT_RTOL = 1e-9
 # strict raises on an escape; saturate counts it and clamps the quantizer
 CONTAINMENT = ("strict", "saturate")
-# the longest period run_protocol finds once the ranges stand still, and the
-# most rounds it holds; stalled runs cycle with short periods; 0 finds none
+# the longest period run_protocol finds at one range, and the most rounds it
+# holds; stalled runs cycle with short periods; 0 finds none
 _CYCLE_SLOTS = 64
 
 
@@ -324,7 +324,8 @@ class _ServerBase:
         self._stack = (np.empty((len(coders), self.x.shape[0]))
                        if len(self._groups) > 1 else None)
         self.t = 0
-        self.cycle = None  # (start, period) once run_protocol finds one
+        self.cycle = None  # (start, period) of the last cycle run_protocol finds
+        self.replayed = 0  # rounds restored from cycles
 
     @property
     def x(self):
@@ -358,18 +359,16 @@ def run_protocol(server, worker, channels, steps, on_iteration=None, stop=None):
 
     The one worker side serves every channel, as one flat row (every DQ
     engine, and nq-gd at K = 1) or as the rows of one stack. Rounds
-    served from a proven cycle (see Cycles) count as run, and every round
+    restored from a cycle (see Cycles) count as run, and every round
     reaches on_iteration and stop.
     """
-    cycles = _Cycles(server, worker, channels) if _CYCLE_SLOTS else None
+    cycles = (_Cycles(server, worker, channels) if _CYCLE_SLOTS
+              and server.cursor.schedule.scheme != "nq-gd" else None)
     for t in range(steps):
-        if cycles is not None:
-            start = cycles.enter(t)
-            if start is not None:
-                return cycles.fill(start, t, steps, on_iteration, stop)
-        server.broadcast(channels)
-        worker.round(channels)
-        server.collect(channels)
+        if cycles is None or not cycles.restore(t):
+            server.broadcast(channels)
+            worker.round(channels)
+            server.collect(channels)
         if on_iteration is not None:
             on_iteration(t, server, worker)
         if stop is not None and stop(t, server):
@@ -378,29 +377,80 @@ def run_protocol(server, worker, channels, steps, on_iteration=None, stop=None):
 
 
 class _Cycles:
-    """run_protocol's memory of the rounds run at settled ranges: Brent's
-    cycle detector, one saved round and the outcomes of the rounds since."""
+    """run_protocol's memory of the rounds run at one range: Brent's cycle
+    detector, one saved round and the outcomes of the rounds since, and
+    once a cycle is found, its period."""
 
     def __init__(self, server, worker, channels):
         self.server = server
         self.worker = worker
         self.channels = channels
+        self._start_over()
+
+    def _start_over(self):
         # (round, bytes of x, rest of the server state + worker memory)
         self.saved = None
         self.window = 1  # rounds compared with the saved one before a new save
         # (server state, worker memory, ||u||, r) of each round since the save
         self.outcomes = []
+        self.period = None  # its rounds' outcomes, escapes and log entries
+
+    def restore(self, t):
+        """True if round t is restored from the found period, once both
+        cursors step to the range its round ran at; False for a round to
+        compute, and at a range that differs the detector starts over.
+
+        An escape is labelled with its round's server.t. The period's arrays
+        are restored once per period, so they become read-only.
+        """
+        server, worker = self.server, self.worker
+        if self.period is None:
+            start = self.enter(t)
+            if start is None:
+                return False
+            p = t - start
+            server.cycle = (start, p)
+            for state, memory, _, _ in self.outcomes:
+                for a in state + memory:
+                    a.flags.writeable = False
+            escaped = set(worker.violations[-p:])
+            # each round appends one entry to every channel trace
+            self.logs = ([ch.trace.downlink_bytes for ch in self.channels]
+                         + [ch.trace.uplink_bits for ch in self.channels])
+            self.period = itertools.cycle(list(zip(
+                self.outcomes, [j in escaped for j in range(start, t)],
+                zip(*[log[-p:] for log in self.logs]))))
+        (state, memory, u_norm, r), escape, entries = next(self.period)
+        # both ends step one recursion from the same constants: both step,
+        # or neither does
+        if not (server.cursor.step_to(r) and worker.cursor.step_to(r)):
+            self._start_over()
+            return False
+        for log, entry in zip(self.logs, entries):
+            log.append(entry)
+        if escape:
+            worker.violations.append(server.t)
+        worker.memory = memory
+        worker.last_u_norm, worker.last_r = u_norm, r
+        server.state = state
+        server.t += 1
+        server.replayed += 1
+        return True
 
     def enter(self, t):
         """Before round t: the saved round if round t starts from the same
-        state, else None; saves a round once the ranges are settled.
+        state, else None; saves and compares rounds only while the server
+        cursor's last two ranges are equal.
 
-        A settled run that drifts never repeats its iterate, so the bytes of
+        A stalled run that drifts never repeats its iterate, so the bytes of
         x are compared first, and the rest of the state only when x matches.
         """
+        cursor = self.server.cursor
+        if cursor.r1 != cursor.r2 or t < 2:  # r_{-1} = r_{-2} = 0 are no ranges
+            if self.saved is not None:
+                self._start_over()
+            return None
         state, worker = self.server.state, self.worker
-        if self.saved is None and not self.server.cursor.settled():
-            return None  # once settled, the ranges stay settled
         memory = worker.memory
         x = state[0].tobytes()
         if self.saved is not None:
@@ -417,48 +467,6 @@ class _Cycles:
         self.outcomes = []
         return None
 
-    def fill(self, start, t, steps, on_iteration, stop):
-        """Rounds t, t+1, ... restored from the period that began at round
-        start; returns the number of rounds run.
-
-        Every round appends one entry per channel trace, and an escape is
-        labelled with its round's server.t, so the period's entries and
-        escapes are the last ones. The period's arrays are restored once per
-        period, so they become read-only.
-        """
-        server, worker = self.server, self.worker
-        traces = [ch.trace for ch in self.channels]
-        p = t - start
-        server.cycle = (start, p)
-        for state, memory, _, _ in self.outcomes:
-            for a in state + memory:
-                a.flags.writeable = False
-        escaped = [False] * p
-        for label in worker.violations[-p:]:
-            if label >= server.t - p:
-                escaped[label - server.t + p] = True
-        logs = [tr.downlink_bytes for tr in traces] + [tr.uplink_bits for tr in traces]
-        period = list(zip(self.outcomes, escaped, zip(*[log[-p:] for log in logs])))
-        end = steps
-        for j, ((state, memory, u_norm, r), escape, entries) in zip(
-                range(t, steps), itertools.cycle(period)):
-            for log, entry in zip(logs, entries):
-                log.append(entry)
-            if escape:
-                worker.violations.append(server.t)
-            worker.memory = memory
-            worker.last_u_norm, worker.last_r = u_norm, r
-            server.state = state
-            server.t += 1
-            if on_iteration is not None:
-                on_iteration(j, server, worker)
-            if stop is not None and stop(j, server):
-                end = j + 1
-                break
-        for cursor in (server.cursor, worker.cursor):
-            cursor.t += end - t
-        return end
-
 
 # ---------------------------------------------------------------------------
 # assembly
@@ -473,29 +481,22 @@ _DQ_PAIRS = {
 
 def dq_schedule(algo, objective, R, alpha=0.0):
     """Range schedule and optimal hyperparameters of one DQ method."""
-    base = dict(L=objective.L, D=objective.D,
-                rho=QuantizerSpec(objective.n, R).rho, R=R)
-    if algo == "dq-gd":
-        hp = optimal_hyperparams(objective.L, objective.mu, "gd")
-        return RangeSchedule(scheme="dq-gd", sigma=hp.sigma, **base), hp
+    if algo not in _DQ_PAIRS:
+        raise ValueError(f"not a DQ algorithm: {algo!r}")
+    hp = optimal_hyperparams(objective.L, objective.mu, _DQ_PAIRS[algo][1])
+    extras = {}
     if algo == "dq-agd":
-        hp = optimal_hyperparams(objective.L, objective.mu, "agd")
         if hp.sigma == 0.0:  # kappa = 1: one-step convergence, no schedule
             raise ValueError("the accelerated schedule is undefined at "
                              "condition number 1; use dq-gd")
-        return (
-            RangeSchedule(scheme="dq-agd", sigma=hp.sigma, gamma=hp.gamma,
-                          lam=agd_lambda(objective.kappa), **base),
-            hp,
-        )
-    if algo == "dq-hb":
-        hp = optimal_hyperparams(objective.L, objective.mu, "hb")
-        return (
-            RangeSchedule(scheme="dq-hb", sigma=hp.sigma, gamma=hp.gamma,
-                          alpha=alpha, **base),
-            hp,
-        )
-    raise ValueError(f"not a DQ algorithm: {algo!r}")
+        extras["lam"] = agd_lambda(objective.kappa)
+    elif algo == "dq-hb":
+        extras["alpha"] = alpha
+    schedule = RangeSchedule(scheme=algo, L=objective.L, D=objective.D,
+                             sigma=hp.sigma, gamma=hp.gamma,
+                             rho=QuantizerSpec(objective.n, R).rho, R=R,
+                             **extras)
+    return schedule, hp
 
 
 def build_dq_engine(algo, objective, R, alpha=0.0, containment=None):

@@ -75,18 +75,14 @@ class RunRecord:
     ranges: list = field(default_factory=list)
     bits_per_iteration: list = field(default_factory=list)
     violations: int = 0
-    # (start, period) of a run served from a cycle; start, the round the
-    # detector saved, is on the cycle but not always its first round
+    # (start, period) of the last cycle a run was served from; start, the
+    # round the detector saved, is on the cycle but not always its first
     cycle: tuple | None = None
+    replayed: int = 0  # rounds restored from cycles
 
     @property
     def terminal_T(self):
         return len(self.distances) - 1
-
-    @property
-    def replayed(self):
-        """Rounds served from the cycle: every round after start + period."""
-        return 0 if self.cycle is None else self.terminal_T - sum(self.cycle)
 
     @property
     def min_headroom(self):
@@ -172,7 +168,7 @@ def _drive(algo, R, problem, server, worker, channels, t_max):
     record.bits_per_iteration = list(
         map(sum, zip(*(ch.trace.uplink_bits for ch in channels))))
     record.violations = len(worker.violations)
-    record.cycle = server.cycle
+    record.cycle, record.replayed = server.cycle, server.replayed
     return record
 
 
@@ -254,10 +250,22 @@ class ExperimentConfig:
         for algo in self.algos:
             if algo not in UNQUANTIZED + SCHEMES:
                 raise ValueError(f"unknown algorithm {algo!r}")
-        # the rule every trial's dq_schedule applies, at the section's kappa
-        if "dq-agd" in self.algos and p["kind"] in ("mtx", "gaussian") and sigma_agd(
-                L / mu if p["kind"] == "mtx" else p["kappa"]) == 0.0:
-            raise ValueError("dq-agd is undefined at condition number 1; use dq-gd")
+        # each algorithm's hyperparameters as its trials take them, at the
+        # SVD's constants or a gaussian remap's endpoints (1, 1/kappa), and
+        # dq_schedule's rule for dq-agd
+        if p["kind"] in ("mtx", "gaussian"):
+            if p["kind"] == "gaussian":
+                L, mu = 1.0, 1.0 / p["kappa"]
+            for algo in self.algos:
+                rule = algo[3:] if algo in SCHEMES else algo  # nq-gd's is gd
+                try:
+                    hp = optimal_hyperparams(L, mu, rule)
+                except ValueError as exc:
+                    raise ValueError(f"{algo} fails every trial at L={L}, "
+                                     f"mu={mu}: {exc}") from None
+                if algo == "dq-agd" and hp.sigma == 0.0:
+                    raise ValueError("dq-agd is undefined at condition "
+                                     "number 1; use dq-gd")
         if self.allocation not in ("uniform", "waterfilling"):
             raise ValueError(f"unknown allocation {self.allocation!r}")
         if self.workers < 1:

@@ -39,8 +39,9 @@ bit-equal to the reference's forms: floor and clip equal np.clip(np.floor(
 (u + r) / w), 0, 2**R - 1) on non-NaN u >= -r, -r + y equals y + (-r), and
 a saturating row is clamped only when some |u| exceeds r. At R = 8 a cell
 is its byte; below, its bits come from a table of every index, above,
-from shifts of int64; rows that fill whole bytes pack and unpack as one
-buffer, contracted with the rate's float weights (read-only, _layout).
+from the last R bits of its big-endian bytes; rows that fill whole bytes
+pack and unpack as one buffer, contracted with the rate's float weights
+(read-only, _layout).
 The clip holds every cell in [0, 2**R - 1]: no index check.
 """
 
@@ -60,8 +61,11 @@ MAX_RATE = 53
 # largest range whose 2r, and so whose cell width, is finite
 _LARGEST_RANGE = sys.float_info.max / 2
 # largest rate whose bits come from a table of every index, (2**R, R) uint8:
-# 2 KB at R = 8; above it the bits are shifted out of int64 and cast to uint8
+# 2 KB at R = 8; above it, a cell's bits are the last R of its bytes as the
+# narrowest big-endian unsigned integer that holds it
 _TABLE_RATE = 8
+_WIDE = {R: np.dtype(">u2" if R <= 16 else ">u4" if R <= 32 else ">u8")
+         for R in range(_TABLE_RATE + 1, MAX_RATE + 1)}
 _FLOAT64 = np.dtype(np.float64)
 
 
@@ -324,22 +328,21 @@ class BitCoder:
 
 
 # one rate's constants of the bit layout: up to R = 8 the MSB-first bits of
-# every index as a (2**R, R) uint8 table (else None), the int64 bit positions
-# R - 1, ..., 0, and their float64 weights 2**k
-_Layout = collections.namedtuple("_Layout", "table shifts weights")
+# every index as a (2**R, R) uint8 table (else None), and the float64
+# weights 2**(R - 1), ..., 2, 1 of the bits
+_Layout = collections.namedtuple("_Layout", "table weights")
 
 
 @functools.cache
 def _layout(R):
     """The _Layout of rate R, built on first use and read-only, since every
     coder of the rate shares it."""
-    shifts = np.arange(R - 1, -1, -1, dtype=np.int64)
     table = None
     if R <= _TABLE_RATE:
         every = np.arange(1 << R, dtype=np.uint8)[:, None]
         table = np.unpackbits(every, axis=1)[:, 8 - R:].copy()
-    weights = np.left_shift(np.int64(1), shifts).astype(np.float64)
-    layout = _Layout(table, shifts, weights)
+    weights = np.ldexp(1.0, np.arange(R - 1, -1, -1))
+    layout = _Layout(table, weights)
     for a in layout:
         if a is not None:
             a.flags.writeable = False
@@ -451,15 +454,12 @@ def _pack(cells, R):
     """
     if R == 8:  # a byte per cell
         return cells.astype(np.uint8)
-    layout = _layout(R)
-    if layout.table is not None:
-        bits = layout.table.take(cells.astype(np.uint8), axis=0)
-    else:
-        # packbits takes uint8 several times faster than int64; the cast
-        # keeps each shifted value's low bit
-        bits = cells.astype(np.int64)[..., None] >> layout.shifts
-        bits = bits.astype(np.uint8)
-        bits &= 1
+    if R < 8:
+        bits = _layout(R).table.take(cells.astype(np.uint8), axis=0)
+    else:  # each cell's big-endian bytes, of which its last R bits
+        wide = cells.astype(_WIDE[R])
+        bits = np.unpackbits(wide.view(np.uint8)).reshape(
+            cells.shape + (8 * wide.itemsize,))[..., -R:]
     if cells.ndim == 1:  # packbits is much faster without an axis
         return np.packbits(bits)
     G, n = cells.shape  # whole bytes pack as one buffer, else row by row

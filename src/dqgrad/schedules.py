@@ -29,7 +29,7 @@ schedule, and a single naive worker, steps a float.
 import dataclasses
 import functools
 import math
-import sys
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,66 +77,39 @@ class RangeSchedule:
         step = _dq_gd if self.scheme == "dq-gd" else _nq_gd
         return functools.partial(step, self.sigma, self.L, self.D, self.eps)
 
-    def leading(self, t):
-        """The forcing term of r_t: the recursion at zero ranges."""
-        return self.next(t, 0.0, 0.0)
-
-    def settled(self, t, r_prev, r_prev2):
-        """True only if next() returns r = r_prev at t and at every later t.
-
-        Three tests, in floating point. The recursion is at a fixed point:
-        r_{t-1} == r_{t-2} == r and c = fl(eps * feedback(r, r)) == r. The
-        leading term is absorbed with a factor-2 margin, c + 2*lead(t) == c,
-        because pow is faithfully rounded but not guaranteed to be
-        monotone. And the leading term can only shrink from t on:
-        sigma <= 1, and for the heavy ball with alpha > 0, t is past the
-        peak alpha / ln(1/sigma) of t**alpha * sigma**t. sigma**t must also
-        still be a normal float (or sigma = 0), so that its rounding error
-        stays relative. Every later lead(t') then stays below 2*lead(t), and
-        rounding is monotone, so c + lead(t') == c == r.
-        With eps < 1 a range stands still only once it has collapsed into
-        the subnormals (or grown to inf); the naive ranges have no feedback
-        and never settle.
-        """
-        if self.scheme == "nq-gd" or t < 2 or r_prev != r_prev2:
-            return False
-        if self.scheme == "dq-gd":
-            c = self.eps * r_prev
-        else:
-            c = self.eps * (r_prev + self.gamma * (r_prev + r_prev2))
-        if c != r_prev or not self.sigma <= 1.0:
-            return False
-        if self.sigma != 0.0 and not self.sigma**t >= sys.float_info.min:
-            return False
-        if self.scheme == "dq-hb" and self.alpha > 0.0 and not (
-                self.sigma == 0.0 or t * -math.log(self.sigma) >= self.alpha):
-            return False
-        return c + 2.0 * self.leading(t) == c
-
 
 class ScheduleCursor:
-    """Stateful unroll of a RangeSchedule, one instance per channel end."""
+    """Stateful unroll of a RangeSchedule, one instance per channel end.
+
+    r1 and r2 are the last two ranges, r_{t-1} and r_{t-2} (zeros before
+    the start)."""
 
     def __init__(self, schedule):
         self.schedule = schedule
         self.t = 0
-        self._r1 = 0.0
-        self._r2 = 0.0
+        self.r1 = 0.0
+        self.r2 = 0.0
         self._next = schedule.next
 
     def step(self):
-        r = self._next(self.t, self._r1, self._r2)
-        self._r2, self._r1 = self._r1, r
+        r = self._next(self.t, self.r1, self.r2)
+        self.r2, self.r1 = self.r1, r
         self.t += 1
         return r
 
-    def settled(self):
-        """True once every later step() returns the last range again."""
-        # r_{t-1} != r_{t-2}, the common case, is answered here; the naive
-        # rows step a column of ranges, and their scheme never settles
-        s = self.schedule
-        return (s.scheme != "nq-gd" and self._r1 == self._r2
-                and s.settled(self.t, self._r1, self._r2))
+    def step_to(self, r):
+        """Step, and return True, only if the next range has the bits of the
+        float r; else return False and leave the cursor as it was."""
+        nxt = self._next(self.t, self.r1, self.r2)
+        # == tells the bits apart but for the signs of zeros, and NaN
+        if (nxt != r or nxt == 0.0) and _float_bits(nxt) != _float_bits(r):
+            return False
+        self.r2, self.r1 = self.r1, nxt
+        self.t += 1
+        return True
+
+
+_float_bits = struct.Struct("<d").pack
 
 
 def _dq_gd(sigma, L, D, eps, t, r1, r2):

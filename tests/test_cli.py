@@ -279,16 +279,18 @@ def test_sweep_rejects_a_rank_deficient_matrix_when_loading(tmp_path, capsys):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_reports_a_failed_trial_as_an_error(tmp_path, capsys, jobs):
-    # at kappa = 1e300 the accelerated momentum rounds to 1, so every
-    # trial's engine build fails; with two jobs the error is raised in a
-    # pool worker and pickled back
+    # dq-hb at alpha > 0 runs strict, and trial 0's quantizer input leaves
+    # its range in round 1; with two jobs the error is raised in a pool
+    # worker and pickled back
     cfg = tmp_path / "exp.ini"
-    cfg.write_text("[g]\nproblem = gaussian\nm = 8\nn = 4\nkappa = 1e300\n"
-                   "algos = dq-agd\nrates = 2\ntrials = 2\ncsv = g.csv\n")
+    cfg.write_text("[g]\nproblem = gaussian\nm = 8\nn = 4\nkappa = 5\n"
+                   "algos = dq-hb\nhb_alpha = 0.1\nrates = 8\ntrials = 2\n"
+                   "csv = g.csv\n")
     assert main(["sweep", str(cfg), "--jobs", jobs]) == 1
     err = capsys.readouterr().err
-    assert err == ("error: [g] trial 0: InvalidConstantsError('momentum must "
-                   "be in [0, 1)')\n")
+    assert err == ("error: [g] trial 0: ScheduleViolationError('at t=1: "
+                   "||u||=3.327044826888776 exceeds scheduled range "
+                   "2.3731655111113943')\n")
     assert not (tmp_path / "g.csv").exists()
 
 

@@ -381,8 +381,7 @@ def _stalled_gaussian_k5():
 
 
 def settled_range(r):
-    # dq-gd at eps = rho * 2**-R = 1 and sigma = 0: r_t = r for every t, and
-    # the cursor is settled from t = 2 on
+    # dq-gd at eps = rho * 2**-R = 1 and sigma = 0: r_t = r for every t
     return RangeSchedule("dq-gd", L=r, D=1.0, sigma=0.0, rho=2.0, R=1)
 
 
@@ -524,7 +523,7 @@ def test_replayed_rounds_still_check_containment(monkeypatch):
         return _drive("dq-gd", 1, target, server, worker, channels, 40), worker
 
     rec, worker = run()
-    # the range is settled from round 2, which is saved; round 3 is saved
+    # the range stands still, and round 2 is the first saved; round 3 is saved
     # when round 2 does not come back within one round, and round 5 starts
     # from its state: rounds 0-4 are computed and 5-39 served from the period
     assert rec.cycle == (3, 2) and rec.replayed == 35
@@ -539,10 +538,11 @@ def test_replayed_rounds_still_check_containment(monkeypatch):
 
 
 def test_cycle_table_waits_for_the_peak_of_a_stalled_range(monkeypatch):
-    # a heavy-ball range with alpha > 0 stands still from round 1, but its
-    # leading term t**alpha * sigma**t peaks at t = alpha / ln(1/sigma) = 2.1,
-    # so the range is settled only from round 3 on. (Past round 10 the
-    # subexponential factor overflows; the run stops before.)
+    # a heavy-ball range with alpha > 0 stands still from round 0, though
+    # its leading term t**alpha * sigma**t still rises to its peak at
+    # t = alpha / ln(1/sigma) = 2.1; each restored round steps both cursors
+    # to its range first. (Past round 10 the subexponential factor
+    # overflows; the run stops before.)
     sigma, alpha = math.exp(-100.0), 210.0
     L = 1.0 / (math.e**alpha * math.sqrt(2.0))  # r_0 = 1 exactly
     schedule = RangeSchedule("dq-hb", L=L, D=1.0, sigma=sigma, rho=2.0, R=1,
@@ -556,37 +556,15 @@ def test_cycle_table_waits_for_the_peak_of_a_stalled_range(monkeypatch):
 
     assert run_protocol(server, worker, channels, 10, on_iteration=observe) == 10
     assert set(ranges) == {1.0}
-    # round 3 is saved, then round 4 with a window of two, and round 6
-    # starts from the state of round 4
-    assert [s for s, _ in log[:5]] == [None, None, None, 3, 4]
-    assert server.cycle == (4, 2)
+    # round 2 is saved, then round 3 with a window of two, and round 5
+    # starts from the state of round 3
+    assert [s for s, _ in log[:5]] == [None, None, 2, 3, 3]
+    assert server.cycle == (3, 2) and server.replayed == 5
     monkeypatch.setattr(engines, "_CYCLE_SLOTS", 0)
     ref_worker, ref_server, ref_channels = _zero_gradient_engine(schedule)
     run_protocol(ref_server, ref_worker, ref_channels, 10)
     assert ref_worker.violations == worker.violations
     assert _same_bits(ref_server.x, server.x)
-
-
-@pytest.mark.parametrize("seed,kappa", [(7, 5.0), (8, 25.0)])
-def test_the_detector_saves_the_first_settled_round(monkeypatch, seed, kappa):
-    # the detector asks the cursor only once the worker's last two ranges
-    # are equal; the first round it saves is still the first round whose
-    # server cursor is settled
-    settled, saved = [], []
-
-    class Logged(engines._Cycles):
-        def enter(self, t):
-            settled.append(self.server.cursor.settled())
-            start = super().enter(t)
-            saved.append(self.saved is not None)
-            return start
-
-    monkeypatch.setattr(engines, "_Cycles", Logged)
-    ss = np.random.SeedSequence(seed, spawn_key=(0,))
-    obj = make_gaussian_ls(32, 16, kappa, ss)[1]
-    run_dq("dq-gd", obj, 2, t_max=3000)
-    assert True in settled
-    assert saved.index(True) == settled.index(True)
 
 
 def test_cycle_table_compares_the_whole_state_of_rounds_that_share_x():
@@ -595,16 +573,17 @@ def test_cycle_table_compares_the_whole_state_of_rounds_that_share_x():
     a, b = np.zeros(2), np.ones(2)
     m = [(np.full(2, v), np.full(2, -v)) for v in (1.0, 2.0)]
     server = SimpleNamespace(state=None,
-                             cursor=SimpleNamespace(settled=lambda: True))
+                             cursor=SimpleNamespace(r1=1.0, r2=1.0))
     worker = SimpleNamespace(memory=None, last_u_norm=0.0, last_r=1.0)
     cycles = engines._Cycles(server, worker, [])
     found, saved = [], []
+    # from round 2, the first whose last two ranges are both ranges
     for t, (x, memory) in enumerate([(a, m[0]), (a, m[1]), (b, m[1]),
-                                     (a, m[1])]):
+                                     (a, m[1])], start=2):
         server.state, worker.memory = (x,), memory
         found.append(cycles.enter(t))
         saved.append(cycles.saved[0])
-    assert found == [None, None, None, 1] and saved == [0, 1, 1, 1]
+    assert found == [None, None, None, 3] and saved == [2, 3, 3, 3]
     assert len(cycles.outcomes) == 2
 
 
@@ -619,7 +598,7 @@ def test_cycle_detector_finds_exactly_the_periods_it_can_hold(lead, period,
     def state(t):
         return t if t < lead else lead + (t - lead) % period
 
-    cursor = SimpleNamespace(settled=lambda: False)
+    cursor = SimpleNamespace(r1=2.0, r2=1.0)  # the range moves
     server = SimpleNamespace(state=None, cursor=cursor)
     worker = SimpleNamespace(memory=None, last_u_norm=None, last_r=1.0)
     start = None
@@ -628,7 +607,7 @@ def test_cycle_detector_finds_exactly_the_periods_it_can_hold(lead, period,
         # long enough to save a round on the cycle at a window >= period
         for t in range(settle + lead + 2 * slots + 4 * period + 4):
             if t == settle:
-                cursor.settled = lambda: True
+                cursor.r1 = 1.0  # and stands still from here on
             i = state(t)
             server.state = (np.array([float(i % 3)]), np.zeros(1))
             worker.memory = (np.array([float(i)]),)
@@ -652,7 +631,7 @@ def test_cycle_detector_finds_exactly_the_periods_it_can_hold(lead, period,
 def _end_state(server, worker, channels):
     """Every party's state after a run, as comparable values."""
     def cursor(c):
-        return (c.t, c._r1, c._r2)
+        return (c.t, c.r1, c.r2)
 
     return (
         [np.asarray(a).tobytes() for a in (*server.state, *worker.memory)],
@@ -693,6 +672,43 @@ def test_a_skipped_run_ends_where_a_computed_run_ends(monkeypatch, engine,
     ref_rounds, ref_seen, ref_end, ref_server = run()
     assert ref_server.cycle is None
     assert rounds == ref_rounds == (3000 if stop_at is None else stop_at + 1)
+    assert seen == ref_seen
+    assert end == ref_end
+
+
+def test_a_range_that_moves_hands_its_round_back_to_be_computed(monkeypatch):
+    # a stand-in schedule whose range stands still at 1.0 for rounds 0-11
+    # and is 2.0 from round 12 on: rounds are restored from the period only
+    # while both cursors step to 1.0, round 12 is computed, and the
+    # detector starts over at the new range
+    schedule = SimpleNamespace(scheme="dq-gd",
+                               next=lambda t, r1, r2: 1.0 if t < 12 else 2.0)
+
+    def run():
+        worker, server, channels = _zero_gradient_engine(schedule)
+        computed, seen = [], []
+        grad = worker.grad
+
+        def counted(z):
+            computed.append(server.t)
+            return grad(z)
+
+        def observe(t, srv, w):
+            seen.append((t, srv.x.tobytes(), w.e1.tobytes(), w.last_u_norm,
+                         w.last_r))
+
+        worker.grad = counted
+        assert run_protocol(server, worker, channels, 40,
+                            on_iteration=observe) == 40
+        return computed, seen, _end_state(server, worker, channels), server
+
+    computed, seen, end, server = run()
+    monkeypatch.setattr(engines, "_CYCLE_SLOTS", 0)
+    ref_computed, ref_seen, ref_end, ref_server = run()
+    assert ref_computed == list(range(40)) and ref_server.replayed == 0
+    # round 5 starts from the state of round 3, and rounds 5-11 are restored
+    assert computed[:6] == [0, 1, 2, 3, 4, 12]
+    assert server.replayed == 40 - len(computed) > 7
     assert seen == ref_seen
     assert end == ref_end
 

@@ -318,6 +318,27 @@ def test_a_config_rejects_dq_agd_at_condition_number_one(problem):
                         "algos": ("gd", "dq-gd", "agd")})
 
 
+@pytest.mark.parametrize("problem,algo,detail", [
+    # the momentum (sqrt(kappa) - 1)/(sqrt(kappa) + 1) rounds to 1
+    ({"kind": "gaussian", "m": 16, "n": 8, "kappa": 1e300}, "dq-agd",
+     "momentum must be in"),
+    ({"kind": "gaussian", "m": 16, "n": 8, "kappa": 1e300}, "hb",
+     "momentum must be in"),
+    # L = (1e300)**2 = inf, so the stepsize 2/(L + mu) is 0
+    ({"kind": "mtx", "matrix": np.diag([1e300, 1.0, 1.0])}, "gd",
+     "stepsize must be positive"),
+], ids=["gaussian-dq-agd", "gaussian-hb", "mtx-gd"])
+def test_a_config_refuses_constants_that_fail_every_trial(problem, algo,
+                                                          detail):
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=f"{algo} fails every trial at .*: {detail}"):
+        ExperimentConfig(**{**SMALL.__dict__, "problem": problem,
+                            "algos": (algo,)})
+    if problem["kind"] == "gaussian":  # the gd rule's constants still hold
+        ExperimentConfig(**{**SMALL.__dict__, "problem": problem,
+                            "algos": ("gd", "dq-gd", "nq-gd")})
+
+
 @pytest.mark.parametrize("problem,detail", [
     ({"kind": "gaussian", "m": 32, "n": 16, "kappa": math.inf},
      "condition number must be finite"),

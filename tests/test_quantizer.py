@@ -773,9 +773,9 @@ def _quarter_cell_centers(centers):
 
 def _lsb_first(layout):
     def reversed_bits(R):
-        table, shifts, weights = layout(R)
+        table, weights = layout(R)
         return quantizer._Layout(None if table is None else table[:, ::-1],
-                                 shifts[::-1], weights[::-1])
+                                 weights[::-1])
     return reversed_bits
 
 

@@ -60,7 +60,7 @@ def test_zero_feedback_gives_pure_leading_term():
         s = RangeSchedule(scheme=scheme, L=1.0, D=2.0, sigma=0.6, rho=1.0,
                           R=400, **kw)
         for t, r in enumerate(unroll(s, 10)):
-            assert r == pytest.approx(s.leading(t), rel=1e-12)
+            assert r == pytest.approx(s.next(t, 0.0, 0.0), rel=1e-12)
 
 
 def test_hb_alpha_zero_keeps_nonzero_start():
@@ -172,70 +172,6 @@ def test_channel_ends_stay_in_schedule_sync(scheme, L, D, sigma, gamma, rho, R,
 
 
 # ---------------------------------------------------------------------------
-# settled ranges
-
-
-@settings(max_examples=150, deadline=None)
-@given(scheme=st.sampled_from(("dq-gd", "dq-agd", "dq-hb")),
-       kappa=st.floats(1.5, 100.0), n=st.sampled_from((4, 16, 64)),
-       R=st.integers(1, 4), alpha=st.sampled_from((0.0, 0.5, 3.0)),
-       LD=st.floats(1e-3, 1e3))
-def test_a_settled_range_stands_still_for_good(scheme, kappa, n, R, alpha, LD):
-    # the paper's constants, with eps = sqrt(n) * 2**-R from 1/8 to 8 and
-    # exactly 1 at (n, R) = (4, 1), (16, 2), (64, 3)
-    hp = optimal_hyperparams(1.0, 1.0 / kappa, scheme[3:])
-    s = RangeSchedule(scheme=scheme, L=LD, D=1.0, sigma=hp.sigma,
-                      gamma=hp.gamma, rho=math.sqrt(n), R=R,
-                      lam=agd_lambda(kappa) if scheme == "dq-agd" else 1.0,
-                      alpha=alpha if scheme == "dq-hb" else 0.0)
-    peak = s.alpha / -math.log(s.sigma) if s.alpha else 0.0
-    cur = ScheduleCursor(s)
-    while not cur.settled():
-        if cur.t == 3000:
-            return
-        cur.step()
-    r = cur.step()
-    # below eps = 1 only a range that collapsed into the subnormals, where
-    # rounding holds it, or that grew to inf stands still
-    assert s.eps >= 1.0 or not sys.float_info.min <= r < math.inf
-    assert cur.t - 1 >= peak
-    assert all(cur.step() == r for _ in range(2000))
-
-
-def test_a_stalled_range_settles_only_past_its_peak():
-    # eps = 1, gamma = 0: the heavy-ball range stands still from t = 1, and
-    # its leading term is absorbed at t = 2, but t**alpha * sigma**t still
-    # rises there: its peak is at alpha / ln(1/sigma) = 2.1
-    sigma, alpha = math.exp(-100.0), 210.0
-    s = RangeSchedule(scheme="dq-hb", L=1.0, D=1.0, sigma=sigma, rho=2.0, R=1,
-                      alpha=alpha)
-    r = s.next(0, 0.0, 0.0)
-    assert s.next(1, r, 0.0) == s.next(2, r, r) == r
-    assert r + 2.0 * s.leading(2) == r
-    assert not s.settled(2, r, r)
-    assert s.settled(3, r, r)
-
-
-@pytest.mark.parametrize("scheme", ["dq-gd", "dq-agd", "dq-hb", "nq-gd"])
-def test_settled_needs_a_fixed_point(scheme):
-    # eps = 1 and sigma = 0: from t = 2 on the leading term is 0
-    s = RangeSchedule(scheme=scheme, L=1.0, D=1.0, sigma=0.0, rho=2.0, R=1)
-    assert not s.settled(1, 1.0, 1.0)  # r_{t-2} is not a range yet
-    assert not s.settled(5, 1.0, 2.0)
-    assert not s.settled(5, math.nan, math.nan)
-    # gd's feedback is r itself; a zero momentum makes the others alike; the
-    # naive range has no feedback at all
-    assert s.settled(5, 1.0, 1.0) == (scheme != "nq-gd")
-    grows = RangeSchedule(scheme=scheme, L=1.0, D=1.0, sigma=1.5, rho=2.0, R=1)
-    assert not grows.settled(5, 1.0, 1.0)
-    # sigma = 1/2: 2**-5 is not absorbed into 1, 2**-60 is; past t = 1022,
-    # sigma**t is no normal float and its rounding error is no longer relative
-    halves = RangeSchedule(scheme=scheme, L=1.0, D=1.0, sigma=0.5, rho=2.0, R=1)
-    assert [halves.settled(t, 1.0, 1.0) for t in (5, 60, 1100)] == [
-        False, scheme != "nq-gd", False]
-
-
-# ---------------------------------------------------------------------------
 # the K naive rows of one cursor
 
 
@@ -255,8 +191,6 @@ def test_one_cursor_of_naive_rows_steps_as_its_rows_bitwise(sigma):
         ref = np.array([[c.step()] for c in flat])
         assert column.tobytes() == ref.tobytes(), t
         seen_subnormal |= 0.0 < sigma**t < sys.float_info.min
-        # a column never reaches a comparison of ranges
-        assert stacked.settled() is False
     assert stacked.t == 10_001
     assert seen_subnormal == (sigma in (0.9, 0.5))
     assert not stacked.schedule.L.flags.writeable
@@ -290,8 +224,7 @@ def test_one_call_step_keeps_both_ends_on_the_next_recursion(scheme, alpha,
                                                              kappa, R):
     # n = 16: eps = 1 at R = 2, where the dq ranges stall or grow; the
     # cursor's one-call step gives the textbook recursion's ranges bit for
-    # bit for 5000 rounds on both ends, and the cursor's settled(), which
-    # answers unequal last ranges itself, agrees with the schedule's
+    # bit for 5000 rounds on both ends
     hp = optimal_hyperparams(1.0, 1.0 / kappa, "gd" if "nq" in scheme
                              else scheme[3:])
     consts = dict(L=2.5, D=1.3, sigma=hp.sigma, gamma=hp.gamma, rho=4.0, R=R,
@@ -303,17 +236,40 @@ def test_one_call_step_keeps_both_ends_on_the_next_recursion(scheme, alpha,
         s = RangeSchedule(scheme, **consts)
     worker, server = ScheduleCursor(s), ScheduleCursor(s)
     r1 = r2 = 0.0
-    settled = 0
     for t in range(5000):
         r = _textbook(s, t, r1, r2)
         assert _bits(worker.step()) == _bits(server.step()) == _bits(r), t
         assert _bits(s.next(t, r1, r2)) == _bits(r), t
         r2, r1 = r1, r
-        assert server.settled() == worker.settled() == s.settled(t + 1, r1,
-                                                                 r2), t
-        settled += server.settled()
-    # the stalled gd and agd ranges settle; naive ranges never do
-    assert (settled > 0) == (R == 2 and scheme in ("dq-gd", "dq-agd"))
+
+
+# a range, its neighbours an ulp away, the zeros, inf and NaN
+_RANGES = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scheme=st.sampled_from(("dq-gd", "dq-agd", "dq-hb")),
+       sigma=st.floats(0.0, 1.0), gamma=st.floats(0.0, 0.99),
+       R=st.integers(0, 8), alpha=st.sampled_from((0.0, 0.5)),
+       t=st.integers(0, 3000), r1=_RANGES, r2=_RANGES, data=st.data())
+def test_step_to_steps_only_onto_the_bits_of_the_next_range(
+        scheme, sigma, gamma, R, alpha, t, r1, r2, data):
+    s = RangeSchedule(scheme, L=2.5, D=1.3, sigma=sigma, gamma=gamma,
+                      rho=4.0, R=R, alpha=alpha)
+    cur = ScheduleCursor(s)
+    cur.t, cur.r1, cur.r2 = t, r1, r2
+    nxt = s.next(t, r1, r2)
+    near = [nxt, -nxt, math.nextafter(nxt, math.inf),
+            math.nextafter(nxt, -math.inf)]
+    r = data.draw(st.sampled_from(near) | _RANGES)
+    stepped = cur.step_to(r)
+    assert stepped == (_bits(r) == _bits(nxt))
+    if stepped:
+        assert (cur.t, _bits(cur.r1), _bits(cur.r2)) == (t + 1, _bits(nxt),
+                                                          _bits(r1))
+    else:
+        assert (cur.t, _bits(cur.r1), _bits(cur.r2)) == (t, _bits(r1),
+                                                          _bits(r2))
 
 
 def test_a_schedule_pickles_with_its_recursion_bound():
